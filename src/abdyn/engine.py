@@ -60,6 +60,9 @@ class RunTrace:
     changed_rounds: list[int]
     last_change_round: Optional[int]
     deltas: Optional[list[EdgeDelta]] = None
+    # pairs whose state differs from the run's initial graph: the run loop's
+    # own set, handed over uncopied (read-only); None when it is not tracked
+    diff: Optional[set[tuple[int, int]]] = None
 
     @property
     def change_count(self) -> int:
@@ -307,7 +310,7 @@ def run(config: RunConfig) -> RunTrace:
     }
     return RunTrace(rounds=rounds, verdict=verdict, seed=config.seed,
                     metadata=metadata, final_graph=g, changed_rounds=changed_rounds,
-                    last_change_round=last_change, deltas=deltas)
+                    last_change_round=last_change, deltas=deltas, diff=diff)
 
 
 def _bookkeep(delta: EdgeDelta, g: DynGraph, counter: Counter, diff: set) -> None:

@@ -8,6 +8,10 @@ a blank line is an empty round.
 
 Social profile format: one ``id niceness extroversion`` line per node, then
 ``enemy u v`` lines for enemy pairs.
+
+Trace format: JSON lines, a header record carrying ``format`` (TRACE_FORMAT),
+one record per round and a verdict record. Round fingerprints are those of
+``graph.graph_fingerprint``; a trace of another format cannot be replayed.
 """
 
 from __future__ import annotations
@@ -114,6 +118,10 @@ def read_social_profile(path: str):
     )
 
 
+# 2: fingerprints fold splitmix64 edge tokens (1, unmarked: blake2b tokens)
+TRACE_FORMAT = 2
+
+
 class TraceWriter:
     """Line-delimited JSON trace records, one per round plus header/verdict."""
 
@@ -121,7 +129,8 @@ class TraceWriter:
         self._fh = fh
 
     def header(self, seed: int, metadata: dict) -> None:
-        self._fh.write(json.dumps({"type": "header", "seed": seed, **metadata}) + "\n")
+        self._fh.write(json.dumps({"type": "header", "format": TRACE_FORMAT, "seed": seed,
+                                   **metadata}) + "\n")
 
     def round(self, record) -> None:
         self._fh.write(
@@ -147,7 +156,10 @@ class TraceWriter:
 
 
 def read_trace(path: str) -> dict:
-    """Load a trace file back into {header, rounds, verdict}."""
+    """Load a trace file back into {header, rounds, verdict}.
+
+    Raises InputError unless the header declares format TRACE_FORMAT.
+    """
     header = None
     rounds = []
     verdict = None
@@ -164,4 +176,9 @@ def read_trace(path: str) -> dict:
                 rounds.append(rec)
             elif kind == "verdict":
                 verdict = rec
+    found = (header or {}).get("format")
+    if found != TRACE_FORMAT:
+        raise InputError(
+            f"{path}: trace format {found if found is not None else 'missing'}, "
+            f"this version reads format {TRACE_FORMAT} only")
     return {"header": header, "rounds": rounds, "verdict": verdict}

@@ -10,9 +10,11 @@ exclusive access.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ContractError, InputError
 
@@ -189,6 +191,37 @@ class EdgeDelta:
 # ---------------------------------------------------------------------------
 # Fingerprints
 
+# An edge {a, b} with a < b is coded as the 64-bit integer (a << 32) | b, so
+# node ids must stay below 2**32. Its token is splitmix64 of that code
+# (Steele, Lea & Flood, OOPSLA 2014); the fingerprint of a graph on n nodes is
+# splitmix64(n) XOR the tokens of all its edges. Since a < n, no edge code
+# equals n, so the seed is never the token of an edge.
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+FOLD_BLOCK = 4096          # nodes per block when coding a whole graph
+
+
+def _splitmix64(x: int) -> int:
+    z = (x + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _splitmix64_array(codes: np.ndarray) -> np.ndarray:
+    """splitmix64 of every element; uint64 arithmetic wraps modulo 2**64."""
+    z = codes + np.uint64(_GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def edge_token(u: int, v: int) -> int:
     """64-bit mixing of one undirected edge, stable across runs.
 
@@ -197,16 +230,40 @@ def edge_token(u: int, v: int) -> int:
     principle collide; any machinery that must never report a false match
     (cycle detection) compares exact edge sets instead.
     """
-    a, b = norm_pair(u, v)
-    h = hashlib.blake2b(f"{a},{b}".encode(), digest_size=8)
-    return int.from_bytes(h.digest(), "big")
+    a, b = (u, v) if u < v else (v, u)
+    return _splitmix64((a << 32) | b)
+
+
+def _edge_code_blocks(g: DynGraph) -> Iterator[np.ndarray]:
+    """Codes of the edges leaving each block of FOLD_BLOCK nodes towards
+    larger ids, unsorted, one uint64 array per block. Walking the adjacency
+    block by block keeps the temporary arrays small."""
+    adj = g._adj
+    for lo in range(0, len(adj), FOLD_BLOCK):
+        sets = adj[lo:lo + FOLD_BLOCK]
+        lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        nbrs = np.fromiter(chain.from_iterable(sets), dtype=np.int64,
+                           count=int(lens.sum())).view(np.uint64)    # int64 converts faster
+        srcs = np.repeat(np.arange(lo, lo + len(sets), dtype=np.uint64), lens)
+        keep = srcs < nbrs
+        yield (srcs[keep] << np.uint64(32)) | nbrs[keep]
+
+
+def edge_codes(g: DynGraph) -> np.ndarray:
+    """Sorted uint64 codes (a << 32) | b of all edges {a, b}, a < b."""
+    out = np.empty(g.m, dtype=np.uint64)
+    pos = 0
+    for codes in _edge_code_blocks(g):
+        codes.sort()    # blocks cover ascending sources, so sorted blocks concatenate sorted
+        out[pos:pos + len(codes)] = codes
+        pos += len(codes)
+    return out
 
 
 def graph_fingerprint(g: DynGraph) -> int:
-    fp = hashlib.blake2b(f"n={g.n}".encode(), digest_size=8)
-    acc = int.from_bytes(fp.digest(), "big")
-    for u, v in g.edges():
-        acc ^= edge_token(u, v)
+    acc = _splitmix64(g.n)
+    for codes in _edge_code_blocks(g):
+        acc ^= int(np.bitwise_xor.reduce(_splitmix64_array(codes)))
     return acc
 
 

@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .engine import RunConfig, RunTrace, run
-from .errors import InputError
-from .graph import DynGraph, norm_pair
+from .errors import ContractError, InputError
+from .graph import DynGraph, edge_codes, norm_pair
 from .potentials import Potential, rule110_potential, two_step_merge
 
 AUX_PER_SUBCELL = 60
@@ -156,16 +156,7 @@ class CellAssembly:
     graph: DynGraph
     gmap: GadgetMap
     tape: tuple[int, ...]
-    initial_codes: np.ndarray      # sorted encodings of the built edge set
-
-    def encode(self, u: int, v: int) -> int:
-        a, b = norm_pair(u, v)
-        return a * self.graph.n + b
-
-    def had_initial_edge(self, u: int, v: int) -> bool:
-        code = self.encode(u, v)
-        idx = np.searchsorted(self.initial_codes, code)
-        return bool(idx < len(self.initial_codes) and self.initial_codes[idx] == code)
+    initial_codes: np.ndarray      # graph.edge_codes of the built edge set
 
 
 def _add_clique(g: DynGraph, nodes) -> None:
@@ -269,9 +260,7 @@ def build_assembly(tape) -> CellAssembly:
         blinker_owner=blinker_owner,
         anchor_owner=anchor_owner,
     )
-    codes = np.fromiter((u * n + v for u, v in g.edges()), dtype=np.uint64, count=g.m)
-    codes.sort()
-    return CellAssembly(graph=g, gmap=gmap, tape=logical, initial_codes=codes)
+    return CellAssembly(graph=g, gmap=gmap, tape=logical, initial_codes=edge_codes(g))
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +357,9 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
                     "static_edge", gmap.describe_pair(pair),
                     "unchanged from build", "toggled"))
     else:
-        now = np.fromiter((u * g.n + v for u, v in g.edges()),
-                          dtype=np.uint64, count=g.m)
-        now.sort()
-        changed = np.setxor1d(now, assembly.initial_codes, assume_unique=True)
-        for code in changed:
-            pair = (int(code) // g.n, int(code) % g.n)
+        changed = np.setxor1d(edge_codes(g), assembly.initial_codes, assume_unique=True)
+        for code in changed.tolist():
+            pair = (code >> 32, code & 0xFFFFFFFF)
             if pair not in dynamic:
                 report.violations.append(StructureViolation(
                     "static_edge", gmap.describe_pair(pair),
@@ -515,7 +501,7 @@ class AssemblyRunner:
             raise InputError(f"runner is built for width {gmap.width}")
         self._set_tape(logical)
         result = _run_assembly(self.assembly, steps, merged, check, stop_mode, engine)
-        self._restore()
+        self._restore(result.trace.diff)
         return result
 
     def raw_run(self, tape, rounds: int, engine: str, prune: bool,
@@ -539,7 +525,7 @@ class AssemblyRunner:
             record_rounds="all",
         )
         trace = run(cfg)
-        self._restore()
+        self._restore(trace.diff)
         return trace
 
     def _set_tape(self, logical) -> None:
@@ -554,30 +540,26 @@ class AssemblyRunner:
                 else:
                     g.remove_edge(*sc.anchors)
 
-    def _restore(self) -> None:
+    def _restore(self, diff) -> None:
+        """Undo a run from its exact ``diff``, then clear the tape anchors,
+        which leaves the built all-zero assembly.
+
+        A healthy run toggles only anchor and blinker pairs. Any other pair in
+        the diff is undone too, so the runner stays usable, and then reported
+        as a ``ContractError``.
+        """
         g = self.assembly.graph
         gmap = self.assembly.gmap
-        for pair in gmap.driver_blinkers:
-            if not g.has_edge(*pair):
-                g.add_edge(*pair)
-        for pair in gmap.follower_blinkers:
-            if g.has_edge(*pair):
-                g.remove_edge(*pair)
-        for (cell, kind), sc in gmap.subcells.items():
-            if g.has_edge(*sc.anchors):
-                g.remove_edge(*sc.anchors)
-        # anything beyond anchors and blinkers would be a structure bug; wipe
-        # it so later runs start clean, and surface it loudly
-        now = np.fromiter((u * g.n + v for u, v in g.edges()),
-                          dtype=np.uint64, count=g.m)
-        now.sort()
-        zero_codes = self.assembly.initial_codes
-        # built state for the all-zero tape has all driver blinkers on and no
-        # anchor edges, which is exactly what we restored above
-        changed = np.setxor1d(now, zero_codes, assume_unique=True)
-        for code in changed:
-            u, v = int(code) // g.n, int(code) % g.n
+        for u, v in diff:
             if g.has_edge(u, v):
                 g.remove_edge(u, v)
             else:
                 g.add_edge(u, v)
+        for sc in gmap.subcells.values():
+            g.remove_edge(*sc.anchors)
+        static = sorted(p for p in diff
+                        if p not in gmap.anchor_owner and p not in gmap.blinker_owner)
+        if static:
+            raise ContractError(
+                f"run toggled {len(static)} static pair(s); first: "
+                f"{gmap.describe_pair(static[0])}")

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from abdyn.cli import main
@@ -118,6 +120,15 @@ output.trace = {trace_path}
     assert main(["verify", "--mode", "degree-props", "--config", cfg,
                  "--trace", str(trace_path)]) == 0
     assert "PASS" in capsys.readouterr().out
+    # a trace of another format, or of none, is refused before any replay
+    lines = trace_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    unversioned = {k: v for k, v in header.items() if k != "format"}
+    for bad in ({**header, "format": 1}, unversioned):
+        trace_path.write_text("\n".join([json.dumps(bad)] + lines[1:]) + "\n")
+        assert main(["verify", "--mode", "degree-props", "--config", cfg,
+                     "--trace", str(trace_path)]) == 64
+        assert "trace format" in capsys.readouterr().err
 
 
 def test_star_subcommand(tmp_path, capsys):

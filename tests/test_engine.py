@@ -8,7 +8,7 @@ from abdyn.engine import (RunConfig, check_degree_properties, decide_pairs,
                           step)
 from abdyn.errors import ConfigError, ContractError
 from abdyn.fastpath import IncrementalStepper
-from abdyn.graph import DynGraph
+from abdyn.graph import DynGraph, graph_fingerprint
 from abdyn.kcore import peel
 from abdyn.potentials import (PROPER_FUNCTIONS, Potential, min_degree_potential,
                               proper_degree_potential, rule110_potential,
@@ -227,9 +227,16 @@ def test_incremental_and_bulk_match_naive(seed):
                 stop_mode="budget", record_rounds="all")
     fps = {}
     for engine in ("naive", "incremental", "bulk"):
+        fresh = []
         t = run(RunConfig(graph=g.copy(), engine=engine,
-                          prune=(engine == "incremental"), **base))
+                          prune=(engine == "incremental"),
+                          observers=(lambda t, h, d, diff: fresh.append(graph_fingerprint(h)),),
+                          **base))
         fps[engine] = [r.fingerprint for r in t.rounds]
+        # the run's incremental XOR equals a fresh fold after every round
+        assert fps[engine] == fresh, engine
+        assert t.change_count and fresh[-1] == graph_fingerprint(t.final_graph)
+        assert t.diff == g.edge_set() ^ t.final_graph.edge_set()
     assert fps["naive"] == fps["incremental"] == fps["bulk"]
 
 

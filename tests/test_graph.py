@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
+from abdyn import graph as graph_module
 from abdyn.errors import ContractError, InputError
-from abdyn.graph import (DynGraph, EdgeDelta, LocalView, graph_fingerprint,
-                         induced_ball)
+from abdyn.graph import (DynGraph, EdgeDelta, LocalView, edge_codes, edge_token,
+                         graph_fingerprint, induced_ball)
 
 from conftest import (brute_common_neighbor_edges, brute_common_neighbors,
                       random_graph, triangle)
@@ -132,6 +135,51 @@ def test_fingerprint_examples():
     g.remove_edge(0, 2)
     g.add_edge(0, 2)
     assert graph_fingerprint(g) == graph_fingerprint(triangle())
+
+
+def token_fold(g):
+    """Reference fingerprint: the n seed XOR one token per edge, in Python."""
+    acc = graph_fingerprint(DynGraph(g.n))
+    for u, v in g.edges():
+        acc ^= edge_token(u, v)
+    return acc
+
+
+def sorted_codes(g):
+    return sorted((u << 32) | v for u, v in g.edges())
+
+
+def sparse_graph(n, m, seed):
+    rng = random.Random(seed)
+    g = DynGraph(n)
+    while g.m < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            g.add_edge(u, v)
+    return g
+
+
+def test_fingerprint_seed_is_splitmix64_of_n():
+    # first output of the published SplitMix64 generator seeded with 0
+    assert graph_fingerprint(DynGraph(0)) == 0xE220A8397B1DCDAF
+    assert edge_token(3, 1) == edge_token(1, 3) != edge_token(1, 2)
+
+
+@pytest.mark.parametrize("n, m, seed", [(0, 0, 0), (1, 0, 0), (9, 0, 1), (12, 30, 2),
+                                        (200, 900, 3), (70_000, 3000, 4)])
+def test_vectorised_fingerprint_equals_token_fold(n, m, seed):
+    g = sparse_graph(n, m, seed)
+    assert graph_fingerprint(g) == token_fold(g)
+    assert edge_codes(g).tolist() == sorted_codes(g)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_fingerprint_folds_partial_last_block(monkeypatch, block):
+    g = sparse_graph(45, 120, block)     # 45 nodes: no multiple of 7 or 64
+    want_fp, want_codes = token_fold(g), sorted_codes(g)
+    monkeypatch.setattr(graph_module, "FOLD_BLOCK", block)
+    assert graph_fingerprint(g) == want_fp
+    assert edge_codes(g).tolist() == want_codes
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from abdyn.errors import InputError
+from abdyn.errors import ContractError, InputError
 from abdyn.rule110 import (CELL_BLOCK, SUBCELL_BLOCK, AssemblyRunner,
                            build_assembly, check_structure, extract_values,
                            reference_run, reference_step, simulate)
@@ -170,6 +170,28 @@ def test_runner_restores_between_tapes():
     assert first.matches_reference() and second.matches_reference()
     assert extract_values(runner.assembly) == [0, 0, 0, 0]
     assert check_structure(runner.assembly, round_index=0).ok
+    assert runner.assembly.graph == build_assembly((0, 0, 0, 0)).graph
+
+
+def test_runner_restores_the_built_width3_graph():
+    runner = AssemblyRunner(3)
+    result = runner.run((0, 1, 1), steps=1)
+    assert result.ok and result.matches_reference()
+    assert result.trace.diff    # anchors and blinkers did toggle
+    assert runner.assembly.graph == build_assembly((0, 0, 0)).graph
+
+
+def test_restore_rejects_a_toggled_static_pair():
+    runner = AssemblyRunner(4)
+    g = runner.assembly.graph
+    sc = runner.assembly.gmap.subcells[(0, "d1")]
+    internal = sc.anchors[1] + 2 + 60   # first blinker internal of the subcell
+    g.remove_edge(internal, internal + 1)
+    g.add_edge(*sc.anchors)             # as a tape bit would be
+    with pytest.raises(ContractError, match="static pair"):
+        runner._restore(frozenset({(internal, internal + 1)}))
+    # the pair is undone and the anchors cleared before the error is raised
+    assert g.has_edge(internal, internal + 1) and not g.has_edge(*sc.anchors)
 
 
 def test_merged_step_equals_two_half_steps_on_four_ring():

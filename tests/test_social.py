@@ -5,7 +5,7 @@ import pytest
 from abdyn.engine import RunConfig, run
 from abdyn.errors import ConfigError, ContractError
 from abdyn.generators import random_connected
-from abdyn.graph import DynGraph, EdgeDelta
+from abdyn.graph import DynGraph, EdgeDelta, graph_fingerprint
 from abdyn.potentials import (PROPER_FUNCTIONS, degree_like_potential,
                               validate_degree_like)
 from abdyn.schedulers import (FairRoundRobinScheduler, SocialScheduler,
@@ -188,6 +188,7 @@ def test_star_run_reaches_target_with_progress_checks(seed):
     assert trace.verdict.kind == "target"
     assert star_predicate(trace.final_graph)
     assert set(trace.metadata["tags"]) <= {"merge", "leaf", "tie"}
+    assert trace.rounds[-1].fingerprint == graph_fingerprint(trace.final_graph)
 
 
 def test_star_run_merges_components():
