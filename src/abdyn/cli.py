@@ -19,7 +19,7 @@ from .engine import RunConfig, check_degree_properties, run, snapshot_observer
 from .errors import AbdynError, ConfigError, InputError
 from .fileio import (TraceWriter, read_edgelist, read_interaction_script,
                      read_social_profile, read_trace, write_edgelist)
-from .graph import DynGraph
+from .graph import DynGraph, fingerprint_hex
 from .kcore import peel, verify_kcore_run
 from .potentials import make_potential
 from .rule110 import build_assembly, check_structure, extract_values, simulate
@@ -77,7 +77,7 @@ def _build_graph(cfg: dict, base: str = "graph") -> DynGraph:
     raise ConfigError(f"unknown generator {gen!r}")
 
 
-def _build_scheduler(cfg: dict, graph: DynGraph, profile=None):
+def _scheduler_from_config(cfg: dict, graph: DynGraph, profile=None):
     name = cfg.get("scheduler.name", "complete")
     if name == "complete":
         return CompleteScheduler()
@@ -120,7 +120,7 @@ def cmd_run(args) -> int:
         f=cfg.get("potential.f"),
         profile=profile,
     )
-    scheduler = _build_scheduler(cfg, graph, profile)
+    scheduler = _scheduler_from_config(cfg, graph, profile)
     seed = int(cfg.get("seed", "0"))
     rc = RunConfig(
         graph=graph,
@@ -269,7 +269,7 @@ def cmd_verify(args) -> int:
         if args.trace:
             recorded = read_trace(args.trace)
             want = [r["fingerprint"] for r in recorded["rounds"]]
-            got = [f"{r.fingerprint:016x}" for r in trace.rounds]
+            got = [fingerprint_hex(r.fingerprint) for r in trace.rounds]
             if want != got[:len(want)]:
                 print("degree-props: FAIL (replay fingerprints diverge from trace)")
                 return EXIT_VERIFY_FAIL

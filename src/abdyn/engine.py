@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, ContractError
-from .graph import DynGraph, EdgeDelta, LocalView, edge_token, graph_fingerprint
+from .graph import DynGraph, EdgeDelta, edge_token, graph_fingerprint
 from .potentials import Potential
-from .schedulers import InteractionSet, Scheduler, all_pairs, pair_count
+from .schedulers import Scheduler, all_pairs, pair_count
 
 
 class RoundRecord(NamedTuple):
@@ -105,38 +105,37 @@ def coupon_streak_default(n: int) -> int:
 # Single-round decision logic
 
 def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeDelta:
-    """Decide every scheduled pair against the pre-round graph."""
+    """Decide every scheduled pair against the pre-round graph.
+
+    With ``prune``, a pair whose common neighbor count lies below the
+    potential's certified floor (see :class:`~abdyn.potentials.PairStatsRule`)
+    keeps its state and is skipped; potentials without pair statistics are
+    never pruned.
+    """
     additions = []
     removals = []
     alpha, beta = potential.alpha, potential.beta
-    filt = potential.change_filter if prune else None
-    fast = potential.fast_evaluator
+    evaluate = potential.evaluator
+    adj = g._adj
+    stats = potential.pair_stats
+    floor = stats.cn_floor if prune and stats is not None else 0
     for u, v in pairs:
-        if filt is not None and not filt(g, u, v):
+        if floor and len(adj[u] & adj[v]) < floor:
             continue
         try:
-            if fast is not None:
-                val = fast(g, u, v)
-            else:
-                val = potential.evaluator(LocalView(g, u, v, potential.radius), u, v)
+            val = evaluate(g, u, v)
         except ContractError:
             raise
         except Exception as exc:
             raise ContractError(
                 f"potential {potential.name} failed on pair ({u},{v}): {exc}") from exc
         if val < alpha:
-            if v in g._adj[u]:
+            if v in adj[u]:
                 removals.append((u, v))
         elif val >= beta:
-            if v not in g._adj[u]:
+            if v not in adj[u]:
                 additions.append((u, v))
     return EdgeDelta.build(additions, removals)
-
-
-def step(g: DynGraph, potential: Potential, interactions: InteractionSet,
-         prune: bool = False) -> EdgeDelta:
-    """One synchronous round over an explicit interaction set."""
-    return decide_pairs(g, potential, interactions, prune)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +145,8 @@ class NaiveStepper:
     """Pairwise evaluation of whatever the scheduler emits."""
 
     def __init__(self, g: DynGraph, potential: Potential, scheduler: Scheduler, prune: bool):
+        if prune and potential.pair_stats is not None:
+            potential.pair_stats.certify()
         self.g = g
         self.potential = potential
         self.scheduler = scheduler

@@ -41,16 +41,6 @@ def _resolve_stats(potential: Potential) -> tuple[PairStatsRule, int]:
     raise ConfigError(f"potential {potential.name} provides no pair statistics")
 
 
-def _certify_floor(stats: PairStatsRule) -> None:
-    def _no_ce() -> int:
-        raise ContractError("decision below the floor consulted common neighbor edges")
-
-    for cn in range(stats.cn_floor):
-        if stats.decide(0, cn, _no_ce) != 0 or stats.decide(1, cn, _no_ce) != 1:
-            raise ContractError(
-                f"cn_floor certificate violated at cn={cn}: decision changes state")
-
-
 def _exact_ce(adj, u: int, v: int):
     def _ce() -> int:
         common = adj[u] & adj[v]
@@ -70,7 +60,7 @@ class IncrementalStepper:
     def __init__(self, g: DynGraph, potential: Potential):
         self.g = g
         self.stats, self.substeps = _resolve_stats(potential)
-        _certify_floor(self.stats)
+        self.stats.certify()
         self.floor = self.stats.cn_floor
         adj = g._adj
         n = g.n
@@ -225,7 +215,7 @@ class BulkStepper:
         if substeps != 1:
             raise ConfigError("bulk execution does not support merged potentials")
         self.stats = stats
-        _certify_floor(stats)
+        stats.certify()
         self.chunk = chunk
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:

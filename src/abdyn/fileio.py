@@ -20,7 +20,7 @@ import json
 from typing import IO, Iterable
 
 from .errors import InputError
-from .graph import DynGraph, norm_pair
+from .graph import DynGraph, fingerprint_hex, norm_pair
 
 
 def _strip(line: str) -> str:
@@ -142,7 +142,7 @@ class TraceWriter:
                     "added": record.added,
                     "removed": record.removed,
                     "classes": record.classes,
-                    "fingerprint": f"{record.fingerprint:016x}",
+                    "fingerprint": fingerprint_hex(record.fingerprint),
                 }
             )
             + "\n"

@@ -272,7 +272,7 @@ def fingerprint_hex(fp: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Locality views
+# Induced balls
 
 def ball_nodes(g: DynGraph, u: int, v: int, radius: int) -> set[int]:
     """Nodes within the given distance of u or v."""
@@ -297,7 +297,7 @@ def induced_ball(g: DynGraph, u: int, v: int, radius: int) -> tuple[DynGraph, li
     """Induced subgraph on the radius-ball around the pair (u, v).
 
     Returns the fragment (dense new ids) and the new-to-old id mapping.
-    This view is the entire input a local rule is allowed to see.
+    Its edges are all that a local rule of that radius may depend on.
     """
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
@@ -310,71 +310,3 @@ def induced_ball(g: DynGraph, u: int, v: int, radius: int) -> tuple[DynGraph, li
             if y > x and y in old_to_new:
                 frag.add_edge(nx, old_to_new[y])
     return frag, nodes
-
-
-class LocalView:
-    """Lazy window onto the induced ball around a center pair.
-
-    Semantically identical to materializing ``induced_ball`` and querying the
-    fragment, but common queries on the centers are answered straight from the
-    underlying adjacency (their answers provably lie inside the ball when the
-    radius is at least 1). Queries about other nodes force the ball to be
-    materialized so the locality restriction stays airtight.
-    """
-
-    __slots__ = ("_g", "u", "v", "radius", "_allowed")
-
-    def __init__(self, g: DynGraph, u: int, v: int, radius: int):
-        self._g = g
-        self.u = u
-        self.v = v
-        self.radius = radius
-        self._allowed: set[int] | None = None
-
-    def _ball(self) -> set[int]:
-        if self._allowed is None:
-            self._allowed = ball_nodes(self._g, self.u, self.v, self.radius)
-        return self._allowed
-
-    def _is_center(self, x: int) -> bool:
-        return x == self.u or x == self.v
-
-    def node_set(self) -> set[int]:
-        return set(self._ball())
-
-    def edge(self, x: int, y: int) -> int:
-        if self.radius < 1 or not (self._is_center(x) and self._is_center(y)):
-            ball = self._ball()
-            if x not in ball or y not in ball:
-                return 0
-        return 1 if y in self._g._adj[x] else 0
-
-    def degree(self, x: int) -> int:
-        if self.radius >= 1 and self._is_center(x):
-            return len(self._g._adj[x])
-        return len(self._g._adj[x] & self._ball())
-
-    def neighbors(self, x: int) -> set[int]:
-        if self.radius >= 1 and self._is_center(x):
-            return set(self._g._adj[x])
-        return self._g._adj[x] & self._ball()
-
-    def common_neighbors(self, x: int, y: int) -> int:
-        if self.radius >= 1 and self._is_center(x) and self._is_center(y):
-            return len(self._g._adj[x] & self._g._adj[y])
-        return len(self._g._adj[x] & self._g._adj[y] & self._ball())
-
-    def common_neighbor_edges(self, x: int, y: int) -> int:
-        if self.radius >= 1 and self._is_center(x) and self._is_center(y):
-            common = self._g._adj[x] & self._g._adj[y]
-        else:
-            common = self._g._adj[x] & self._g._adj[y] & self._ball()
-        if len(common) < 2:
-            return 0
-        total = 0
-        for w in common:
-            total += len(self._g._adj[w] & common)
-        return total // 2
-
-    def materialize(self) -> tuple[DynGraph, list[int]]:
-        return induced_ball(self._g, self.u, self.v, self.radius)

@@ -3,8 +3,12 @@
 A potential maps a node pair plus the induced ball around it to a real value,
 which the engine compares against the thresholds: below ``alpha`` the edge is
 dropped, in ``[alpha, beta)`` it is kept as is, at or above ``beta`` it is
-created. Evaluators receive only a :class:`~abdyn.graph.LocalView` of their
-declared radius, which enforces the locality contract by construction.
+created. Each rule has exactly one evaluator, which reads the live graph.
+Locality is a contract, not a restriction the evaluator runs under: the value
+of a pair must depend only on the edges among the nodes within the declared
+radius of the pair (plus static per-node attributes). The tests check it for
+every catalog potential by evaluating on the graph that keeps only the edges
+of that ball.
 
 All potentials here are integer-valued on integer inputs; tests pin exact
 equality so no tolerance questions arise in threshold comparisons.
@@ -16,14 +20,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import ConfigError
-from .graph import DynGraph, LocalView
+from .errors import ConfigError, ContractError
+from .graph import DynGraph, EdgeDelta, ball_nodes, induced_ball
 
 ProperFunction = Callable[[float, float], float]
-# Degree-like node functions receive (neighborhood provider, node) where the
-# provider exposes .neighbors(node); they must depend only on the node's
-# closed neighborhood plus static per-node attributes.
-DegreeLikeFunction = Callable[[object, int], float]
+# Degree-like node functions receive (graph, node); they must depend only on
+# the node's closed neighborhood plus static per-node attributes.
+DegreeLikeFunction = Callable[[DynGraph, int], float]
 
 
 @dataclass(frozen=True)
@@ -37,11 +40,27 @@ class PairStatsRule:
 
     ``cn_floor`` is a pruning certificate: whenever the common neighbor count
     of a pair is below it, ``decide`` is guaranteed to return the current
-    state, so the pair can be skipped without evaluation.
+    state, so the pair can be skipped without evaluation. It must be at least
+    1: the fast routes only ever visit pairs with a common neighbor.
     """
 
     decide: Callable[[int, int, Callable[[], int]], int]
     cn_floor: int
+
+    def __post_init__(self):
+        if self.cn_floor < 1:
+            raise ConfigError(f"cn_floor must be at least 1, got {self.cn_floor}")
+
+    def certify(self) -> None:
+        """Check the floor exhaustively: below it, ``decide`` keeps both edge
+        states without consulting the common neighbor edges."""
+        def _no_ce() -> int:
+            raise ContractError("decision below the floor consulted common neighbor edges")
+
+        for cn in range(self.cn_floor):
+            if self.decide(0, cn, _no_ce) != 0 or self.decide(1, cn, _no_ce) != 1:
+                raise ContractError(
+                    f"cn_floor certificate violated at cn={cn}: decision changes state")
 
 
 @dataclass(frozen=True)
@@ -51,10 +70,8 @@ class Potential:
     name: str
     alpha: float
     beta: float
-    evaluator: Callable[[LocalView, int, int], float]
+    evaluator: Callable[[DynGraph, int, int], float]
     radius: int = 1
-    change_filter: Optional[Callable[[DynGraph, int, int], bool]] = None
-    fast_evaluator: Optional[Callable[[DynGraph, int, int], float]] = None
     pair_stats: Optional[PairStatsRule] = None
     merged_base: Optional["Potential"] = None
     params: dict = field(default_factory=dict)
@@ -64,10 +81,7 @@ class Potential:
             raise ConfigError(f"alpha={self.alpha} exceeds beta={self.beta}")
 
     def value(self, g: DynGraph, u: int, v: int) -> float:
-        """Evaluate on the live graph through a fresh locality view."""
-        if self.fast_evaluator is not None:
-            return self.fast_evaluator(g, u, v)
-        return self.evaluator(LocalView(g, u, v, self.radius), u, v)
+        return self.evaluator(g, u, v)
 
     def next_state(self, value: float, edge: bool) -> bool:
         if value < self.alpha:
@@ -155,6 +169,17 @@ PROPER_FUNCTIONS: dict[str, ProperFunction] = {
 # ---------------------------------------------------------------------------
 # Degree based potentials
 
+def _degree_potential(name: str, f: ProperFunction, alpha: float, beta: float,
+                      params: dict) -> Potential:
+    return Potential(
+        name=name,
+        alpha=alpha,
+        beta=beta,
+        evaluator=lambda g, u, v: f(len(g._adj[u]), len(g._adj[v])),
+        params=params,
+    )
+
+
 def min_degree_potential(alpha: float, beta: float) -> Potential:
     """Potential equal to the smaller endpoint degree.
 
@@ -162,14 +187,8 @@ def min_degree_potential(alpha: float, beta: float) -> Potential:
     edge creation impossible; the constructor itself only requires
     alpha <= beta.
     """
-    return Potential(
-        name="min_degree",
-        alpha=alpha,
-        beta=beta,
-        evaluator=lambda view, u, v: min(view.degree(u), view.degree(v)),
-        fast_evaluator=lambda g, u, v: min(len(g._adj[u]), len(g._adj[v])),
-        params={"alpha": alpha, "beta": beta},
-    )
+    return _degree_potential("min_degree", min, alpha, beta,
+                             {"alpha": alpha, "beta": beta})
 
 
 def proper_degree_potential(f: ProperFunction, alpha: float, beta: float,
@@ -177,14 +196,8 @@ def proper_degree_potential(f: ProperFunction, alpha: float, beta: float,
     """Potential f(d(u), d(v)) for a symmetric, non-decreasing f."""
     if validate:
         validate_proper(f)
-    return Potential(
-        name=name,
-        alpha=alpha,
-        beta=beta,
-        evaluator=lambda view, u, v: f(view.degree(u), view.degree(v)),
-        fast_evaluator=lambda g, u, v: f(len(g._adj[u]), len(g._adj[v])),
-        params={"alpha": alpha, "beta": beta, "f": name},
-    )
+    return _degree_potential(name, f, alpha, beta,
+                             {"alpha": alpha, "beta": beta, "f": name})
 
 
 def degree_like_potential(f: ProperFunction, g_fn: DegreeLikeFunction,
@@ -203,8 +216,7 @@ def degree_like_potential(f: ProperFunction, g_fn: DegreeLikeFunction,
         name=name,
         alpha=alpha,
         beta=beta,
-        evaluator=lambda view, u, v: f(g_fn(view, u), g_fn(view, v)),
-        fast_evaluator=lambda g, u, v: f(g_fn(g, u), g_fn(g, v)),
+        evaluator=lambda g, u, v: f(g_fn(g, u), g_fn(g, v)),
         params={"alpha": alpha, "beta": beta},
     )
 
@@ -213,16 +225,11 @@ def community_potential(alpha: float, beta: float) -> Potential:
     """Common neighbors plus the edge indicator plus edges among the common
     neighbors; rewards locally dense pairs."""
 
-    def _eval(view: LocalView, u: int, v: int) -> float:
-        return (view.common_neighbors(u, v) + view.edge(u, v)
-                + view.common_neighbor_edges(u, v))
-
-    def _fast(g: DynGraph, u: int, v: int) -> float:
+    def _eval(g: DynGraph, u: int, v: int) -> float:
         return (g.common_neighbors(u, v) + (1 if g.has_edge(u, v) else 0)
                 + g.common_neighbor_edges(u, v))
 
-    return Potential(name="community", alpha=alpha, beta=beta,
-                     evaluator=_eval, fast_evaluator=_fast,
+    return Potential(name="community", alpha=alpha, beta=beta, evaluator=_eval,
                      params={"alpha": alpha, "beta": beta})
 
 
@@ -230,7 +237,8 @@ def community_potential(alpha: float, beta: float) -> Potential:
 # The cellular automaton potential
 
 def rule110_value(beta: float, edge: int, cn: int, ce_fn: Callable[[], int]) -> float:
-    """Branch cascade shared by every evaluation route of the automaton rule."""
+    """Branch cascade of the automaton rule, shared by its evaluator and its
+    pair-statistics decision."""
     load = cn + edge
     if 66 <= load <= 70:
         return beta + 60 + ce_fn() - cn
@@ -245,33 +253,19 @@ def rule110_potential(beta: float) -> Potential:
     """Threshold rule that drives the cell-gadget automaton; requires
     alpha == beta, so every scheduled pair is re-decided each round."""
 
-    def _eval(view: LocalView, u: int, v: int) -> float:
-        return rule110_value(beta, view.edge(u, v), view.common_neighbors(u, v),
-                             lambda: view.common_neighbor_edges(u, v))
-
-    def _fast(g: DynGraph, u: int, v: int) -> float:
+    def _eval(g: DynGraph, u: int, v: int) -> float:
         return rule110_value(beta, 1 if g.has_edge(u, v) else 0,
                              g.common_neighbors(u, v),
                              lambda: g.common_neighbor_edges(u, v))
 
-    def _filter(g: DynGraph, u: int, v: int) -> bool:
-        # pairs with no edge and few common neighbors can only hit the
-        # default branch, which preserves absence
-        return g.has_edge(u, v) or g.common_neighbors(u, v) >= 40
-
     def _decide(edge: int, cn: int, ce_fn: Callable[[], int]) -> int:
-        val = rule110_value(beta, edge, cn, ce_fn)
-        if val < beta:
-            return 0
-        return 1
+        return 0 if rule110_value(beta, edge, cn, ce_fn) < beta else 1
 
     return Potential(
         name="rule110",
         alpha=beta,
         beta=beta,
         evaluator=_eval,
-        fast_evaluator=_fast,
-        change_filter=_filter,
         pair_stats=PairStatsRule(decide=_decide, cn_floor=40),
         params={"beta": beta},
     )
@@ -290,39 +284,46 @@ def two_step_merge(base: Potential) -> Potential:
          rule, using information within distance 3,
       c. evaluate the base rule on (u, v) in that advanced fragment.
 
-    With a full interaction set this reproduces two base rounds in one.
+    With a full interaction set one merged round reproduces two base rounds
+    when the base meets two conditions, which the constructor enforces:
+
+    * it has radius 1 and pair statistics (:class:`PairStatsRule`, whose
+      floor is at least 1), so a pair without a common neighbor keeps its
+      state. Every edge a round creates then joins two nodes at distance 2,
+      and the advanced neighborhood of (u, v) lies in the fragment. A degree
+      rule, for one, can create edges between distant nodes;
+    * ``alpha == beta``. The engine applies the merged value to the pair's
+      pre-round edge state, so a value in a keep band ``[alpha, beta)`` would
+      keep that state instead of the state after the first round.
+
     The evaluator rebuilds the fragment for every pair, so it is only
     practical on small graphs; large runs go through the engine's
     incremental route.
     """
-    if base.radius != 1:
-        raise ConfigError(f"two_step_merge requires a radius-1 base, got {base.radius}")
+    if base.radius != 1 or base.pair_stats is None or base.alpha != base.beta:
+        raise ConfigError(
+            f"two_step_merge requires a radius-1 base with pair statistics and "
+            f"alpha == beta; {base.name} has radius {base.radius}, "
+            f"pair statistics {base.pair_stats is not None}, "
+            f"alpha={base.alpha}, beta={base.beta}")
 
-    def _eval(view: LocalView, u: int, v: int) -> float:
-        frag, nodes = view.materialize()
-        old_to_new = {x: i for i, x in enumerate(nodes)}
-        fu, fv = old_to_new[u], old_to_new[v]
-        # distance-2 core inside the fragment; fragment distances match the
-        # live graph up to the view radius
-        core = set(_bfs_depths(frag, (fu, fv), 2))
+    def _eval(g: DynGraph, u: int, v: int) -> float:
+        frag, nodes = induced_ball(g, u, v, 3)
+        fu, fv = nodes.index(u), nodes.index(v)
+        # fragment distances match the live graph up to the ball radius
+        core = sorted(ball_nodes(frag, fu, fv, 2))
         additions = []
         removals = []
-        for x in sorted(core):
-            for y in sorted(core):
-                if y <= x:
-                    continue
-                val = base.evaluator(LocalView(frag, x, y, 1), x, y)
-                edge = frag.has_edge(x, y)
-                nxt = base.next_state(val, edge)
+        for i, x in enumerate(core):
+            for y in core[i + 1:]:
+                edge = y in frag._adj[x]
+                nxt = base.next_state(base.evaluator(frag, x, y), edge)
                 if nxt and not edge:
                     additions.append((x, y))
                 elif edge and not nxt:
                     removals.append((x, y))
-        for x, y in removals:
-            frag.remove_edge(x, y)
-        for x, y in additions:
-            frag.add_edge(x, y)
-        return base.evaluator(LocalView(frag, fu, fv, 1), fu, fv)
+        frag.apply_delta(EdgeDelta.build(additions, removals))
+        return base.evaluator(frag, fu, fv)
 
     return Potential(
         name=f"{base.name}_merged",
@@ -333,20 +334,6 @@ def two_step_merge(base: Potential) -> Potential:
         merged_base=base,
         params=dict(base.params),
     )
-
-
-def _bfs_depths(g: DynGraph, sources: tuple[int, ...], depth: int) -> set[int]:
-    seen = set(sources)
-    frontier = list(sources)
-    for _ in range(depth):
-        nxt = []
-        for x in frontier:
-            for y in g.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .engine import RunConfig, RunTrace, run
 from .errors import ContractError, InputError
 from .graph import DynGraph, edge_codes, norm_pair
 from .potentials import Potential, rule110_potential, two_step_merge
+from .schedulers import CompleteScheduler
 
 AUX_PER_SUBCELL = 60
 BLINKER_HALF = 20
@@ -445,7 +446,7 @@ def _run_assembly(assembly: CellAssembly, steps: int, merged: bool,
     cfg = RunConfig(
         graph=assembly.graph,
         potential=potential,
-        scheduler=_complete(),
+        scheduler=CompleteScheduler(),
         max_rounds=rounds,
         stop_mode=stop_mode,
         prune=True,
@@ -460,11 +461,6 @@ def _run_assembly(assembly: CellAssembly, steps: int, merged: bool,
     return SimulationResult(tapes=tapes, trace=trace,
                             structure_reports=reports,
                             inconsistent_rounds=inconsistent)
-
-
-def _complete():
-    from .schedulers import CompleteScheduler
-    return CompleteScheduler()
 
 
 def simulate(tape, steps: int, merged: bool = False, check: bool = True,
@@ -516,7 +512,7 @@ class AssemblyRunner:
         cfg = RunConfig(
             graph=self.assembly.graph,
             potential=rule110_potential(100),
-            scheduler=_complete(),
+            scheduler=CompleteScheduler(),
             max_rounds=rounds,
             stop_mode=stop_mode,
             prune=prune,

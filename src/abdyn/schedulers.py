@@ -304,29 +304,3 @@ class SocialScheduler(Scheduler):
 
     def params(self) -> dict:
         return {"gamma": self.gamma}
-
-
-# functional constructor aliases
-
-def complete_scheduler() -> CompleteScheduler:
-    return CompleteScheduler()
-
-
-def current_edges_scheduler() -> CurrentEdgesScheduler:
-    return CurrentEdgesScheduler()
-
-
-def uniform_random_scheduler(seed: int) -> UniformRandomScheduler:
-    return UniformRandomScheduler(seed)
-
-
-def fair_round_robin_scheduler(batch_size: int) -> FairRoundRobinScheduler:
-    return FairRoundRobinScheduler(batch_size)
-
-
-def scripted_scheduler(script, n, repeat=True, claim_fair=False) -> ScriptedScheduler:
-    return ScriptedScheduler(script, n, repeat=repeat, claim_fair=claim_fair)
-
-
-def social_scheduler(profile, gamma: int) -> SocialScheduler:
-    return SocialScheduler(profile, gamma)

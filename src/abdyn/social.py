@@ -69,9 +69,9 @@ def niceness_g(profile: SocialProfile) -> Callable:
     neighborhood inclusion."""
     niceness = profile.niceness
 
-    def g(view, u: int) -> float:
+    def g(graph: DynGraph, u: int) -> float:
         # fixed summation order keeps evaluation deterministic
-        return niceness[u] + sum(niceness[w] for w in sorted(view.neighbors(u)))
+        return niceness[u] + sum(niceness[w] for w in sorted(graph.neighbors(u)))
 
     return g
 

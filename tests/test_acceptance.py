@@ -225,7 +225,7 @@ def test_criterion_6_merged_equivalence(runner_w3):
 
 def test_criterion_7_prune_soundness(runner_w3):
     pots = [rule110_potential(10)]
-    assert all(p.change_filter is not None for p in pots)
+    assert all(p.pair_stats.cn_floor > 0 for p in pots)
     rng = random.Random(77)
     for i in range(50):
         n = rng.randint(44, 60)

@@ -4,15 +4,14 @@ import random
 import pytest
 
 from abdyn.engine import (RunConfig, check_degree_properties, decide_pairs,
-                          degree_classes, frozen_nodes, run, snapshot_observer,
-                          step)
+                          degree_classes, frozen_nodes, run, snapshot_observer)
 from abdyn.errors import ConfigError, ContractError
 from abdyn.fastpath import IncrementalStepper
 from abdyn.graph import DynGraph, graph_fingerprint
 from abdyn.kcore import peel
-from abdyn.potentials import (PROPER_FUNCTIONS, Potential, min_degree_potential,
-                              proper_degree_potential, rule110_potential,
-                              two_step_merge)
+from abdyn.potentials import (PROPER_FUNCTIONS, PairStatsRule, Potential,
+                              min_degree_potential, proper_degree_potential,
+                              rule110_potential, two_step_merge)
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                               FairRoundRobinScheduler, InteractionSet,
                               ScriptedScheduler, UniformRandomScheduler)
@@ -33,11 +32,11 @@ def complete_graph(n):
 
 
 # ---------------------------------------------------------------------------
-# step
+# one round: decide_pairs
 
 def test_step_min_degree_p3():
     g = path_graph(3)
-    delta = step(g, min_degree_potential(2, 4), InteractionSet(complete_n=3))
+    delta = decide_pairs(g, min_degree_potential(2, 4), InteractionSet(complete_n=3), False)
     assert delta.removals == ((0, 1), (1, 2))
     assert delta.additions == ()
 
@@ -45,13 +44,13 @@ def test_step_min_degree_p3():
 def test_step_sum_c4_adds_diagonals():
     g = cycle_graph(4)
     pot = proper_degree_potential(PROPER_FUNCTIONS["sum"], 4, 4)
-    delta = step(g, pot, InteractionSet(complete_n=4))
+    delta = decide_pairs(g, pot, InteractionSet(complete_n=4), False)
     assert delta.additions == ((0, 2), (1, 3))
     assert delta.removals == ()
 
 
 def test_step_empty_interactions():
-    delta = step(triangle(), min_degree_potential(2, 4), InteractionSet([]))
+    delta = decide_pairs(triangle(), min_degree_potential(2, 4), InteractionSet([]), False)
     assert delta.empty
 
 
@@ -68,9 +67,9 @@ def test_step_reorder_invariance():
 
 def test_failing_potential_aborts_with_diagnostics():
     bad = Potential(name="bad", alpha=0, beta=1,
-                    evaluator=lambda view, u, v: 1 / 0)
+                    evaluator=lambda g, u, v: 1 / 0)
     with pytest.raises(ContractError, match=r"pair \(0,1\)"):
-        step(triangle(), bad, InteractionSet([(0, 1)]))
+        decide_pairs(triangle(), bad, InteractionSet([(0, 1)]), False)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +216,20 @@ def test_prune_matches_unpruned_on_gadget_fragment():
             for p, e in [(False, "naive"), (True, "naive"), (True, "incremental")]]
     fps = [[r.fingerprint for r in t.rounds] for t in runs]
     assert fps[0] == fps[1] == fps[2]
+
+
+def test_every_pruning_route_rejects_a_false_floor():
+    # drops edges with a single common neighbor, below its claimed floor of 2
+    stats = PairStatsRule(decide=lambda edge, cn, ce_fn: 0 if cn == 1 else edge,
+                          cn_floor=2)
+    pot = Potential(name="false_floor", alpha=1, beta=1,
+                    evaluator=lambda g, u, v: 0, pair_stats=stats)
+    base = dict(graph=path_graph(4), potential=pot, scheduler=CompleteScheduler(),
+                max_rounds=1)
+    for engine, prune in [("naive", True), ("incremental", True), ("bulk", False)]:
+        with pytest.raises(ContractError, match="cn=1"):
+            run(RunConfig(engine=engine, prune=prune, **base))
+    run(RunConfig(engine="naive", prune=False, **base))     # unpruned never relies on it
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -4,7 +4,7 @@ import pytest
 
 from abdyn import graph as graph_module
 from abdyn.errors import ContractError, InputError
-from abdyn.graph import (DynGraph, EdgeDelta, LocalView, edge_codes, edge_token,
+from abdyn.graph import (DynGraph, EdgeDelta, edge_codes, edge_token,
                          graph_fingerprint, induced_ball)
 
 from conftest import (brute_common_neighbor_edges, brute_common_neighbors,
@@ -180,21 +180,6 @@ def test_fingerprint_folds_partial_last_block(monkeypatch, block):
     monkeypatch.setattr(graph_module, "FOLD_BLOCK", block)
     assert graph_fingerprint(g) == want_fp
     assert edge_codes(g).tolist() == want_codes
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_local_view_matches_materialized_ball(seed):
-    g = random_graph(12, 0.4, seed)
-    for (u, v) in [(0, 1), (2, 7), (3, 11)]:
-        view = LocalView(g, u, v, 1)
-        frag, nodes = induced_ball(g, u, v, 1)
-        idx = {x: i for i, x in enumerate(nodes)}
-        assert view.degree(u) == frag.degree(idx[u])
-        assert view.degree(v) == frag.degree(idx[v])
-        assert view.edge(u, v) == (1 if frag.has_edge(idx[u], idx[v]) else 0)
-        assert view.common_neighbors(u, v) == frag.common_neighbors(idx[u], idx[v])
-        assert view.common_neighbor_edges(u, v) == frag.common_neighbor_edges(idx[u], idx[v])
-        assert view.node_set() == set(nodes)
 
 
 def test_copy_independent():
