@@ -17,6 +17,17 @@ Stabilization verdicts depend on the scheduler contract:
   full sweep over all pairs and declares stabilization only if no pair would
   change.
 
+Routes (``RunConfig.engine``): ``naive`` evaluates whatever the scheduler
+emits and is the reference; ``incremental`` and ``bulk`` (see
+:mod:`abdyn.fastpath`) serve the complete scheduler on pair-statistics rules;
+``active`` serves uniform one-pair rounds on ``endpoint_local`` potentials.
+It keeps the exact set of pairs whose decision would change, so a round that
+draws a pair outside it is quiet without evaluation, and a run stops as soon
+as the set is empty and one full sweep confirms it; a dirty sweep means the
+potential's locality certificate is false and raises ``ContractError``. The
+active route consumes the scheduler's random stream exactly as ``naive``
+does, so both produce the same rounds up to the fixed point.
+
 Cycle detection compares exact edge-set differences from the initial graph
 (plus the scheduler phase), so a cycle verdict is never a false positive;
 fingerprints appear in traces only as cheap labels.
@@ -30,9 +41,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, ContractError
-from .graph import DynGraph, EdgeDelta, edge_token, graph_fingerprint
+from .graph import DynGraph, EdgeDelta, edge_token, graph_fingerprint, norm_pair
 from .potentials import Potential
-from .schedulers import Scheduler, all_pairs, pair_count
+from .schedulers import (Scheduler, UniformRandomScheduler, all_pairs, pair_count,
+                         rank_pair, unrank_pair)
 
 
 class RoundRecord(NamedTuple):
@@ -78,7 +90,7 @@ class RunConfig:
     stop_mode: str = "fixed_point"          # fixed_point | cycle | budget
     prune: bool = False
     seed: int = 0
-    engine: str = "auto"                    # auto | naive | incremental | bulk
+    engine: str = "auto"                    # auto | naive | active | incremental | bulk
     copy_graph: bool = True
     record_rounds: str = "auto"             # all | changes | auto
     record_deltas: bool = False
@@ -162,6 +174,70 @@ class NaiveStepper:
         return decide_pairs(self.g, self.potential, all_pairs(self.g.n), False).empty
 
 
+class ActiveSetStepper(NaiveStepper):
+    """Uniform one-pair rounds on an ``endpoint_local`` potential.
+
+    ``active`` holds the ranks (see :func:`~abdyn.schedulers.rank_pair`) of
+    exactly the pairs whose decision would change the graph. Only a toggle at
+    u or v can change the decision of (u, v), so after each change the pairs
+    at its two endpoints are decided again and nothing else is. A drawn rank
+    outside the set is a quiet round that needs no evaluation.
+    """
+
+    def __init__(self, g: DynGraph, potential: Potential, scheduler: UniformRandomScheduler,
+                 prune: bool):
+        super().__init__(g, potential, scheduler, prune)
+        self._pending: Optional[int] = None
+        self.active = self._changing(all_pairs(g.n))
+
+    def _changing(self, pairs) -> set[int]:
+        """Ranks of those of ``pairs`` whose decision would change the graph."""
+        delta = decide_pairs(self.g, self.potential, pairs, self.prune)
+        return {rank_pair(u, v) for u, v in delta.additions + delta.removals}
+
+    def skip_quiet(self, limit: int) -> int:
+        """Draw up to ``limit`` rounds; return how many drew a pair outside
+        the active set before one drew a pair inside it, which the next
+        ``advance`` decides."""
+        draw = self.scheduler.draw
+        active = self.active
+        for quiet in range(limit):
+            k = draw()
+            if k in active:
+                self._pending = k
+                return quiet
+        return limit
+
+    def advance(self, t: int) -> tuple[EdgeDelta, int]:
+        k = self._pending if self._pending is not None else self.scheduler.draw()
+        self._pending = None
+        u, v = unrank_pair(k)
+        delta = decide_pairs(self.g, self.potential, ((u, v),), self.prune)
+        if delta.empty == (k in self.active):
+            raise ContractError(
+                f"potential {self.potential.name} is not endpoint_local: the decision "
+                f"of pair ({u},{v}) moved although no edge at u or v was toggled")
+        if not delta.empty:
+            self.g.apply_delta(delta)
+            touched = {norm_pair(x, y) for x in (u, v) for y in range(self.g.n) if y != x}
+            self.active.difference_update(rank_pair(x, y) for x, y in touched)
+            self.active |= self._changing(touched)
+        return delta, 1
+
+
+def _active_blocker(cfg: RunConfig, npairs: int) -> Optional[str]:
+    """Why the active route cannot serve ``cfg``, or None if it can."""
+    if not isinstance(cfg.scheduler, UniformRandomScheduler):
+        return "it requires the uniform scheduler"
+    if not cfg.potential.endpoint_local:
+        return f"potential {cfg.potential.name} is not endpoint_local"
+    if cfg.observers:
+        return "observers need every round materialised"
+    if npairs > cfg.naive_pair_limit:
+        return "the graph is too large for its confirming sweep"
+    return None
+
+
 def _make_stepper(cfg: RunConfig, g: DynGraph):
     mode = cfg.engine
     sched = cfg.scheduler
@@ -169,7 +245,9 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
     npairs = pair_count(g.n)
     merged_capable = pot.merged_base is not None and pot.merged_base.pair_stats is not None
     if mode == "auto":
-        if not sched.is_complete:
+        if _active_blocker(cfg, npairs) is None:
+            mode = "active"
+        elif not sched.is_complete:
             mode = "naive"
         elif merged_capable:
             mode = "incremental"
@@ -183,6 +261,11 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
             mode = "naive"
     if mode == "naive":
         return NaiveStepper(g, pot, sched, cfg.prune)
+    if mode == "active":
+        blocker = _active_blocker(cfg, npairs)
+        if blocker is not None:
+            raise ConfigError(f"active engine unavailable: {blocker}")
+        return ActiveSetStepper(g, pot, sched, cfg.prune)
     if mode in ("incremental", "bulk"):
         if not sched.is_complete:
             raise ConfigError(f"{mode} engine requires the complete scheduler")
@@ -234,8 +317,32 @@ def run(config: RunConfig) -> RunTrace:
 
     sweep_allowed = pair_count(g.n) <= config.naive_pair_limit
     verdict: Optional[Verdict] = None
+    fast = stepper if isinstance(stepper, ActiveSetStepper) else None
+    quiet_delta = EdgeDelta()
 
-    for t in range(config.max_rounds):
+    t = 0
+    while True:
+        if fast is not None:
+            if not fast.active:
+                if not fast.sweep_is_clean():
+                    raise ContractError(
+                        f"potential {config.potential.name} is not endpoint_local: the "
+                        f"active set is empty but a sweep finds a pair that would change")
+                verdict = Verdict("stabilized",
+                                  (last_change + 1) if last_change is not None else 0)
+                break
+            # fast-forward over the rounds that draw a pair outside the set
+            quiet = fast.skip_quiet(config.max_rounds - t)
+            quiet_streak += quiet
+            if record_all:
+                classes = len(degree_counter)
+                rounds.extend(RoundRecord(s, 1, 0, 0, classes, fp)
+                              for s in range(t, t + quiet))
+            if deltas is not None:
+                deltas.extend([quiet_delta] * quiet)
+            t += quiet
+        if t >= config.max_rounds:
+            break
         delta, n_inter = stepper.advance(t)
         changed = not delta.empty
 
@@ -295,6 +402,7 @@ def run(config: RunConfig) -> RunTrace:
                 history_order.append(key)
                 if len(history_order) > config.cycle_history:
                     history.pop(history_order.pop(0), None)
+        t += 1
 
     if verdict is None:
         verdict = cycle_seen if cycle_seen is not None else Verdict("budget", config.max_rounds)

@@ -16,6 +16,7 @@ equality so no tolerance questions arise in threshold comparisons.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -75,6 +76,11 @@ class Potential:
     pair_stats: Optional[PairStatsRule] = None
     merged_base: Optional["Potential"] = None
     params: dict = field(default_factory=dict)
+    # Certificate: the value of (u, v) depends only on the neighbour sets of u
+    # and v (plus static per-node attributes), so it can change only in a
+    # round that toggles an edge at u or v. The engine's active-pair route
+    # relies on it and raises ContractError when a run contradicts it.
+    endpoint_local: bool = False
 
     def __post_init__(self):
         if self.alpha > self.beta:
@@ -94,11 +100,17 @@ class Potential:
 # ---------------------------------------------------------------------------
 # Property validation for user-supplied functions
 
+@functools.lru_cache(maxsize=256)
 def validate_proper(f: ProperFunction, samples: int = 1000, seed: int = 0,
                     grid_max: int = 14) -> None:
     """Randomized check that f is symmetric and non-decreasing in both
     arguments on an integer grid. Raises ConfigError with the violating
-    sample on failure."""
+    sample on failure.
+
+    The check is a pure function of its arguments, so a function that passed
+    is remembered with them and not sampled again; the cache keeps no
+    failures, so a function that fails raises on every call.
+    """
     rng = random.Random(seed)
     for _ in range(samples):
         x = rng.randint(0, grid_max)
@@ -171,12 +183,15 @@ PROPER_FUNCTIONS: dict[str, ProperFunction] = {
 
 def _degree_potential(name: str, f: ProperFunction, alpha: float, beta: float,
                       params: dict) -> Potential:
+    """Potential f(d(u), d(v)). It is ``endpoint_local`` by construction: the
+    value reads the two endpoint degrees and nothing else."""
     return Potential(
         name=name,
         alpha=alpha,
         beta=beta,
         evaluator=lambda g, u, v: f(len(g._adj[u]), len(g._adj[v])),
         params=params,
+        endpoint_local=True,
     )
 
 
@@ -206,6 +221,8 @@ def degree_like_potential(f: ProperFunction, g_fn: DegreeLikeFunction,
                           validate_nodes: int = 10) -> Potential:
     """Potential f(g(u), g(v)) for a proper f and a degree-like node function.
 
+    It is ``endpoint_local`` by the :data:`DegreeLikeFunction` contract: g(u)
+    depends only on u's closed neighbourhood and static attributes.
     ``validate_nodes`` caps the node count of the sampled validation graphs;
     pass the attribute table size for attribute-backed node functions.
     """
@@ -218,6 +235,7 @@ def degree_like_potential(f: ProperFunction, g_fn: DegreeLikeFunction,
         beta=beta,
         evaluator=lambda g, u, v: f(g_fn(g, u), g_fn(g, v)),
         params={"alpha": alpha, "beta": beta},
+        endpoint_local=True,
     )
 
 

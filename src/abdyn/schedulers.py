@@ -27,6 +27,19 @@ def all_pairs(n: int) -> Iterator[tuple[int, int]]:
             yield (u, v)
 
 
+def rank_pair(i: int, j: int) -> int:
+    """Rank of the pair (i, j), i < j, among all pairs ordered by j then i."""
+    return j * (j - 1) // 2 + i
+
+
+def unrank_pair(k: int) -> tuple[int, int]:
+    """The pair (i, j), i < j, of rank k; inverse of :func:`rank_pair`."""
+    j = (1 + math.isqrt(8 * k + 1)) // 2
+    if j * (j - 1) // 2 > k:
+        j -= 1
+    return k - j * (j - 1) // 2, j
+
+
 class InteractionSet:
     """An unordered collection of distinct node pairs activated in one round.
 
@@ -148,15 +161,15 @@ class UniformRandomScheduler(Scheduler):
         if graph.n < 2:
             raise ConfigError("uniform scheduler needs at least 2 nodes")
         self._rng = random.Random(self.seed)
+        self._pairs = pair_count(graph.n)
+
+    def draw(self) -> int:
+        """Rank (see :func:`rank_pair`) of the next round's pair. Every round
+        of every caller consumes the stream through this method."""
+        return self._rng.randrange(self._pairs)
 
     def interactions(self, t: int, graph: DynGraph) -> InteractionSet:
-        k = self._rng.randrange(pair_count(graph.n))
-        # unrank: pairs (i, j), i < j, ordered by j then i
-        j = (1 + math.isqrt(8 * k + 1)) // 2
-        if j * (j - 1) // 2 > k:
-            j -= 1
-        i = k - j * (j - 1) // 2
-        return InteractionSet([(i, j)])
+        return InteractionSet([unrank_pair(self.draw())])
 
     def params(self) -> dict:
         return {"seed": self.seed}

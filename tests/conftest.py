@@ -3,11 +3,23 @@ they check."""
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import settings
 
 from abdyn.graph import DynGraph
+
+# Property tests draw the same examples on every run and write no example
+# database, so a tier-1 run is reproducible. Hypothesis still caches the
+# constants it finds in the source; keep that cache out of the checkout.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "abdyn-hypothesis"))
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None,
+                          max_examples=40)
+settings.load_profile("tier1")
 
 
 def brute_common_neighbors(g: DynGraph, u: int, v: int) -> int:

@@ -1,20 +1,25 @@
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abdyn.engine import (RunConfig, check_degree_properties, decide_pairs,
+from abdyn.engine import (RunConfig, Verdict, check_degree_properties, decide_pairs,
                           degree_classes, frozen_nodes, run, snapshot_observer)
 from abdyn.errors import ConfigError, ContractError
 from abdyn.fastpath import IncrementalStepper
 from abdyn.graph import DynGraph, graph_fingerprint
 from abdyn.kcore import peel
 from abdyn.potentials import (PROPER_FUNCTIONS, PairStatsRule, Potential,
+                              community_potential, degree_like_potential,
                               min_degree_potential, proper_degree_potential,
                               rule110_potential, two_step_merge)
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                               FairRoundRobinScheduler, InteractionSet,
-                              ScriptedScheduler, UniformRandomScheduler)
+                              ScriptedScheduler, UniformRandomScheduler, all_pairs)
+from abdyn.social import niceness_g, random_profile
 
 from conftest import random_graph, triangle
 
@@ -157,8 +162,34 @@ def test_budget_verdict():
     pot = min_degree_potential(2, 100)
     trace = run(RunConfig(graph=random_graph(20, 0.3, 1), potential=pot,
                           scheduler=UniformRandomScheduler(3), max_rounds=5,
-                          seed=3))
+                          seed=3, engine="naive"))
     assert trace.verdict.kind == "budget"
+
+
+def test_active_route_proves_fixed_point_at_round_zero():
+    # the input of test_budget_verdict is already a fixed point
+    pot = min_degree_potential(2, 100)
+    trace = run(RunConfig(graph=random_graph(20, 0.3, 1), potential=pot,
+                          scheduler=UniformRandomScheduler(3), max_rounds=5,
+                          seed=3, engine="active"))
+    assert trace.verdict == Verdict("stabilized", 0)
+    assert trace.rounds == [] and trace.metadata["engine"] == "ActiveSetStepper"
+
+
+def test_active_route_budget_verdict():
+    # alpha = n: every edge stays active, and one round removes at most one
+    g = random_graph(20, 0.3, 1)
+    trace = run(RunConfig(graph=g, potential=min_degree_potential(20, 100),
+                          scheduler=UniformRandomScheduler(3), max_rounds=5,
+                          seed=3, engine="active", record_rounds="all"))
+    assert trace.verdict == Verdict("budget", 5)
+    assert [r.t for r in trace.rounds] == list(range(5))
+    assert trace.final_graph.m >= g.m - 5 > 0      # edges, all of them active, remain
+    naive = run(RunConfig(graph=g, potential=min_degree_potential(20, 100),
+                          scheduler=UniformRandomScheduler(3), max_rounds=5,
+                          seed=3, engine="naive", record_rounds="all"))
+    assert (naive.verdict, naive.rounds, naive.final_graph) == \
+        (trace.verdict, trace.rounds, trace.final_graph)
 
 
 def test_cycle_detection_exact_period_two():
@@ -379,3 +410,104 @@ def test_frozen_nodes_excludes_flipping_pair():
     frozen = frozen_nodes(trace, 2)
     assert 0 not in frozen and 1 not in frozen
     assert 5 in frozen
+
+
+# ---------------------------------------------------------------------------
+# the active-pair route against the naive reference
+
+@st.composite
+def endpoint_local_cases(draw):
+    """A graph with n <= 25 and an endpoint-local potential. The thresholds
+    are values the potential takes on the graph's pairs (beta may also lie
+    above all of them, which rules creation out), so runs remove and create."""
+    n = draw(st.integers(2, 25))
+    g = random_graph(n, draw(st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.85])),
+                     draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["min_degree", "proper", "niceness"]))
+    fname = draw(st.sampled_from(sorted(PROPER_FUNCTIONS)))
+    f = PROPER_FUNCTIONS[fname]
+    if kind == "min_degree":
+        make = min_degree_potential
+    elif kind == "proper":
+        def make(alpha, beta):
+            return proper_degree_potential(f, alpha, beta, name=f"proper_{fname}")
+    else:
+        g_fn = niceness_g(random_profile(n, draw(st.integers(0, 1000))))
+
+        def make(alpha, beta):
+            return degree_like_potential(f, g_fn, alpha, beta, name="niceness",
+                                         validate_nodes=n)
+    probe = make(0, 0)
+    values = sorted(probe.value(g, u, v) for u, v in all_pairs(n))
+    i = draw(st.integers(0, len(values) - 1))
+    beta_at = draw(st.sampled_from(["alpha", "above_all", "value"]))
+    if beta_at == "alpha":
+        beta = values[i]
+    elif beta_at == "above_all":
+        beta = values[-1] + n
+    else:
+        beta = draw(st.sampled_from(values[i:]))
+    return g, make(values[i], beta)
+
+
+def _run_both(g, pot, seed, record_rounds):
+    return [run(RunConfig(graph=g, potential=pot, scheduler=UniformRandomScheduler(seed),
+                          max_rounds=60_000, engine=engine, record_rounds=record_rounds))
+            for engine in ("naive", "active")]
+
+
+@settings(max_examples=150)
+@given(endpoint_local_cases(), st.integers(0, 1000))
+def test_active_route_matches_naive(case, seed):
+    g, pot = case
+    ref, act = _run_both(g, pot, seed, "changes")
+    assert act.metadata["engine"] == "ActiveSetStepper"
+    assert act.verdict == ref.verdict
+    assert act.changed_rounds == ref.changed_rounds
+    assert act.rounds == ref.rounds
+    assert act.final_graph == ref.final_graph
+    assert act.diff == ref.diff
+
+
+@settings(max_examples=40)
+@given(endpoint_local_cases(), st.integers(0, 1000))
+def test_active_route_records_every_round_like_naive(case, seed):
+    g, pot = case
+    ref, act = _run_both(g, pot, seed, "all")
+    assert act.verdict == ref.verdict
+    assert act.rounds == ref.rounds[:act.verdict.round]
+
+
+def test_active_route_rejects_a_false_locality_certificate():
+    # community values read the edges among common neighbours, so creating
+    # (2, 3) makes (0, 1), (0, 4) and (1, 4) reach beta although none of them
+    # has an endpoint at 2 or 3; the confirming sweep finds them
+    g = DynGraph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+    pot = dataclasses.replace(community_potential(1, 3), endpoint_local=True)
+    for seed in range(5):
+        with pytest.raises(ContractError, match="endpoint_local"):
+            run(RunConfig(graph=g, potential=pot, scheduler=UniformRandomScheduler(seed),
+                          max_rounds=10_000, engine="active"))
+    naive = run(RunConfig(graph=g, potential=pot, scheduler=UniformRandomScheduler(0),
+                          max_rounds=10_000, engine="naive"))
+    assert naive.verdict.kind == "stabilized" and naive.final_graph.m == 10
+
+
+def test_active_route_selection():
+    g = random_graph(12, 0.3, 2)
+    pot = min_degree_potential(2, 100)
+
+    def engine_of(**kw):
+        cfg = dict(graph=g, potential=pot, scheduler=UniformRandomScheduler(1), max_rounds=50)
+        return run(RunConfig(**{**cfg, **kw})).metadata["engine"]
+
+    assert engine_of() == "ActiveSetStepper"
+    assert engine_of(observers=(snapshot_observer([]),)) == "NaiveStepper"
+    assert engine_of(naive_pair_limit=10) == "NaiveStepper"
+    assert engine_of(potential=community_potential(0, 100)) == "NaiveStepper"
+    assert engine_of(scheduler=CompleteScheduler()) == "NaiveStepper"
+    for kw in (dict(observers=(snapshot_observer([]),)), dict(naive_pair_limit=10),
+               dict(potential=community_potential(0, 100)),
+               dict(scheduler=FairRoundRobinScheduler(3))):
+        with pytest.raises(ConfigError, match="active engine unavailable"):
+            engine_of(engine="active", **kw)

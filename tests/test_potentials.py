@@ -135,6 +135,29 @@ def test_validate_proper_rejects_bad_functions():
         validate_proper(lambda x, y: -(x + y))
 
 
+def test_validate_proper_samples_a_passing_function_once():
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return x + y
+
+    degree_like_potential(counting, niceness_g(random_profile(6, 0)), 1, 2, validate_nodes=6)
+    sampled = len(calls)
+    assert sampled > 0
+    proper_degree_potential(counting, 1, 2)
+    assert len(calls) == sampled
+    validate_proper(counting, seed=1)           # other parameters are a new check
+    assert len(calls) > sampled
+
+
+def test_validate_proper_rejects_a_bad_function_every_time():
+    bad = lambda x, y: x - y
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="symmetric"):
+            proper_degree_potential(bad, 0, 1)
+
+
 def test_validate_degree_like_rejects_shrink_growth():
     bad = lambda g, u: -len(g.neighbors(u))
     with pytest.raises(ConfigError):
@@ -307,6 +330,22 @@ def assert_local(pot, g, pairs):
     assert strict, f"{pot.name}: every ball covered the whole graph"
 
 
+def assert_endpoint_local(pot, g, pairs, rng):
+    """Toggling an edge with neither endpoint in {u, v}, one at a neighbour of
+    u where there is one, keeps the value of (u, v)."""
+    for u, v in pairs:
+        others = [x for x in range(g.n) if x not in (u, v)]
+        near = sorted(g.neighbors(u) - {v})
+        a = rng.choice(near or others)
+        b = rng.choice([x for x in others if x != a])
+        h = g.copy()
+        if h.has_edge(a, b):
+            h.remove_edge(a, b)
+        else:
+            h.add_edge(a, b)
+        assert pot.value(g, u, v) == pot.value(h, u, v), (pot.name, u, v, a, b)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_catalog_potentials_are_local(seed):
     rng = random.Random(seed)
@@ -320,6 +359,13 @@ def test_catalog_potentials_are_local(seed):
                 for name, f in PROPER_FUNCTIONS.items()]
     for pot in catalog:
         assert_local(pot, sparse, sparse_pairs)
+    assert [p.name for p in catalog if not p.endpoint_local] == ["community"]
+    for pot in catalog:
+        if pot.endpoint_local:
+            assert_endpoint_local(pot, sparse, sparse_pairs, rng)
+    # the check has teeth: community values read edges among common neighbours
+    with pytest.raises(AssertionError):
+        assert_endpoint_local(community_potential(0, 100), random_graph(6, 1.1, 0), [(0, 1)], rng)
 
     # rule-110 branches need 40 to 71 common neighbors
     size = 44 + 9 * seed

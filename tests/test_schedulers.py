@@ -5,7 +5,8 @@ from abdyn.graph import DynGraph
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                               FairRoundRobinScheduler, InteractionSet,
                               ScriptedScheduler, SocialScheduler,
-                              UniformRandomScheduler, all_pairs)
+                              UniformRandomScheduler, all_pairs, rank_pair,
+                              unrank_pair)
 from abdyn.social import SocialProfile
 
 from conftest import random_graph, triangle
@@ -52,6 +53,22 @@ def test_uniform_scheduler_reproducible():
     assert tuple(a.interactions(0, g2))[0] == (0, 1)
     with pytest.raises(ConfigError):
         a.reset(DynGraph(1))
+
+
+def test_pair_ranks_order_pairs_by_larger_then_smaller_node():
+    pairs = sorted(all_pairs(9), key=lambda p: (p[1], p[0]))
+    assert [unrank_pair(k) for k in range(len(pairs))] == pairs
+    assert [rank_pair(*p) for p in pairs] == list(range(len(pairs)))
+
+
+def test_uniform_scheduler_draws_one_stream():
+    g = DynGraph(7)
+    a = UniformRandomScheduler(3)
+    b = UniformRandomScheduler(3)
+    a.reset(g)
+    b.reset(g)
+    drawn = [unrank_pair(a.draw()) for _ in range(200)]
+    assert drawn == [tuple(b.interactions(t, g))[0] for t in range(200)]
 
 
 def test_uniform_scheduler_frequencies():
