@@ -19,14 +19,15 @@ Stabilization verdicts depend on the scheduler contract:
 
 Routes (``RunConfig.engine``): ``naive`` evaluates whatever the scheduler
 emits and is the reference; ``incremental`` and ``bulk`` (see
-:mod:`abdyn.fastpath`) serve the complete scheduler on pair-statistics rules;
-``active`` serves uniform one-pair rounds on ``endpoint_local`` potentials.
-It keeps the exact set of pairs whose decision would change, so a round that
-draws a pair outside it is quiet without evaluation, and a run stops as soon
-as the set is empty and one full sweep confirms it; a dirty sweep means the
-potential's locality certificate is false and raises ``ContractError``. The
-active route consumes the scheduler's random stream exactly as ``naive``
-does, so both produce the same rounds up to the fixed point.
+:mod:`abdyn.fastpath`) serve the complete scheduler on pair-statistics rules.
+``auto`` serves uniform one-pair rounds on ``endpoint_local`` potentials
+without observers through :class:`ActiveSetStepper`. It keeps the exact set
+of pairs whose decision would change, so a round that draws a pair outside it
+is quiet without evaluation, and a run stops as soon as the set is empty.
+If the run changed the graph, one full sweep confirms the empty set first; a
+dirty sweep means the potential's locality certificate is false and raises
+``ContractError``. The route consumes the scheduler's random stream exactly
+as ``naive`` does, so both produce the same rounds up to the fixed point.
 
 Cycle detection compares exact edge-set differences from the initial graph
 (plus the scheduler phase), so a cycle verdict is never a false positive;
@@ -90,7 +91,7 @@ class RunConfig:
     stop_mode: str = "fixed_point"          # fixed_point | cycle | budget
     prune: bool = False
     seed: int = 0
-    engine: str = "auto"                    # auto | naive | active | incremental | bulk
+    engine: str = "auto"                    # auto | naive | incremental | bulk
     copy_graph: bool = True
     record_rounds: str = "auto"             # all | changes | auto
     record_deltas: bool = False
@@ -209,33 +210,28 @@ class ActiveSetStepper(NaiveStepper):
         return limit
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
-        k = self._pending if self._pending is not None else self.scheduler.draw()
+        """Decide and apply the active pair that ``skip_quiet`` drew."""
+        u, v = unrank_pair(self._pending)
         self._pending = None
-        u, v = unrank_pair(k)
         delta = decide_pairs(self.g, self.potential, ((u, v),), self.prune)
-        if delta.empty == (k in self.active):
+        if delta.empty:
             raise ContractError(
                 f"potential {self.potential.name} is not endpoint_local: the decision "
                 f"of pair ({u},{v}) moved although no edge at u or v was toggled")
-        if not delta.empty:
-            self.g.apply_delta(delta)
-            touched = {norm_pair(x, y) for x in (u, v) for y in range(self.g.n) if y != x}
-            self.active.difference_update(rank_pair(x, y) for x, y in touched)
-            self.active |= self._changing(touched)
+        self.g.apply_delta(delta)
+        touched = {norm_pair(x, y) for x in (u, v) for y in range(self.g.n) if y != x}
+        self.active.difference_update(rank_pair(x, y) for x, y in touched)
+        self.active |= self._changing(touched)
         return delta, 1
 
 
-def _active_blocker(cfg: RunConfig, npairs: int) -> Optional[str]:
-    """Why the active route cannot serve ``cfg``, or None if it can."""
-    if not isinstance(cfg.scheduler, UniformRandomScheduler):
-        return "it requires the uniform scheduler"
-    if not cfg.potential.endpoint_local:
-        return f"potential {cfg.potential.name} is not endpoint_local"
-    if cfg.observers:
-        return "observers need every round materialised"
-    if npairs > cfg.naive_pair_limit:
-        return "the graph is too large for its confirming sweep"
-    return None
+def _active_route_applies(cfg: RunConfig, npairs: int) -> bool:
+    """Whether :class:`ActiveSetStepper` can serve ``cfg``: observers need
+    every round materialised, and the pair limit bounds the confirming sweep."""
+    return (isinstance(cfg.scheduler, UniformRandomScheduler)
+            and cfg.potential.endpoint_local
+            and not cfg.observers
+            and npairs <= cfg.naive_pair_limit)
 
 
 def _make_stepper(cfg: RunConfig, g: DynGraph):
@@ -245,9 +241,9 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
     npairs = pair_count(g.n)
     merged_capable = pot.merged_base is not None and pot.merged_base.pair_stats is not None
     if mode == "auto":
-        if _active_blocker(cfg, npairs) is None:
-            mode = "active"
-        elif not sched.is_complete:
+        if _active_route_applies(cfg, npairs):
+            return ActiveSetStepper(g, pot, sched, cfg.prune)
+        if not sched.is_complete:
             mode = "naive"
         elif merged_capable:
             mode = "incremental"
@@ -261,11 +257,6 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
             mode = "naive"
     if mode == "naive":
         return NaiveStepper(g, pot, sched, cfg.prune)
-    if mode == "active":
-        blocker = _active_blocker(cfg, npairs)
-        if blocker is not None:
-            raise ConfigError(f"active engine unavailable: {blocker}")
-        return ActiveSetStepper(g, pot, sched, cfg.prune)
     if mode in ("incremental", "bulk"):
         if not sched.is_complete:
             raise ConfigError(f"{mode} engine requires the complete scheduler")
@@ -324,7 +315,10 @@ def run(config: RunConfig) -> RunTrace:
     while True:
         if fast is not None:
             if not fast.active:
-                if not fast.sweep_is_clean():
+                # Without a change the set is still the exact all-pairs
+                # decision made at init; after one it rests on the
+                # potential's locality certificate, which a sweep checks.
+                if last_change is not None and not fast.sweep_is_clean():
                     raise ContractError(
                         f"potential {config.potential.name} is not endpoint_local: the "
                         f"active set is empty but a sweep finds a pair that would change")
@@ -333,7 +327,6 @@ def run(config: RunConfig) -> RunTrace:
                 break
             # fast-forward over the rounds that draw a pair outside the set
             quiet = fast.skip_quiet(config.max_rounds - t)
-            quiet_streak += quiet
             if record_all:
                 classes = len(degree_counter)
                 rounds.extend(RoundRecord(s, 1, 0, 0, classes, fp)

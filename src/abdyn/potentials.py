@@ -16,7 +16,6 @@ equality so no tolerance questions arise in threshold comparisons.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -100,16 +99,11 @@ class Potential:
 # ---------------------------------------------------------------------------
 # Property validation for user-supplied functions
 
-@functools.lru_cache(maxsize=256)
 def validate_proper(f: ProperFunction, samples: int = 1000, seed: int = 0,
                     grid_max: int = 14) -> None:
     """Randomized check that f is symmetric and non-decreasing in both
     arguments on an integer grid. Raises ConfigError with the violating
     sample on failure.
-
-    The check is a pure function of its arguments, so a function that passed
-    is remembered with them and not sampled again; the cache keeps no
-    failures, so a function that fails raises on every call.
     """
     rng = random.Random(seed)
     for _ in range(samples):
@@ -178,6 +172,12 @@ PROPER_FUNCTIONS: dict[str, ProperFunction] = {
 }
 
 
+def _needs_validation(f: ProperFunction) -> bool:
+    """The catalog functions are proper by inspection (the tests check them
+    once); any other function is sampled on every construction."""
+    return not any(f is c for c in PROPER_FUNCTIONS.values())
+
+
 # ---------------------------------------------------------------------------
 # Degree based potentials
 
@@ -209,7 +209,7 @@ def min_degree_potential(alpha: float, beta: float) -> Potential:
 def proper_degree_potential(f: ProperFunction, alpha: float, beta: float,
                             name: str = "proper_degree", validate: bool = True) -> Potential:
     """Potential f(d(u), d(v)) for a symmetric, non-decreasing f."""
-    if validate:
+    if validate and _needs_validation(f):
         validate_proper(f)
     return _degree_potential(name, f, alpha, beta,
                              {"alpha": alpha, "beta": beta, "f": name})
@@ -227,7 +227,8 @@ def degree_like_potential(f: ProperFunction, g_fn: DegreeLikeFunction,
     pass the attribute table size for attribute-backed node functions.
     """
     if validate:
-        validate_proper(f)
+        if _needs_validation(f):
+            validate_proper(f)
         validate_degree_like(g_fn, max_nodes=min(10, validate_nodes))
     return Potential(
         name=name,

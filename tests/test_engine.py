@@ -171,7 +171,7 @@ def test_active_route_proves_fixed_point_at_round_zero():
     pot = min_degree_potential(2, 100)
     trace = run(RunConfig(graph=random_graph(20, 0.3, 1), potential=pot,
                           scheduler=UniformRandomScheduler(3), max_rounds=5,
-                          seed=3, engine="active"))
+                          seed=3))
     assert trace.verdict == Verdict("stabilized", 0)
     assert trace.rounds == [] and trace.metadata["engine"] == "ActiveSetStepper"
 
@@ -181,7 +181,8 @@ def test_active_route_budget_verdict():
     g = random_graph(20, 0.3, 1)
     trace = run(RunConfig(graph=g, potential=min_degree_potential(20, 100),
                           scheduler=UniformRandomScheduler(3), max_rounds=5,
-                          seed=3, engine="active", record_rounds="all"))
+                          seed=3, record_rounds="all"))
+    assert trace.metadata["engine"] == "ActiveSetStepper"
     assert trace.verdict == Verdict("budget", 5)
     assert [r.t for r in trace.rounds] == list(range(5))
     assert trace.final_graph.m >= g.m - 5 > 0      # edges, all of them active, remain
@@ -453,7 +454,7 @@ def endpoint_local_cases(draw):
 def _run_both(g, pot, seed, record_rounds):
     return [run(RunConfig(graph=g, potential=pot, scheduler=UniformRandomScheduler(seed),
                           max_rounds=60_000, engine=engine, record_rounds=record_rounds))
-            for engine in ("naive", "active")]
+            for engine in ("naive", "auto")]
 
 
 @settings(max_examples=150)
@@ -474,6 +475,7 @@ def test_active_route_matches_naive(case, seed):
 def test_active_route_records_every_round_like_naive(case, seed):
     g, pot = case
     ref, act = _run_both(g, pot, seed, "all")
+    assert act.metadata["engine"] == "ActiveSetStepper"
     assert act.verdict == ref.verdict
     assert act.rounds == ref.rounds[:act.verdict.round]
 
@@ -487,7 +489,7 @@ def test_active_route_rejects_a_false_locality_certificate():
     for seed in range(5):
         with pytest.raises(ContractError, match="endpoint_local"):
             run(RunConfig(graph=g, potential=pot, scheduler=UniformRandomScheduler(seed),
-                          max_rounds=10_000, engine="active"))
+                          max_rounds=10_000))
     naive = run(RunConfig(graph=g, potential=pot, scheduler=UniformRandomScheduler(0),
                           max_rounds=10_000, engine="naive"))
     assert naive.verdict.kind == "stabilized" and naive.final_graph.m == 10
@@ -506,8 +508,5 @@ def test_active_route_selection():
     assert engine_of(naive_pair_limit=10) == "NaiveStepper"
     assert engine_of(potential=community_potential(0, 100)) == "NaiveStepper"
     assert engine_of(scheduler=CompleteScheduler()) == "NaiveStepper"
-    for kw in (dict(observers=(snapshot_observer([]),)), dict(naive_pair_limit=10),
-               dict(potential=community_potential(0, 100)),
-               dict(scheduler=FairRoundRobinScheduler(3))):
-        with pytest.raises(ConfigError, match="active engine unavailable"):
-            engine_of(engine="active", **kw)
+    assert engine_of(scheduler=FairRoundRobinScheduler(3)) == "NaiveStepper"
+    assert engine_of(engine="naive") == "NaiveStepper"

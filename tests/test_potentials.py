@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from abdyn import potentials
 from abdyn.engine import RunConfig, run
 from abdyn.errors import ConfigError
 from abdyn.graph import DynGraph, induced_ball
@@ -135,20 +136,26 @@ def test_validate_proper_rejects_bad_functions():
         validate_proper(lambda x, y: -(x + y))
 
 
-def test_validate_proper_samples_a_passing_function_once():
-    calls = []
+def test_catalog_functions_are_proper():
+    for f in PROPER_FUNCTIONS.values():
+        validate_proper(f)
 
-    def counting(x, y):
-        calls.append((x, y))
+
+def test_catalog_functions_skip_validation_user_functions_do_not(monkeypatch):
+    checked = []
+    monkeypatch.setattr(potentials, "validate_proper", lambda f, **kw: checked.append(f))
+    g_fn = niceness_g(random_profile(6, 0))
+    for _ in range(2):
+        degree_like_potential(PROPER_FUNCTIONS["min"], g_fn, 1, 2, validate_nodes=6)
+        proper_degree_potential(PROPER_FUNCTIONS["sum"], 1, 2)
+    assert checked == []
+
+    def user_sum(x, y):
         return x + y
-
-    degree_like_potential(counting, niceness_g(random_profile(6, 0)), 1, 2, validate_nodes=6)
-    sampled = len(calls)
-    assert sampled > 0
-    proper_degree_potential(counting, 1, 2)
-    assert len(calls) == sampled
-    validate_proper(counting, seed=1)           # other parameters are a new check
-    assert len(calls) > sampled
+    for _ in range(2):
+        degree_like_potential(user_sum, g_fn, 1, 2, validate_nodes=6)
+        proper_degree_potential(user_sum, 1, 2)
+    assert checked == [user_sum] * 4
 
 
 def test_validate_proper_rejects_a_bad_function_every_time():
