@@ -128,8 +128,6 @@ def cmd_run(args) -> int:
         scheduler=scheduler,
         max_rounds=int(cfg.get("run.rounds", "100000")),
         stop_mode=cfg.get("run.stop", "fixed_point"),
-        prune=cfg.get("run.prune", "false").lower() == "true",
-        seed=seed,
         engine=cfg.get("run.engine", "auto"),
     )
     trace = run(rc)
@@ -213,7 +211,7 @@ def cmd_social(args) -> int:
                                beta=args.beta, f="sum", profile=profile)
     scheduler = SocialScheduler(profile, args.gamma)
     trace = run(RunConfig(graph=g, potential=potential, scheduler=scheduler,
-                          max_rounds=args.rounds, seed=args.seed))
+                          max_rounds=args.rounds))
     v = trace.verdict
     print(f"verdict: {v.kind} at round {v.round}")
     if args.out:
@@ -263,7 +261,6 @@ def cmd_verify(args) -> int:
         rc = RunConfig(graph=graph, potential=potential,
                        scheduler=CompleteScheduler(),
                        max_rounds=int(cfg.get("run.rounds", "100000")),
-                       seed=int(cfg.get("seed", "0")),
                        observers=(snapshot_observer(snapshots),))
         trace = run(rc)
         if args.trace:
@@ -336,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--rounds", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_social)
 

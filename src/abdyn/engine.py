@@ -13,17 +13,20 @@ Stabilization verdicts depend on the scheduler contract:
   proves a fixed point;
 * schedulers with a declared fairness period P: P consecutive changeless
   rounds prove it;
-* stochastic schedulers: after a configurable quiet streak the engine runs a
-  full sweep over all pairs and declares stabilization only if no pair would
-  change.
+* stochastic schedulers: after a quiet streak scaled to the graph the engine
+  runs a full sweep over all pairs and declares stabilization only if no pair
+  would change.
 
 Routes (``RunConfig.engine``): ``naive`` evaluates whatever the scheduler
-emits and is the reference; ``incremental`` and ``bulk`` (see
+emits and is the unpruned reference; ``incremental`` and ``bulk`` (see
 :mod:`abdyn.fastpath`) serve the complete scheduler on pair-statistics rules.
-``auto`` serves uniform one-pair rounds on ``endpoint_local`` potentials
-without observers through :class:`ActiveSetStepper`. It keeps the exact set
-of pairs whose decision would change, so a round that draws a pair outside it
-is quiet without evaluation, and a run stops as soon as the set is empty.
+``auto`` skips the pairs below a pair-statistics rule's certified floor,
+which changes no decision, and picks ``incremental`` for the complete
+scheduler on graphs too large for pairwise evaluation. It serves uniform
+one-pair rounds on ``endpoint_local`` potentials without observers through
+:class:`ActiveSetStepper`, which keeps the exact set of pairs whose decision
+would change, so a round that draws a pair outside it is quiet without
+evaluation, and a run stops as soon as the set is empty.
 If the run changed the graph, one full sweep confirms the empty set first; a
 dirty sweep means the potential's locality certificate is false and raises
 ``ContractError``. The route consumes the scheduler's random stream exactly
@@ -47,6 +50,12 @@ from .potentials import Potential
 from .schedulers import (Scheduler, UniformRandomScheduler, all_pairs, pair_count,
                          rank_pair, unrank_pair)
 
+# Largest pair count that a run evaluates pair by pair in one round or sweep.
+NAIVE_PAIR_LIMIT = 400_000
+# Deterministic-scheduler states kept for cycle detection; older ones are
+# dropped, so a longer cycle is not detected.
+CYCLE_HISTORY = 4096
+
 
 class RoundRecord(NamedTuple):
     t: int
@@ -67,7 +76,6 @@ class Verdict(NamedTuple):
 class RunTrace:
     rounds: list[RoundRecord]
     verdict: Verdict
-    seed: int
     metadata: dict
     final_graph: DynGraph
     changed_rounds: list[int]
@@ -89,15 +97,10 @@ class RunConfig:
     scheduler: Scheduler
     max_rounds: int
     stop_mode: str = "fixed_point"          # fixed_point | cycle | budget
-    prune: bool = False
-    seed: int = 0
     engine: str = "auto"                    # auto | naive | incremental | bulk
     copy_graph: bool = True
     record_rounds: str = "auto"             # all | changes | auto
     record_deltas: bool = False
-    quiescence_window: Optional[int] = None
-    cycle_history: int = 4096
-    naive_pair_limit: int = 400_000
     observers: Sequence[Callable] = ()
 
     def __post_init__(self):
@@ -105,6 +108,8 @@ class RunConfig:
             raise ConfigError(f"max_rounds must be at least 1, got {self.max_rounds}")
         if self.stop_mode not in ("fixed_point", "cycle", "budget"):
             raise ConfigError(f"unknown stop_mode {self.stop_mode!r}")
+        if self.record_rounds not in ("all", "changes", "auto"):
+            raise ConfigError(f"unknown record_rounds {self.record_rounds!r}")
 
 
 def coupon_streak_default(n: int) -> int:
@@ -155,15 +160,17 @@ def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeD
 # Steppers: strategies that compute and apply one round
 
 class NaiveStepper:
-    """Pairwise evaluation of whatever the scheduler emits."""
+    """Pairwise evaluation of whatever the scheduler emits. With ``prune`` a
+    pair-statistics rule has its floor certified and its pairs below the
+    floor skipped; ``self.prune`` says whether any pair can be skipped."""
 
     def __init__(self, g: DynGraph, potential: Potential, scheduler: Scheduler, prune: bool):
-        if prune and potential.pair_stats is not None:
+        self.prune = prune and potential.pair_stats is not None
+        if self.prune:
             potential.pair_stats.certify()
         self.g = g
         self.potential = potential
         self.scheduler = scheduler
-        self.prune = prune
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
         inter = self.scheduler.interactions(t, self.g)
@@ -185,9 +192,8 @@ class ActiveSetStepper(NaiveStepper):
     outside the set is a quiet round that needs no evaluation.
     """
 
-    def __init__(self, g: DynGraph, potential: Potential, scheduler: UniformRandomScheduler,
-                 prune: bool):
-        super().__init__(g, potential, scheduler, prune)
+    def __init__(self, g: DynGraph, potential: Potential, scheduler: UniformRandomScheduler):
+        super().__init__(g, potential, scheduler, prune=True)
         self._pending: Optional[int] = None
         self.active = self._changing(all_pairs(g.n))
 
@@ -231,7 +237,7 @@ def _active_route_applies(cfg: RunConfig, npairs: int) -> bool:
     return (isinstance(cfg.scheduler, UniformRandomScheduler)
             and cfg.potential.endpoint_local
             and not cfg.observers
-            and npairs <= cfg.naive_pair_limit)
+            and npairs <= NAIVE_PAIR_LIMIT)
 
 
 def _make_stepper(cfg: RunConfig, g: DynGraph):
@@ -242,21 +248,20 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
     merged_capable = pot.merged_base is not None and pot.merged_base.pair_stats is not None
     if mode == "auto":
         if _active_route_applies(cfg, npairs):
-            return ActiveSetStepper(g, pot, sched, cfg.prune)
+            return ActiveSetStepper(g, pot, sched)
         if not sched.is_complete:
             mode = "naive"
-        elif merged_capable:
+        elif merged_capable or (pot.pair_stats is not None and npairs > NAIVE_PAIR_LIMIT):
             mode = "incremental"
-        elif pot.pair_stats is not None and npairs > cfg.naive_pair_limit:
-            mode = "incremental" if cfg.prune else "bulk"
-        elif npairs > cfg.naive_pair_limit:
+        elif npairs > NAIVE_PAIR_LIMIT:
             raise ConfigError(
                 "graph too large for pairwise evaluation under the complete "
                 "scheduler; the potential provides no pair statistics")
         else:
             mode = "naive"
     if mode == "naive":
-        return NaiveStepper(g, pot, sched, cfg.prune)
+        # a forced naive run is the unpruned reference
+        return NaiveStepper(g, pot, sched, prune=cfg.engine == "auto")
     if mode in ("incremental", "bulk"):
         if not sched.is_complete:
             raise ConfigError(f"{mode} engine requires the complete scheduler")
@@ -285,12 +290,10 @@ def run(config: RunConfig) -> RunTrace:
     diff: set[tuple[int, int]] = set()
 
     track_cycles = sched.deterministic
+    # insertion-ordered, so the first key is the oldest
     history: dict[tuple, int] = {}
-    history_order: list[tuple] = []
     if track_cycles:
-        key0 = (frozenset(), sched.phase(0))
-        history[key0] = 0
-        history_order.append(key0)
+        history[frozenset(), sched.phase(0)] = 0
 
     rounds: list[RoundRecord] = []
     deltas: list[EdgeDelta] | None = [] if config.record_deltas else None
@@ -299,14 +302,8 @@ def run(config: RunConfig) -> RunTrace:
     quiet_streak = 0
     cycle_seen: Optional[Verdict] = None
 
-    window = config.quiescence_window
-    if window is None:
-        if sched.fairness_period is not None:
-            window = sched.fairness_period
-        else:
-            window = min(coupon_streak_default(g.n), 4 * pair_count(g.n) + 8)
-
-    sweep_allowed = pair_count(g.n) <= config.naive_pair_limit
+    window = min(coupon_streak_default(g.n), 4 * pair_count(g.n) + 8)
+    sweep_allowed = pair_count(g.n) <= NAIVE_PAIR_LIMIT
     verdict: Optional[Verdict] = None
     fast = stepper if isinstance(stepper, ActiveSetStepper) else None
     quiet_delta = EdgeDelta()
@@ -367,8 +364,7 @@ def run(config: RunConfig) -> RunTrace:
             elif sched.fairness_period is not None and quiet_streak >= sched.fairness_period:
                 stabilized = True
             elif sched.fairness_period is None and not sched.deterministic \
-                    and quiet_streak >= window and sweep_allowed \
-                    and hasattr(stepper, "sweep_is_clean"):
+                    and quiet_streak >= window and sweep_allowed:
                 if stepper.sweep_is_clean():
                     stabilized = True
                 else:
@@ -392,9 +388,8 @@ def run(config: RunConfig) -> RunTrace:
                     break
             else:
                 history[key] = t + 1
-                history_order.append(key)
-                if len(history_order) > config.cycle_history:
-                    history.pop(history_order.pop(0), None)
+                if len(history) > CYCLE_HISTORY:
+                    del history[next(iter(history))]
         t += 1
 
     if verdict is None:
@@ -405,14 +400,14 @@ def run(config: RunConfig) -> RunTrace:
         "potential_params": config.potential.params,
         "scheduler": sched.name,
         "scheduler_params": sched.params(),
-        "prune": config.prune,
+        "prune": stepper.prune,
         "engine": type(stepper).__name__,
         "n": g.n,
         "half_step_rounds": (config.potential.name == "rule110"),
     }
-    return RunTrace(rounds=rounds, verdict=verdict, seed=config.seed,
-                    metadata=metadata, final_graph=g, changed_rounds=changed_rounds,
-                    last_change_round=last_change, deltas=deltas, diff=diff)
+    return RunTrace(rounds=rounds, verdict=verdict, metadata=metadata, final_graph=g,
+                    changed_rounds=changed_rounds, last_change_round=last_change,
+                    deltas=deltas, diff=diff)
 
 
 def _bookkeep(delta: EdgeDelta, g: DynGraph, counter: Counter, diff: set) -> None:

@@ -13,9 +13,10 @@ stay exactly equivalent to pairwise evaluation of every pair:
 
 * :class:`BulkStepper` recomputes all common neighbor counts from scratch
   each round with a chunked sparse matrix product and decides every pair at
-  or above the floor. It shares no state with the incremental route, which
-  makes it the reference side of the prune-equivalence checks at scales where
-  literal pair enumeration is impossible.
+  or above the floor, as the incremental route does. It shares no state with
+  that route, which makes it the independent side of the equivalence checks
+  at scales where the unpruned reference, ``engine="naive"``, cannot
+  enumerate the pairs.
 
 Both verify the floor certificate itself at startup by exhaustively checking
 ``decide`` on every count below the floor, with a common-neighbor-edge
@@ -56,6 +57,8 @@ def _exact_ce(adj, u: int, v: int):
 class IncrementalStepper:
     """Exact incremental execution of a pair-statistics potential under the
     complete scheduler."""
+
+    prune = True        # pairs below the floor are never decided
 
     def __init__(self, g: DynGraph, potential: Potential):
         self.g = g
@@ -207,7 +210,11 @@ class IncrementalStepper:
 
 
 class BulkStepper:
-    """Unpruned complete-scheduler round via a chunked sparse matrix product."""
+    """Complete-scheduler round via a chunked sparse matrix product that
+    decides only the pairs whose common neighbor count reaches the certified
+    floor."""
+
+    prune = True
 
     def __init__(self, g: DynGraph, potential: Potential, chunk: int = 2048):
         self.g = g

@@ -420,12 +420,10 @@ class SimulationResult:
 
 
 def _run_assembly(assembly: CellAssembly, steps: int, merged: bool,
-                  check_rounds: bool, stop_mode: str, engine: str,
-                  max_rounds: Optional[int] = None) -> SimulationResult:
+                  check_rounds: bool, stop_mode: str, engine: str) -> SimulationResult:
     potential: Potential = two_step_merge(rule110_potential(100)) if merged \
         else rule110_potential(100)
-    rounds = max_rounds if max_rounds is not None else (steps if merged else 2 * steps)
-    rounds = max(rounds, 1)
+    rounds = max(steps if merged else 2 * steps, 1)
 
     tapes = [extract_values(assembly)]
     reports: list[StructureReport] = []
@@ -449,7 +447,6 @@ def _run_assembly(assembly: CellAssembly, steps: int, merged: bool,
         scheduler=CompleteScheduler(),
         max_rounds=rounds,
         stop_mode=stop_mode,
-        prune=True,
         engine=engine,
         copy_graph=False,
         record_rounds="all",
@@ -500,7 +497,7 @@ class AssemblyRunner:
         self._restore(result.trace.diff)
         return result
 
-    def raw_run(self, tape, rounds: int, engine: str, prune: bool,
+    def raw_run(self, tape, rounds: int, engine: str,
                 stop_mode: str = "budget") -> RunTrace:
         """Engine-level run on the shared assembly graph, restored afterwards.
 
@@ -515,7 +512,6 @@ class AssemblyRunner:
             scheduler=CompleteScheduler(),
             max_rounds=rounds,
             stop_mode=stop_mode,
-            prune=prune,
             engine=engine,
             copy_graph=False,
             record_rounds="all",

@@ -57,10 +57,6 @@ class InteractionSet:
             self._pairs = frozenset(norm_pair(*p) for p in pairs or ())
             self._n = None
 
-    @property
-    def complete(self) -> bool:
-        return self._pairs is None
-
     def __iter__(self) -> Iterator[tuple[int, int]]:
         if self._pairs is None:
             return all_pairs(self._n)

@@ -215,7 +215,7 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
     comp_count = _component_count(g) if progress_check else 0
 
     if stop_predicate is not None and stop_predicate(g):
-        return RunTrace(rounds=[], verdict=Verdict("target", 0), seed=seed,
+        return RunTrace(rounds=[], verdict=Verdict("target", 0),
                         metadata={"protocol": protocol.name, "tags": []},
                         final_graph=g, changed_rounds=[], last_change_round=None)
 
@@ -266,7 +266,7 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
             verdict = Verdict("target", t + 1)
             break
 
-    return RunTrace(rounds=rounds, verdict=verdict, seed=seed,
+    return RunTrace(rounds=rounds, verdict=verdict,
                     metadata={"protocol": protocol.name, "tags": tags},
                     final_graph=g, changed_rounds=changed_rounds,
                     last_change_round=last_change)

@@ -76,7 +76,7 @@ def test_criterion_1_kcore_correctness():
                 t0 = time.perf_counter()
                 trace = run(RunConfig(graph=g0.copy(), potential=pot,
                                       scheduler=sched, max_rounds=5_000_000,
-                                      seed=gseed, record_rounds="changes"))
+                                      record_rounds="changes"))
                 elapsed = time.perf_counter() - t0
                 worst = max(worst, elapsed)
                 runs += 1
@@ -232,17 +232,20 @@ def test_criterion_7_prune_soundness(runner_w3):
         p = rng.choice([0.5, 0.8, 0.95])
         g = gnp(n, p, seed=9000 + i)
         base = dict(potential=pots[0], scheduler=CompleteScheduler(),
-                    max_rounds=10, stop_mode="budget", record_rounds="all",
-                    engine="naive")
-        plain = run(RunConfig(graph=g.copy(), prune=False, **base))
-        pruned = run(RunConfig(graph=g.copy(), prune=True, **base))
+                    max_rounds=10, stop_mode="budget", record_rounds="all")
+        plain = run(RunConfig(graph=g.copy(), engine="naive", **base))
+        pruned = run(RunConfig(graph=g.copy(), engine="auto", **base))
+        assert pruned.metadata["prune"] and not plain.metadata["prune"]
         assert [r.fingerprint for r in plain.rounds] == \
             [r.fingerprint for r in pruned.rounds], (i, n, p)
 
-    pruned = runner_w3.raw_run((0, 1, 1), rounds=4, engine="incremental", prune=True)
-    plain = runner_w3.raw_run((0, 1, 1), rounds=4, engine="bulk", prune=False)
-    fp_a = [(r.t, r.added, r.removed, r.fingerprint) for r in pruned.rounds]
-    fp_b = [(r.t, r.added, r.removed, r.fingerprint) for r in plain.rounds]
+    # naive cannot enumerate the assembly's pairs; the two independent
+    # pruned routes check each other
+    incremental = runner_w3.raw_run((0, 1, 1), rounds=4, engine="incremental")
+    bulk = runner_w3.raw_run((0, 1, 1), rounds=4, engine="bulk")
+    assert incremental.metadata["prune"] and bulk.metadata["prune"]
+    fp_a = [(r.t, r.added, r.removed, r.fingerprint) for r in incremental.rounds]
+    fp_b = [(r.t, r.added, r.removed, r.fingerprint) for r in bulk.rounds]
     assert fp_a == fp_b
     _report(7, "prune soundness", True,
             "50 random graphs + one width-3 assembly, identical round fingerprints")

@@ -36,8 +36,14 @@ def test_bundled_kcore_config(tmp_path, capsys, monkeypatch):
     root = pathlib.Path(__file__).resolve().parents[1]
     work = tmp_path / "samples"
     shutil.copytree(root / "samples", work)
+    outputs = ("kcore_final.edges", "kcore_run.trace")
+    for name in outputs:
+        (work / name).unlink()
     monkeypatch.chdir(tmp_path)
     assert main(["run", "samples/kcore_run.cfg"]) == 0
+    # the run reproduces the bundled outputs byte for byte, trace header included
+    for name in outputs:
+        assert (work / name).read_bytes() == (root / "samples" / name).read_bytes(), name
     assert main(["verify", "--mode", "kcore",
                  "--initial", "samples/gnp60.edges",
                  "--final", "samples/kcore_final.edges",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abdyn import engine as engine_module
 from abdyn.engine import (RunConfig, Verdict, check_degree_properties, decide_pairs,
                           degree_classes, frozen_nodes, run, snapshot_observer)
 from abdyn.errors import ConfigError, ContractError
@@ -99,7 +100,7 @@ def test_run_p4_to_null():
 
 def test_run_determinism_byte_level():
     cfg = dict(potential=min_degree_potential(2, 100),
-               scheduler=UniformRandomScheduler(5), max_rounds=5000, seed=9)
+               scheduler=UniformRandomScheduler(5), max_rounds=5000)
     t1 = run(RunConfig(graph=random_graph(25, 0.2, 1), **cfg))
     t2 = run(RunConfig(graph=random_graph(25, 0.2, 1), **cfg))
     assert json.dumps([r._asdict() for r in t1.rounds]) == \
@@ -150,8 +151,7 @@ def test_uniform_run_sweep_confirmed():
     g = random_graph(30, 0.2, 4)
     pot = min_degree_potential(2, 100)
     trace = run(RunConfig(graph=g, potential=pot,
-                          scheduler=UniformRandomScheduler(11), max_rounds=400_000,
-                          seed=11))
+                          scheduler=UniformRandomScheduler(11), max_rounds=400_000))
     assert trace.verdict.kind == "stabilized"
     dec = peel(g, 2)
     for u in range(g.n):
@@ -162,7 +162,7 @@ def test_budget_verdict():
     pot = min_degree_potential(2, 100)
     trace = run(RunConfig(graph=random_graph(20, 0.3, 1), potential=pot,
                           scheduler=UniformRandomScheduler(3), max_rounds=5,
-                          seed=3, engine="naive"))
+                          engine="naive"))
     assert trace.verdict.kind == "budget"
 
 
@@ -170,8 +170,7 @@ def test_active_route_proves_fixed_point_at_round_zero():
     # the input of test_budget_verdict is already a fixed point
     pot = min_degree_potential(2, 100)
     trace = run(RunConfig(graph=random_graph(20, 0.3, 1), potential=pot,
-                          scheduler=UniformRandomScheduler(3), max_rounds=5,
-                          seed=3))
+                          scheduler=UniformRandomScheduler(3), max_rounds=5))
     assert trace.verdict == Verdict("stabilized", 0)
     assert trace.rounds == [] and trace.metadata["engine"] == "ActiveSetStepper"
 
@@ -181,14 +180,14 @@ def test_active_route_budget_verdict():
     g = random_graph(20, 0.3, 1)
     trace = run(RunConfig(graph=g, potential=min_degree_potential(20, 100),
                           scheduler=UniformRandomScheduler(3), max_rounds=5,
-                          seed=3, record_rounds="all"))
+                          record_rounds="all"))
     assert trace.metadata["engine"] == "ActiveSetStepper"
     assert trace.verdict == Verdict("budget", 5)
     assert [r.t for r in trace.rounds] == list(range(5))
     assert trace.final_graph.m >= g.m - 5 > 0      # edges, all of them active, remain
     naive = run(RunConfig(graph=g, potential=min_degree_potential(20, 100),
                           scheduler=UniformRandomScheduler(3), max_rounds=5,
-                          seed=3, engine="naive", record_rounds="all"))
+                          engine="naive", record_rounds="all"))
     assert (naive.verdict, naive.rounds, naive.final_graph) == \
         (trace.verdict, trace.rounds, trace.final_graph)
 
@@ -212,9 +211,12 @@ def test_cycle_detection_exact_period_two():
 
 
 def test_max_rounds_validation():
+    base = dict(graph=DynGraph(2), potential=min_degree_potential(0, 1),
+                scheduler=CompleteScheduler())
     with pytest.raises(ConfigError):
-        RunConfig(graph=DynGraph(2), potential=min_degree_potential(0, 1),
-                  scheduler=CompleteScheduler(), max_rounds=0)
+        RunConfig(max_rounds=0, **base)
+    with pytest.raises(ConfigError, match="record_rounds"):
+        RunConfig(max_rounds=1, record_rounds="change", **base)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +228,37 @@ def test_prune_matches_unpruned_naive(seed):
     pot = rule110_potential(10)
     base = dict(potential=pot, scheduler=CompleteScheduler(), max_rounds=12,
                 stop_mode="budget", record_rounds="all")
-    t_plain = run(RunConfig(graph=g.copy(), prune=False, engine="naive", **base))
-    t_prune = run(RunConfig(graph=g.copy(), prune=True, engine="naive", **base))
+    t_plain = run(RunConfig(graph=g.copy(), engine="naive", **base))
+    t_prune = run(RunConfig(graph=g.copy(), engine="auto", **base))
+    assert t_prune.metadata["prune"] and not t_plain.metadata["prune"]
+    assert t_prune.metadata["engine"] == "NaiveStepper"
     assert [r.fingerprint for r in t_plain.rounds] == \
         [r.fingerprint for r in t_prune.rounds]
+
+
+def _fair_script(n, seed, chunk):
+    pairs = list(all_pairs(n))
+    random.Random(seed).shuffle(pairs)
+    return [pairs[k:k + chunk] for k in range(0, len(pairs), chunk)]
+
+
+@pytest.mark.parametrize("scheduler", [
+    FairRoundRobinScheduler(150),
+    ScriptedScheduler(_fair_script(50, 1, 150), 50, repeat=True, claim_fair=True),
+    UniformRandomScheduler(4),
+], ids=lambda s: s.name)
+def test_auto_prunes_like_naive_under_other_schedulers(scheduler):
+    g = random_graph(50, 0.85, 2)
+    base = dict(potential=rule110_potential(10), scheduler=scheduler,
+                max_rounds=40 if scheduler.deterministic else 4000,
+                stop_mode="budget", record_rounds="all")
+    ref = run(RunConfig(graph=g, engine="naive", **base))
+    pruned = run(RunConfig(graph=g, **base))
+    assert pruned.metadata["prune"] is True and not ref.metadata["prune"]
+    assert ref.change_count
+    assert pruned.verdict == ref.verdict
+    assert pruned.rounds == ref.rounds
+    assert pruned.final_graph == ref.final_graph
 
 
 def test_prune_matches_unpruned_on_gadget_fragment():
@@ -244,8 +273,9 @@ def test_prune_matches_unpruned_on_gadget_fragment():
     pot = rule110_potential(10)
     base = dict(potential=pot, scheduler=CompleteScheduler(), max_rounds=6,
                 stop_mode="budget", record_rounds="all")
-    runs = [run(RunConfig(graph=g.copy(), prune=p, engine=e, **base))
-            for p, e in [(False, "naive"), (True, "naive"), (True, "incremental")]]
+    runs = [run(RunConfig(graph=g.copy(), engine=e, **base))
+            for e in ("naive", "auto", "incremental")]
+    assert [t.metadata["prune"] for t in runs] == [False, True, True]
     fps = [[r.fingerprint for r in t.rounds] for t in runs]
     assert fps[0] == fps[1] == fps[2]
 
@@ -258,10 +288,10 @@ def test_every_pruning_route_rejects_a_false_floor():
                     evaluator=lambda g, u, v: 0, pair_stats=stats)
     base = dict(graph=path_graph(4), potential=pot, scheduler=CompleteScheduler(),
                 max_rounds=1)
-    for engine, prune in [("naive", True), ("incremental", True), ("bulk", False)]:
+    for engine in ("auto", "incremental", "bulk"):
         with pytest.raises(ContractError, match="cn=1"):
-            run(RunConfig(engine=engine, prune=prune, **base))
-    run(RunConfig(engine="naive", prune=False, **base))     # unpruned never relies on it
+            run(RunConfig(engine=engine, **base))
+    run(RunConfig(engine="naive", **base))      # the unpruned reference never relies on it
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -274,7 +304,6 @@ def test_incremental_and_bulk_match_naive(seed):
     for engine in ("naive", "incremental", "bulk"):
         fresh = []
         t = run(RunConfig(graph=g.copy(), engine=engine,
-                          prune=(engine == "incremental"),
                           observers=(lambda t, h, d, diff: fresh.append(graph_fingerprint(h)),),
                           **base))
         fps[engine] = [r.fingerprint for r in t.rounds]
@@ -495,7 +524,7 @@ def test_active_route_rejects_a_false_locality_certificate():
     assert naive.verdict.kind == "stabilized" and naive.final_graph.m == 10
 
 
-def test_active_route_selection():
+def test_active_route_selection(monkeypatch):
     g = random_graph(12, 0.3, 2)
     pot = min_degree_potential(2, 100)
 
@@ -505,8 +534,9 @@ def test_active_route_selection():
 
     assert engine_of() == "ActiveSetStepper"
     assert engine_of(observers=(snapshot_observer([]),)) == "NaiveStepper"
-    assert engine_of(naive_pair_limit=10) == "NaiveStepper"
     assert engine_of(potential=community_potential(0, 100)) == "NaiveStepper"
     assert engine_of(scheduler=CompleteScheduler()) == "NaiveStepper"
     assert engine_of(scheduler=FairRoundRobinScheduler(3)) == "NaiveStepper"
     assert engine_of(engine="naive") == "NaiveStepper"
+    monkeypatch.setattr(engine_module, "NAIVE_PAIR_LIMIT", 10)
+    assert engine_of() == "NaiveStepper"

@@ -59,10 +59,10 @@ def test_peel_order_independence(seed):
             assert shuffled_peel(g, k, order_seed) == want
 
 
-def _kcore_run(g, alpha, scheduler, seed=0, rounds=200_000):
+def _kcore_run(g, alpha, scheduler, rounds=200_000):
     pot = min_degree_potential(alpha, g.n)
     return run(RunConfig(graph=g, potential=pot, scheduler=scheduler,
-                         max_rounds=rounds, seed=seed))
+                         max_rounds=rounds))
 
 
 def test_verify_kcore_random_round_robin():
