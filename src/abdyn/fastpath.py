@@ -8,8 +8,14 @@ stay exactly equivalent to pairwise evaluation of every pair:
 
 * :class:`IncrementalStepper` maintains, across rounds, the exact common
   neighbor counts of all pairs of high-degree nodes (only they can reach the
-  floor, since CN <= min degree). Per round it re-decides just the pairs at
-  or above the floor. Updates are O(local) per toggled edge.
+  floor, since CN <= min degree). It builds the table with one sparse
+  product over the adjacency rows of the high nodes alone, keeps neighbor
+  sets restricted to the high side for those nodes only, and keys each
+  pair {a, b}, a < b, by the integer ``(a << 32) | b``, as
+  :func:`~abdyn.graph.edge_codes` does. Per round it re-decides just the
+  pairs at or above the floor. Updates are O(local) per toggled edge and
+  per node that falls below the floor, so a huge graph with few high nodes
+  and few toggles costs little beyond one pass over the degrees.
 
 * :class:`BulkStepper` recomputes all common neighbor counts from scratch
   each round with a chunked sparse matrix product and decides every pair at
@@ -25,12 +31,16 @@ supplier that refuses to be called.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 from .errors import ConfigError, ContractError
 from .graph import DynGraph, EdgeDelta
 from .potentials import PairStatsRule, Potential
 from .schedulers import pair_count
+
+_LOW32 = 0xFFFFFFFF
 
 
 def _resolve_stats(potential: Potential) -> tuple[PairStatsRule, int]:
@@ -54,9 +64,27 @@ def _exact_ce(adj, u: int, v: int):
     return _ce
 
 
+def _adjacency_rows(adj, rows, n: int):
+    """Sparse 0/1 matrix whose i-th row is the neighbor set of ``rows[i]``."""
+    from scipy import sparse
+
+    sets = [adj[u] for u in rows]
+    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)), out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(sets), dtype=np.int32, count=int(indptr[-1]))
+    data = np.ones(len(indices), dtype=np.int32)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(sets), n))
+
+
 class IncrementalStepper:
     """Exact incremental execution of a pair-statistics potential under the
-    complete scheduler."""
+    complete scheduler.
+
+    ``high`` holds the nodes of degree at least the floor, ``nh`` maps each
+    of them to its neighbors in ``high``, and ``cn`` maps the key
+    ``(a << 32) | b`` of every pair a < b of high nodes with a common
+    neighbor to their common neighbor count.
+    """
 
     prune = True        # pairs below the floor are never decided
 
@@ -66,104 +94,91 @@ class IncrementalStepper:
         self.stats.certify()
         self.floor = self.stats.cn_floor
         adj = g._adj
-        n = g.n
-        self.deg = [len(adj[u]) for u in range(n)]
-        self.high = {u for u in range(n) if self.deg[u] >= self.floor}
-        self.nh = [adj[u] & self.high for u in range(n)]
-        self.cn: dict[tuple[int, int], int] = {}
-        for w in range(n):
-            hn = self.nh[w]
-            if len(hn) >= 2:
-                for u, x in combinations(sorted(hn), 2):
-                    key = (u, x)
-                    self.cn[key] = self.cn.get(key, 0) + 1
+        degrees = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
+        high_ids = np.flatnonzero(degrees >= self.floor)
+        hids = high_ids.tolist()
+        self.high = set(hids)
+        self.nh = {h: adj[h] & self.high for h in hids}
+        # common neighbor counts of the high pairs: A_H A_H^T over the high rows
+        a_high = _adjacency_rows(adj, hids, g.n)
+        upper = (a_high @ a_high.T).tocoo()
+        sel = upper.row < upper.col
+        codes = (high_ids[upper.row[sel]] << 32) | high_ids[upper.col[sel]]
+        self.cn: dict[int, int] = dict(zip(codes.tolist(), upper.data[sel].tolist()))
 
     # -- state maintenance ------------------------------------------------
-
-    def _bump(self, a: int, x: int, s: int) -> None:
-        key = (a, x) if a < x else (x, a)
-        c = self.cn.get(key, 0) + s
-        if c:
-            self.cn[key] = c
-        else:
-            self.cn.pop(key, None)
+    #
+    # Only high nodes change degree: a pair with a low endpoint has fewer
+    # common neighbors than the floor, so it is never toggled. Both ends of
+    # a toggle are therefore high, and a node can leave the high set but
+    # never join it.
 
     def _toggle(self, u: int, v: int, present_after: bool) -> None:
         g = self.g
         adj = g._adj
-        high = self.high
+        nh = self.nh
+        cn = self.cn
+        # endpoint a gains or loses the common neighbor b with every other
+        # high neighbor x of b
         if present_after:
-            if u in high:
-                for x in self.nh[v]:
-                    if x != u:
-                        self._bump(u, x, 1)
-            if v in high:
-                for x in self.nh[u]:
-                    if x != v:
-                        self._bump(v, x, 1)
             adj[u].add(v)
             adj[v].add(u)
             g._m += 1
-            self.deg[u] += 1
-            self.deg[v] += 1
-            if v in high:
-                self.nh[u].add(v)
-            if u in high:
-                self.nh[v].add(u)
+            nh[u].add(v)
+            nh[v].add(u)
+            for a, b in ((u, v), (v, u)):
+                hi = a << 32
+                for x in nh[b]:
+                    if x != a:
+                        key = hi | x if a < x else (x << 32) | a
+                        cn[key] = cn.get(key, 0) + 1
         else:
             adj[u].discard(v)
             adj[v].discard(u)
             g._m -= 1
-            self.deg[u] -= 1
-            self.deg[v] -= 1
-            self.nh[u].discard(v)
-            self.nh[v].discard(u)
-            if u in high:
-                for x in self.nh[v]:
-                    if x != u:
-                        self._bump(u, x, -1)
-            if v in high:
-                for x in self.nh[u]:
-                    if x != v:
-                        self._bump(v, x, -1)
+            nh[u].discard(v)
+            nh[v].discard(u)
+            for a, b in ((u, v), (v, u)):
+                hi = a << 32
+                for x in nh[b]:
+                    key = hi | x if a < x else (x << 32) | a
+                    c = cn[key] - 1
+                    if c:
+                        cn[key] = c
+                    else:
+                        del cn[key]
 
     def _reconcile_threshold_crossings(self, touched) -> None:
-        # only nodes with a degree change can cross the floor
+        """Drop the touched nodes that fell below the floor from the high
+        set, the high-neighbor sets and the table."""
         adj = self.g._adj
-        crossed_in = [u for u in touched
-                      if self.deg[u] >= self.floor and u not in self.high]
-        crossed_out = [u for u in touched
-                       if self.deg[u] < self.floor and u in self.high]
-        for v in crossed_out:
-            self.high.discard(v)
-            for x in adj[v]:
-                self.nh[x].discard(v)
-        for v in crossed_in:
-            self.high.add(v)
-            for x in adj[v]:
-                self.nh[x].add(v)
-            stale = [key for key in self.cn if v in key]
-            for key in stale:
-                del self.cn[key]
-            fresh: dict[int, int] = {}
+        high = self.high
+        nh = self.nh
+        for v in [u for u in touched if len(adj[u]) < self.floor]:
+            # v's pairs: the high neighbors of its neighbors; a low
+            # neighbor has fewer than floor neighbors to look up
+            partners = set()
             for w in adj[v]:
-                for x in self.nh[w]:
-                    if x != v:
-                        fresh[x] = fresh.get(x, 0) + 1
-            for x, c in fresh.items():
-                self.cn[(v, x) if v < x else (x, v)] = c
+                partners.update(nh[w] if w in high else adj[w] & high)
+            partners.discard(v)
+            for x in partners:
+                del self.cn[(v << 32) | x if v < x else (x << 32) | v]
+            high.discard(v)
+            for x in nh.pop(v):
+                nh[x].discard(v)
 
     # -- round execution ---------------------------------------------------
 
     def _substep(self) -> list[tuple[int, int, bool]]:
         adj = self.g._adj
         floor = self.floor
-        high = self.high
         decide = self.stats.decide
         toggles: list[tuple[int, int, bool]] = []
-        for (u, v), c in self.cn.items():
-            if c < floor or u not in high or v not in high:
+        for key, c in self.cn.items():
+            if c < floor:
                 continue
+            u = key >> 32
+            v = key & _LOW32
             edge = 1 if v in adj[u] else 0
             nxt = decide(edge, c, _exact_ce(adj, u, v))
             if nxt != edge:
@@ -192,21 +207,32 @@ class IncrementalStepper:
     # -- test hook ----------------------------------------------------------
 
     def verify_counts(self) -> None:
-        """Brute-force audit of the tracked common neighbor counts."""
+        """Brute-force audit of the high set, the high-neighbor sets and the
+        tracked common neighbor counts."""
         adj = self.g._adj
-        expect: dict[tuple[int, int], int] = {}
+        high = {u for u in range(self.g.n) if len(adj[u]) >= self.floor}
+        if high != self.high:
+            raise ContractError(
+                f"tracked high set diverged: missing {sorted(high - self.high)[:5]}, "
+                f"stale {sorted(self.high - high)[:5]}")
+        wrong = sorted(h for h in high if self.nh.get(h) != adj[h] & high)
+        if wrong or len(self.nh) != len(high):
+            raise ContractError(
+                f"tracked high-neighbor sets diverged at {len(wrong)} node(s) "
+                f"(first: {wrong[:3]}); {len(self.nh)} sets for {len(high)} high nodes")
+        expect: dict[int, int] = {}
         for w in range(self.g.n):
-            hn = sorted(x for x in adj[w] if x in self.high)
-            for u, x in combinations(hn, 2):
-                expect[(u, x)] = expect.get((u, x), 0) + 1
-        tracked = {k: c for k, c in self.cn.items()
-                   if c and k[0] in self.high and k[1] in self.high}
-        if tracked != expect:
-            missing = {k: v for k, v in expect.items() if tracked.get(k) != v}
-            extra = {k: v for k, v in tracked.items() if expect.get(k) != v}
+            for u, x in combinations(sorted(adj[w] & high), 2):
+                key = (u << 32) | x
+                expect[key] = expect.get(key, 0) + 1
+        if self.cn != expect:
+            def pairs(items):
+                return [((k >> 32, k & _LOW32), c) for k, c in items][:3]
+            missing = {k: c for k, c in expect.items() if self.cn.get(k) != c}
+            extra = {k: c for k, c in self.cn.items() if expect.get(k) != c}
             raise ContractError(
                 f"tracked common neighbor counts diverged: {len(missing)} wrong/missing, "
-                f"{len(extra)} stale (examples: {list(missing.items())[:3]} {list(extra.items())[:3]})")
+                f"{len(extra)} stale (examples: {pairs(missing.items())} {pairs(extra.items())})")
 
 
 class BulkStepper:
@@ -226,23 +252,10 @@ class BulkStepper:
         self.chunk = chunk
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
-        import numpy as np
-        from scipy import sparse
-
         g = self.g
         adj = g._adj
         n = g.n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for u in range(n):
-            indptr[u + 1] = indptr[u] + len(adj[u])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        pos = 0
-        for u in range(n):
-            nbrs = np.fromiter(adj[u], dtype=np.int32, count=len(adj[u]))
-            indices[pos:pos + len(nbrs)] = nbrs
-            pos += len(nbrs)
-        data = np.ones(len(indices), dtype=np.int32)
-        a_mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        a_mat = _adjacency_rows(adj, range(n), n)
 
         floor = self.stats.cn_floor
         decide = self.stats.decide

@@ -184,9 +184,6 @@ class EdgeDelta:
             if not g.has_edge(u, v):
                 raise ContractError(f"delta removes missing edge ({u},{v})")
 
-    def inverse(self) -> "EdgeDelta":
-        return EdgeDelta(additions=self.removals, removals=self.additions)
-
 
 # ---------------------------------------------------------------------------
 # Fingerprints

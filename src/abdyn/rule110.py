@@ -420,7 +420,11 @@ class SimulationResult:
 
 
 def _run_assembly(assembly: CellAssembly, steps: int, merged: bool,
-                  check_rounds: bool, stop_mode: str, engine: str) -> SimulationResult:
+                  check_rounds: bool, stop_mode: str, engine: str,
+                  round0_diff=None) -> SimulationResult:
+    """Simulate on ``assembly.graph`` in place. ``round0_diff``, when known,
+    is the exact set of pairs in which the graph differs from the build; the
+    round-0 check then reads it instead of comparing every edge."""
     potential: Potential = two_step_merge(rule110_potential(100)) if merged \
         else rule110_potential(100)
     rounds = max(steps if merged else 2 * steps, 1)
@@ -429,7 +433,7 @@ def _run_assembly(assembly: CellAssembly, steps: int, merged: bool,
     reports: list[StructureReport] = []
     inconsistent: list[int] = []
     if check_rounds:
-        reports.append(check_structure(assembly, round_index=0))
+        reports.append(check_structure(assembly, round_index=0, diff=round0_diff))
 
     def observer(t, g, delta, diff):
         round_index = 2 * (t + 1) if merged else t + 1
@@ -481,10 +485,16 @@ class AssemblyRunner:
     healthy; the runner restores the graph to its built state from the exact
     diff of each run, then rewrites the anchor bits for the next tape, so a
     sweep pays the construction cost once.
+
+    The first checked run compares every edge with the build at round 0.
+    Once such a check has passed and every run since was restored exactly,
+    the graph at round 0 differs from the build in the tape's anchor pairs
+    only, and the round-0 check reads that diff instead.
     """
 
     def __init__(self, width: int):
         self.assembly = build_assembly((0,) * width)
+        self._exact = False     # a full check and exact restores proved the build
 
     def run(self, tape, steps: int, merged: bool = False, check: bool = True,
             stop_mode: str = "budget", engine: str = "auto") -> SimulationResult:
@@ -492,9 +502,12 @@ class AssemblyRunner:
         gmap = self.assembly.gmap
         if len(logical) != gmap.width:
             raise InputError(f"runner is built for width {gmap.width}")
-        self._set_tape(logical)
-        result = _run_assembly(self.assembly, steps, merged, check, stop_mode, engine)
+        switched_on = self._set_tape(logical)
+        exact, self._exact = self._exact, False
+        result = _run_assembly(self.assembly, steps, merged, check, stop_mode, engine,
+                               round0_diff=switched_on if exact else None)
         self._restore(result.trace.diff)
+        self._exact = exact or (check and result.structure_reports[0].ok)
         return result
 
     def raw_run(self, tape, rounds: int, engine: str,
@@ -506,6 +519,7 @@ class AssemblyRunner:
         """
         logical = validate_tape(tape)
         self._set_tape(logical)
+        exact, self._exact = self._exact, False
         cfg = RunConfig(
             graph=self.assembly.graph,
             potential=rule110_potential(100),
@@ -518,12 +532,16 @@ class AssemblyRunner:
         )
         trace = run(cfg)
         self._restore(trace.diff)
+        self._exact = exact
         return trace
 
-    def _set_tape(self, logical) -> None:
+    def _set_tape(self, logical) -> frozenset:
+        """Write the tape into the anchor pairs; returns the anchor pairs
+        that are now edges, which the all-zero build leaves open."""
         g = self.assembly.graph
         gmap = self.assembly.gmap
         ring = logical * 2 if gmap.ring_width != gmap.width else logical
+        on = []
         for (cell, kind), sc in gmap.subcells.items():
             want = bool(ring[cell])
             if g.has_edge(*sc.anchors) != want:
@@ -531,6 +549,9 @@ class AssemblyRunner:
                     g.add_edge(*sc.anchors)
                 else:
                     g.remove_edge(*sc.anchors)
+            if want:
+                on.append(norm_pair(*sc.anchors))
+        return frozenset(on)
 
     def _restore(self, diff) -> None:
         """Undo a run from its exact ``diff``, then clear the tape anchors,
@@ -538,7 +559,8 @@ class AssemblyRunner:
 
         A healthy run toggles only anchor and blinker pairs. Any other pair in
         the diff is undone too, so the runner stays usable, and then reported
-        as a ``ContractError``.
+        as a ``ContractError``. So is an edge count that differs from the
+        build's after the undo: the graph was edited outside the run.
         """
         g = self.assembly.graph
         gmap = self.assembly.gmap
@@ -555,3 +577,8 @@ class AssemblyRunner:
             raise ContractError(
                 f"run toggled {len(static)} static pair(s); first: "
                 f"{gmap.describe_pair(static[0])}")
+        built = len(self.assembly.initial_codes)
+        if g.m != built:
+            raise ContractError(
+                f"restored graph has {g.m} edges, the build {built}: "
+                f"the graph was edited outside the run")

@@ -11,7 +11,7 @@ from abdyn.engine import (RunConfig, Verdict, check_degree_properties, decide_pa
                           degree_classes, frozen_nodes, run, snapshot_observer)
 from abdyn.errors import ConfigError, ContractError
 from abdyn.fastpath import IncrementalStepper
-from abdyn.graph import DynGraph, graph_fingerprint
+from abdyn.graph import DynGraph, EdgeDelta, graph_fingerprint
 from abdyn.kcore import peel
 from abdyn.potentials import (PROPER_FUNCTIONS, PairStatsRule, Potential,
                               community_potential, degree_like_potential,
@@ -322,6 +322,68 @@ def test_incremental_counts_stay_exact(seed):
     for t in range(8):
         stepper.advance(t)
         stepper.verify_counts()
+
+
+def _table_potential(floor, seed):
+    """Pair-statistics rule with a random decision table at and above a low
+    floor: an edge is kept or dropped, a non-edge added or not, by its
+    common neighbor count. It removes more than it adds, so high nodes fall
+    below the floor."""
+    rng = random.Random(seed)
+    keep = {c: rng.random() < 0.5 for c in range(floor, 64)}
+    add = {c: rng.random() < 0.25 for c in range(floor, 64)}
+
+    def decide(edge, cn, ce_fn):
+        if cn < floor:
+            return edge
+        return int(keep[cn] if edge else add[cn])
+
+    def evaluate(g, u, v):
+        return decide(int(g.has_edge(u, v)), g.common_neighbors(u, v), None)
+    return Potential(name="table", alpha=1, beta=1, evaluator=evaluate,
+                     pair_stats=PairStatsRule(decide=decide, cn_floor=floor))
+
+
+def test_incremental_drops_nodes_that_fall_below_the_floor():
+    # K6 on 0..5 plus node 6 joined to 0 and 1: node 6 stays below the floor
+    # of 3, yet it is a common neighbor of 0 and 1
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6)] + [(0, 6), (1, 6)]
+    g = DynGraph.from_edges(7, edges)
+    drop = PairStatsRule(decide=lambda edge, cn, ce_fn: 0 if cn >= 3 else edge,
+                         cn_floor=3)
+    pot = Potential(name="drop", alpha=1, beta=1, evaluator=lambda g, u, v: 0,
+                    pair_stats=drop)
+    stepper = IncrementalStepper(g, pot)
+    stepper.verify_counts()
+    assert stepper.high == set(range(6)) and stepper.cn[(0 << 32) | 1] == 5
+    delta, _ = stepper.advance(0)
+    assert len(delta.removals) == 15
+    # (0, 1) still has node 6 in common, but neither end is high any more
+    assert stepper.high == set() and stepper.nh == {} and len(stepper.cn) == 0
+    stepper.verify_counts()
+
+
+def test_incremental_floor_crossings_match_naive():
+    dropped = 0
+    for seed in range(12):
+        floor = 2 + seed % 3
+        g = random_graph(20, 0.4, seed)
+        pot = _table_potential(floor, seed)
+        stepper = IncrementalStepper(g.copy(), pot)
+        stepper.verify_counts()
+        naive = run(RunConfig(graph=g, potential=pot, scheduler=CompleteScheduler(),
+                              max_rounds=6, engine="naive", stop_mode="budget",
+                              record_deltas=True))
+        for t in range(6):
+            before = set(stepper.high)
+            delta, _ = stepper.advance(t)
+            stepper.verify_counts()
+            # only high nodes change degree, so none joins the high set
+            assert stepper.high <= before, (seed, t)
+            dropped += len(before - stepper.high)
+            want = naive.deltas[t] if t < len(naive.deltas) else EdgeDelta()
+            assert delta == want, (seed, t)
+    assert dropped >= 10
 
 
 @pytest.mark.parametrize("seed", range(3))

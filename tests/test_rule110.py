@@ -1,9 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 
+from abdyn import rule110
 from abdyn.errors import ContractError, InputError
-from abdyn.rule110 import (CELL_BLOCK, SUBCELL_BLOCK, AssemblyRunner,
+from abdyn.fastpath import IncrementalStepper
+from abdyn.graph import edge_codes
+from abdyn.potentials import rule110_potential
+from abdyn.rule110 import (CELL_BLOCK, KINDS, SUBCELL_BLOCK, AssemblyRunner,
                            build_assembly, check_structure, extract_values,
                            reference_run, reference_step, simulate)
 
@@ -192,6 +197,46 @@ def test_restore_rejects_a_toggled_static_pair():
         runner._restore(frozenset({(internal, internal + 1)}))
     # the pair is undone and the anchors cleared before the error is raised
     assert g.has_edge(internal, internal + 1) and not g.has_edge(*sc.anchors)
+
+
+def test_restore_rejects_an_outside_edit():
+    runner = AssemblyRunner(4)
+    g = runner.assembly.graph
+    sc = runner.assembly.gmap.subcells[(0, "d1")]
+    internal = sc.anchors[1] + 2 + 60
+    g.remove_edge(internal, internal + 1)   # not in any run's diff
+    with pytest.raises(ContractError, match="edited outside the run"):
+        runner._restore(frozenset())
+
+
+def test_reused_runner_round0_checks(monkeypatch):
+    runner = AssemblyRunner(3)
+    asm = runner.assembly
+    calls = []
+
+    def spy(assembly, g=None, round_index=0, diff=None):
+        if round_index == 0:
+            calls.append(diff)
+        return check_structure(assembly, g, round_index, diff)
+    monkeypatch.setattr(rule110, "check_structure", spy)
+
+    tapes = [tuple(bits) for bits in itertools.product((0, 1), repeat=3)]
+    for k, tape in enumerate(tapes):
+        res = runner.run(tape, steps=1, check=True)
+        assert res.ok and res.matches_reference(), tape
+        assert np.array_equal(edge_codes(asm.graph), asm.initial_codes), tape
+        # one full round-0 check per runner; later runs read the tape anchors
+        on = frozenset(asm.gmap.subcells[(cell, kind)].anchors
+                       for cell in range(asm.gmap.ring_width) for kind in KINDS
+                       if tape[cell % 3])
+        assert calls[-1] == (None if k == 0 else on), tape
+        runner._set_tape(tape)
+        full = check_structure(asm, round_index=0)
+        assert res.structure_reports[0] == full
+        assert check_structure(asm, round_index=0, diff=on) == full
+        runner._restore(frozenset())
+        IncrementalStepper(asm.graph, rule110_potential(100)).verify_counts()
+    assert len(calls) == len(tapes)
 
 
 def test_merged_step_equals_two_half_steps_on_four_ring():
