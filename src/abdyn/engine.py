@@ -18,19 +18,29 @@ Stabilization verdicts depend on the scheduler contract:
   would change.
 
 Routes (``RunConfig.engine``): ``naive`` evaluates whatever the scheduler
-emits and is the unpruned reference; ``incremental`` and ``bulk`` (see
-:mod:`abdyn.fastpath`) serve the complete scheduler on pair-statistics rules.
-``auto`` skips the pairs below a pair-statistics rule's certified floor,
-which changes no decision, and picks ``incremental`` for the complete
-scheduler on graphs too large for pairwise evaluation. It serves uniform
-one-pair rounds on ``endpoint_local`` potentials without observers through
-:class:`ActiveSetStepper`, which keeps the exact set of pairs whose decision
-would change, so a round that draws a pair outside it is quiet without
-evaluation, and a run stops as soon as the set is empty.
-If the run changed the graph, one full sweep confirms the empty set first; a
-dirty sweep means the potential's locality certificate is false and raises
-``ContractError``. The route consumes the scheduler's random stream exactly
-as ``naive`` does, so both produce the same rounds up to the fixed point.
+emits through ``potential.evaluator`` and is the unpruned reference;
+``incremental`` and ``bulk`` (see :mod:`abdyn.fastpath`) serve the complete
+scheduler on pair-statistics rules. ``auto`` uses the potential's
+certificates, which changes no decision:
+
+* it skips the pairs below a pair-statistics rule's certified floor, and
+  picks ``incremental`` for the complete scheduler on graphs too large for
+  pairwise evaluation;
+* it decides a node-form potential f(h(u), h(v)) (see
+  :attr:`~abdyn.potentials.Potential.node_form`) from a table of h, computed
+  at most once per node per decision. A decision over all pairs (a
+  complete-scheduler round, or the init and the confirming sweep below)
+  takes O(n log n + m + |delta|) calls of a catalog f: the nodes that u
+  would join form a suffix of the nodes sorted by h;
+* it serves uniform one-pair rounds on node-form potentials without
+  observers through :class:`ActiveSetStepper`, which keeps the exact set of
+  pairs whose decision would change, so a round that draws a pair outside
+  it is quiet without evaluation, and a run stops as soon as the set is
+  empty. If the run changed the graph, one full sweep confirms the empty
+  set first; a dirty sweep means the potential's certificate is false and
+  raises ``ContractError``. The route consumes the scheduler's random
+  stream exactly as ``naive`` does, so both produce the same rounds up to
+  the fixed point.
 
 Cycle detection compares exact edge-set differences from the initial graph
 (plus the scheduler phase), so a cycle verdict is never a false positive;
@@ -40,14 +50,18 @@ fingerprints appear in traces only as cheap labels.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, ContractError
 from .graph import DynGraph, EdgeDelta, edge_token, graph_fingerprint, norm_pair
-from .potentials import Potential
-from .schedulers import (Scheduler, UniformRandomScheduler, all_pairs, pair_count,
+from .potentials import PROPER_FUNCTIONS, Potential, degree
+from .schedulers import (InteractionSet, Scheduler, UniformRandomScheduler, pair_count,
                          rank_pair, unrank_pair)
 
 # Largest pair count that a run evaluates pair by pair in one round or sweep.
@@ -55,6 +69,8 @@ NAIVE_PAIR_LIMIT = 400_000
 # Deterministic-scheduler states kept for cycle detection; older ones are
 # dropped, so a longer cycle is not detected.
 CYCLE_HISTORY = 4096
+# Entries of one dense row block in check_degree_properties.
+BLOCK_ENTRIES = 1 << 20
 
 
 class RoundRecord(NamedTuple):
@@ -125,15 +141,34 @@ def coupon_streak_default(n: int) -> int:
 def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeDelta:
     """Decide every scheduled pair against the pre-round graph.
 
-    With ``prune``, a pair whose common neighbor count lies below the
-    potential's certified floor (see :class:`~abdyn.potentials.PairStatsRule`)
-    keeps its state and is skipped; potentials without pair statistics are
-    never pruned.
+    Without ``prune`` every pair goes through ``potential.evaluator``: the
+    reference. With it (the ``auto`` route) the decisions use the potential's
+    certificates, which moves none of them:
+
+    * a pair-statistics rule (see :class:`~abdyn.potentials.PairStatsRule`)
+      skips the pairs whose common neighbor count lies below its certified
+      floor; they keep their state;
+    * a node-form potential f(h(u), h(v)) computes h at most once per node
+      and evaluates f on the values. A complete interaction set is decided
+      by :func:`_sorted_sweep` when f is a catalog function and the values
+      allow it.
     """
+    evaluate = potential.evaluator
+    if prune and potential.node_form is not None:
+        f, h = potential.node_form
+        # the degrees of all nodes cost one pass in C; any other h is
+        # computed for the scheduled nodes only
+        table = list(map(len, g._adj)) if h is degree else _NodeTable(g, potential)
+        if isinstance(pairs, InteractionSet) and pairs.complete:
+            values = table if h is degree else [table[u] for u in range(g.n)]
+            if _sortable(f, values):
+                return _sorted_sweep(g, potential, values)
+
+        def evaluate(_g, u, v):
+            return f(table[u], table[v])
     additions = []
     removals = []
     alpha, beta = potential.alpha, potential.beta
-    evaluate = potential.evaluator
     adj = g._adj
     stats = potential.pair_stats
     floor = stats.cn_floor if prune and stats is not None else 0
@@ -156,16 +191,95 @@ def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeD
     return EdgeDelta.build(additions, removals)
 
 
+class _NodeTable(dict):
+    """h of each node, computed on first lookup; lives for one decision, so
+    it reads the pre-round graph."""
+
+    __slots__ = ("g", "potential")
+
+    def __init__(self, g: DynGraph, potential: Potential):
+        super().__init__()
+        self.g = g
+        self.potential = potential
+
+    def __missing__(self, u: int):
+        try:
+            value = self.potential.node_form[1](self.g, u)
+        except ContractError:
+            raise
+        except Exception as exc:
+            raise ContractError(
+                f"potential {self.potential.name} failed on node {u}: {exc}") from exc
+        self[u] = value
+        return value
+
+
+def _sortable(f, values: list) -> bool:
+    """Whether :func:`_sorted_sweep` decides exactly as f pair by pair.
+
+    f must be a catalog function, matched by identity, and the values all
+    ints or all finite floats (nonnegative for ``product``). f is then
+    non-decreasing in each argument along the sorted values, and equal
+    values give equal results: mixing ints and floats could break both,
+    since an int above 2**53 loses precision in float arithmetic.
+    """
+    if not any(f is c for c in PROPER_FUNCTIONS.values()):
+        return False
+    kind = type(values[0]) if values else int
+    if kind not in (int, float) or any(type(x) is not kind for x in values):
+        return False
+    if kind is float and not all(map(math.isfinite, values)):
+        return False
+    return f is not PROPER_FUNCTIONS["product"] or all(x >= 0 for x in values)
+
+
+def _sorted_sweep(g: DynGraph, potential: Potential, table: list) -> EdgeDelta:
+    """Decide all pairs of a node-form potential from its node values with
+    O(n log n) calls of f and O(m + |delta|) further steps.
+
+    Since f is non-decreasing, the nodes v with f(h(u), h(v)) < alpha form a
+    prefix, and those with f(h(u), h(v)) >= beta a suffix, of the nodes
+    sorted by h. Two bisections per node find where they end and start.
+    The removals at u are its neighbours with a value below the prefix's
+    end. The walk over the suffix meets, beside the additions at u, only
+    u's neighbours, u itself and additions counted from their other end.
+    """
+    f = potential.node_form[0]
+    alpha, beta = potential.alpha, potential.beta
+    adj = g._adj
+    n = g.n
+    order = sorted(range(n), key=table.__getitem__)
+    ranked = [table[w] for w in order]
+    additions = []
+    removals = []
+    for u in range(n):
+        x = table[u]
+        nbrs = adj[u]
+        low = bisect_left(ranked, True, key=lambda y: f(x, y) >= alpha)
+        if low == n:
+            removals.extend((u, v) for v in nbrs if v > u)
+        elif low:
+            bound = ranked[low]
+            removals.extend((u, v) for v in nbrs if v > u and table[v] < bound)
+        if beta != alpha:
+            low = bisect_left(ranked, True, lo=low, key=lambda y: f(x, y) >= beta)
+        additions.extend((u, v) for v in order[low:] if v > u and v not in nbrs)
+    return EdgeDelta.build(additions, removals)
+
+
 # ---------------------------------------------------------------------------
 # Steppers: strategies that compute and apply one round
 
 class NaiveStepper:
-    """Pairwise evaluation of whatever the scheduler emits. With ``prune`` a
-    pair-statistics rule has its floor certified and its pairs below the
-    floor skipped; ``self.prune`` says whether any pair can be skipped."""
+    """Pairwise evaluation of whatever the scheduler emits. With
+    ``certified`` (the ``auto`` route) :func:`decide_pairs` uses the
+    potential's certificates, and a pair-statistics rule has its floor
+    certified first; ``self.prune`` says whether any pair can be skipped."""
 
-    def __init__(self, g: DynGraph, potential: Potential, scheduler: Scheduler, prune: bool):
-        self.prune = prune and potential.pair_stats is not None
+    def __init__(self, g: DynGraph, potential: Potential, scheduler: Scheduler,
+                 certified: bool):
+        self.certified = certified
+        self.prune = certified and potential.pair_stats is not None
         if self.prune:
             potential.pair_stats.certify()
         self.g = g
@@ -174,16 +288,18 @@ class NaiveStepper:
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
         inter = self.scheduler.interactions(t, self.g)
-        delta = decide_pairs(self.g, self.potential, inter, self.prune)
+        inter.validate(self.g.n)
+        delta = decide_pairs(self.g, self.potential, inter, self.certified)
         self.g.apply_delta(delta)
         return delta, len(inter)
 
     def sweep_is_clean(self) -> bool:
-        return decide_pairs(self.g, self.potential, all_pairs(self.g.n), False).empty
+        return decide_pairs(self.g, self.potential, InteractionSet(complete_n=self.g.n),
+                            self.certified).empty
 
 
 class ActiveSetStepper(NaiveStepper):
-    """Uniform one-pair rounds on an ``endpoint_local`` potential.
+    """Uniform one-pair rounds on a node-form potential.
 
     ``active`` holds the ranks (see :func:`~abdyn.schedulers.rank_pair`) of
     exactly the pairs whose decision would change the graph. Only a toggle at
@@ -193,13 +309,13 @@ class ActiveSetStepper(NaiveStepper):
     """
 
     def __init__(self, g: DynGraph, potential: Potential, scheduler: UniformRandomScheduler):
-        super().__init__(g, potential, scheduler, prune=True)
+        super().__init__(g, potential, scheduler, certified=True)
         self._pending: Optional[int] = None
-        self.active = self._changing(all_pairs(g.n))
+        self.active = self._changing(InteractionSet(complete_n=g.n))
 
     def _changing(self, pairs) -> set[int]:
         """Ranks of those of ``pairs`` whose decision would change the graph."""
-        delta = decide_pairs(self.g, self.potential, pairs, self.prune)
+        delta = decide_pairs(self.g, self.potential, pairs, True)
         return {rank_pair(u, v) for u, v in delta.additions + delta.removals}
 
     def skip_quiet(self, limit: int) -> int:
@@ -219,10 +335,10 @@ class ActiveSetStepper(NaiveStepper):
         """Decide and apply the active pair that ``skip_quiet`` drew."""
         u, v = unrank_pair(self._pending)
         self._pending = None
-        delta = decide_pairs(self.g, self.potential, ((u, v),), self.prune)
+        delta = decide_pairs(self.g, self.potential, ((u, v),), True)
         if delta.empty:
             raise ContractError(
-                f"potential {self.potential.name} is not endpoint_local: the decision "
+                f"potential {self.potential.name} has a false node_form: the decision "
                 f"of pair ({u},{v}) moved although no edge at u or v was toggled")
         self.g.apply_delta(delta)
         touched = {norm_pair(x, y) for x in (u, v) for y in range(self.g.n) if y != x}
@@ -235,7 +351,7 @@ def _active_route_applies(cfg: RunConfig, npairs: int) -> bool:
     """Whether :class:`ActiveSetStepper` can serve ``cfg``: observers need
     every round materialised, and the pair limit bounds the confirming sweep."""
     return (isinstance(cfg.scheduler, UniformRandomScheduler)
-            and cfg.potential.endpoint_local
+            and cfg.potential.node_form is not None
             and not cfg.observers
             and npairs <= NAIVE_PAIR_LIMIT)
 
@@ -261,7 +377,7 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
             mode = "naive"
     if mode == "naive":
         # a forced naive run is the unpruned reference
-        return NaiveStepper(g, pot, sched, prune=cfg.engine == "auto")
+        return NaiveStepper(g, pot, sched, certified=cfg.engine == "auto")
     if mode in ("incremental", "bulk"):
         if not sched.is_complete:
             raise ConfigError(f"{mode} engine requires the complete scheduler")
@@ -286,7 +402,7 @@ def run(config: RunConfig) -> RunTrace:
         config.record_rounds == "auto" and config.max_rounds <= 100_000)
 
     fp = graph_fingerprint(g)
-    degree_counter = Counter(len(g._adj[u]) for u in range(g.n))
+    degree_counter = Counter(map(len, g._adj))
     diff: set[tuple[int, int]] = set()
 
     track_cycles = sched.deterministic
@@ -314,10 +430,10 @@ def run(config: RunConfig) -> RunTrace:
             if not fast.active:
                 # Without a change the set is still the exact all-pairs
                 # decision made at init; after one it rests on the
-                # potential's locality certificate, which a sweep checks.
+                # potential's node_form certificate, which a sweep checks.
                 if last_change is not None and not fast.sweep_is_clean():
                     raise ContractError(
-                        f"potential {config.potential.name} is not endpoint_local: the "
+                        f"potential {config.potential.name} has a false node_form: the "
                         f"active set is empty but a sweep finds a pair that would change")
                 verdict = Verdict("stabilized",
                                   (last_change + 1) if last_change is not None else 0)
@@ -496,29 +612,21 @@ def check_degree_properties(graphs: Sequence[DynGraph], start: int = 1) -> Prope
     * P3 the number of degree classes never grows;
     * P4 if the class count is unchanged, so are the class sizes rank by rank;
     * L4 next neighborhoods are nested along the degree order.
+
+    The pairs (u, w), u before w in the order of decreasing degree at t (ties
+    by node id), are checked as arrays. In the graph at t+1, w has
+    ``deg(w) - C[w, u] - A[w, u]`` neighbours outside N(u) - {w}, where A is
+    the adjacency matrix and C = A·Aᵀ counts common neighbours. C is built
+    a block of rows at a time, at most ``BLOCK_ENTRIES`` entries but at
+    least one row, so the extra memory is O(block·n). A round's violations
+    come in the order of the pairs, P1 before P2 or L4, then P3 or P4.
     """
     violations: list[PropertyViolation] = []
     checked = 0
     for t in range(start, len(graphs) - 1):
         g, h = graphs[t], graphs[t + 1]
         checked += 1
-        n = g.n
-        dg = [g.degree(u) for u in range(n)]
-        dh = [h.degree(u) for u in range(n)]
-        order = sorted(range(n), key=lambda u: -dg[u])
-        for a in range(n):
-            u = order[a]
-            for b in range(a + 1, n):
-                w = order[b]
-                if dh[u] < dh[w]:
-                    violations.append(PropertyViolation("P1", t, (u, w)))
-                nu = h.neighbors(u) - {w}
-                nw = h.neighbors(w) - {u}
-                if dg[u] == dg[w]:
-                    if nu != nw:
-                        violations.append(PropertyViolation("P2", t, (u, w)))
-                elif not nw <= nu:
-                    violations.append(PropertyViolation("L4", t, (u, w)))
+        violations += _pair_violations(t, g, h)
         cg, ch = degree_classes(g), degree_classes(h)
         if ch.count > cg.count:
             violations.append(PropertyViolation("P3", t, (cg.count, ch.count)))
@@ -528,6 +636,56 @@ def check_degree_properties(graphs: Sequence[DynGraph], start: int = 1) -> Prope
             if sizes_g != sizes_h:
                 violations.append(PropertyViolation("P4", t, (sizes_g, sizes_h)))
     return PropertyReport(violations=violations, rounds_checked=checked)
+
+
+def _pair_violations(t: int, g: DynGraph, h: DynGraph) -> list[PropertyViolation]:
+    """The P1, P2 and L4 violations of round t, in pair order."""
+    n = g.n
+    if n < 2:
+        return []
+    dg = np.fromiter(map(len, g._adj), dtype=np.int64, count=n)
+    order = np.argsort(-dg, kind="stable")
+    dg = dg[order]
+    # the adjacency of h in sparse rows, rows and columns in the order
+    sets = [h._adj[u] for u in order.tolist()]
+    dh = np.fromiter(map(len, sets), dtype=np.int64, count=n)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(dh, out=starts[1:])
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    cols = rank[np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(starts[-1]))]
+
+    def dense(lo: int, hi: int) -> np.ndarray:
+        # float32 counts are exact below 2**24 and multiply in BLAS
+        rows = np.zeros((hi - lo, n), dtype=np.float32)
+        rows[np.repeat(np.arange(hi - lo), dh[lo:hi]), cols[starts[lo]:starts[hi]]] = 1
+        return rows
+
+    block = max(1, BLOCK_ENTRIES // n)
+    pos = np.arange(n)
+    found = []
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        a = dense(lo, hi)
+        shared = a.copy()       # A + C on rows lo..hi-1, for the columns after lo
+        for clo in range(lo, n, block):
+            chi = min(n, clo + block)
+            shared[:, clo:chi] += a @ (a if clo == lo else dense(clo, chi)).T
+        later = pos[None, :] > pos[lo:hi, None]
+        same = dg[lo:hi, None] == dg[None, :]
+        w_out = dh[None, :] - shared > 0      # w has a neighbour outside N(u) - {w}
+        u_out = dh[lo:hi, None] - shared > 0
+        p1 = later & (dh[lo:hi, None] < dh[None, :])
+        nest = later & np.where(same, w_out | u_out, w_out)
+        for kind, mask in ((0, p1), (1, nest)):
+            i, j = np.nonzero(mask)
+            found.append(((i + lo) * n + j) * 2 + kind)
+    codes = np.sort(np.concatenate(found))
+    kinds = codes % 2
+    i, j = np.divmod(codes // 2, n)
+    names = np.where(kinds == 0, "P1", np.where(dg[i] == dg[j], "P2", "L4"))
+    return [PropertyViolation(str(name), t, (int(u), int(w)))
+            for name, u, w in zip(names, order[i], order[j])]
 
 
 def frozen_nodes(trace: RunTrace, window: int) -> set[int]:

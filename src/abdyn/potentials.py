@@ -10,6 +10,12 @@ radius of the pair (plus static per-node attributes). The tests check it for
 every catalog potential by evaluating on the graph that keeps only the edges
 of that ball.
 
+The degree and degree-like rules also certify their ``node_form`` (f, h):
+the value of (u, v) is f(h(u), h(v)) and h reads only the node's closed
+neighbourhood. The evaluator is built from that pair, and the engine's
+``auto`` route decides such a rule from one h per node instead of calling
+the evaluator pair by pair.
+
 All potentials here are integer-valued on integer inputs; tests pin exact
 equality so no tolerance questions arise in threshold comparisons.
 """
@@ -75,11 +81,13 @@ class Potential:
     pair_stats: Optional[PairStatsRule] = None
     merged_base: Optional["Potential"] = None
     params: dict = field(default_factory=dict)
-    # Certificate: the value of (u, v) depends only on the neighbour sets of u
-    # and v (plus static per-node attributes), so it can change only in a
-    # round that toggles an edge at u or v. The engine's active-pair route
-    # relies on it and raises ContractError when a run contradicts it.
-    endpoint_local: bool = False
+    # Certificate (f, h): the value of (u, v) is f(h(g, u), h(g, v)) for a
+    # proper f and a degree-like h, which reads only the node's closed
+    # neighbourhood (plus static per-node attributes). A value then changes
+    # only in a round that toggles an edge at u or v, and ``auto`` decides
+    # from one h per node. The engine's active-pair route relies on it and
+    # raises ContractError when a run contradicts it.
+    node_form: Optional[tuple[ProperFunction, DegreeLikeFunction]] = None
 
     def __post_init__(self):
         if self.alpha > self.beta:
@@ -181,17 +189,22 @@ def _needs_validation(f: ProperFunction) -> bool:
 # ---------------------------------------------------------------------------
 # Degree based potentials
 
-def _degree_potential(name: str, f: ProperFunction, alpha: float, beta: float,
-                      params: dict) -> Potential:
-    """Potential f(d(u), d(v)). It is ``endpoint_local`` by construction: the
-    value reads the two endpoint degrees and nothing else."""
+def degree(g: DynGraph, u: int) -> int:
+    """The degree of u: the node function of every degree potential."""
+    return len(g._adj[u])
+
+
+def _node_form_potential(name: str, f: ProperFunction, h: DegreeLikeFunction,
+                         alpha: float, beta: float, params: dict) -> Potential:
+    """Potential f(h(u), h(v)), certified by its ``node_form``; the evaluator
+    is built from the same pair, so the rule has one definition."""
     return Potential(
         name=name,
         alpha=alpha,
         beta=beta,
-        evaluator=lambda g, u, v: f(len(g._adj[u]), len(g._adj[v])),
+        evaluator=lambda g, u, v: f(h(g, u), h(g, v)),
         params=params,
-        endpoint_local=True,
+        node_form=(f, h),
     )
 
 
@@ -202,8 +215,8 @@ def min_degree_potential(alpha: float, beta: float) -> Potential:
     edge creation impossible; the constructor itself only requires
     alpha <= beta.
     """
-    return _degree_potential("min_degree", min, alpha, beta,
-                             {"alpha": alpha, "beta": beta})
+    return _node_form_potential("min_degree", min, degree, alpha, beta,
+                                {"alpha": alpha, "beta": beta})
 
 
 def proper_degree_potential(f: ProperFunction, alpha: float, beta: float,
@@ -211,8 +224,8 @@ def proper_degree_potential(f: ProperFunction, alpha: float, beta: float,
     """Potential f(d(u), d(v)) for a symmetric, non-decreasing f."""
     if validate and _needs_validation(f):
         validate_proper(f)
-    return _degree_potential(name, f, alpha, beta,
-                             {"alpha": alpha, "beta": beta, "f": name})
+    return _node_form_potential(name, f, degree, alpha, beta,
+                                {"alpha": alpha, "beta": beta, "f": name})
 
 
 def degree_like_potential(f: ProperFunction, g_fn: DegreeLikeFunction,
@@ -221,8 +234,9 @@ def degree_like_potential(f: ProperFunction, g_fn: DegreeLikeFunction,
                           validate_nodes: int = 10) -> Potential:
     """Potential f(g(u), g(v)) for a proper f and a degree-like node function.
 
-    It is ``endpoint_local`` by the :data:`DegreeLikeFunction` contract: g(u)
-    depends only on u's closed neighbourhood and static attributes.
+    Its ``node_form`` is (f, g_fn), sound by the :data:`DegreeLikeFunction`
+    contract: g(u) depends only on u's closed neighbourhood and static
+    attributes.
     ``validate_nodes`` caps the node count of the sampled validation graphs;
     pass the attribute table size for attribute-backed node functions.
     """
@@ -230,14 +244,7 @@ def degree_like_potential(f: ProperFunction, g_fn: DegreeLikeFunction,
         if _needs_validation(f):
             validate_proper(f)
         validate_degree_like(g_fn, max_nodes=min(10, validate_nodes))
-    return Potential(
-        name=name,
-        alpha=alpha,
-        beta=beta,
-        evaluator=lambda g, u, v: f(g_fn(g, u), g_fn(g, v)),
-        params={"alpha": alpha, "beta": beta},
-        endpoint_local=True,
-    )
+    return _node_form_potential(name, f, g_fn, alpha, beta, {"alpha": alpha, "beta": beta})
 
 
 def community_potential(alpha: float, beta: float) -> Potential:

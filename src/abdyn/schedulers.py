@@ -67,22 +67,20 @@ class InteractionSet:
             return pair_count(self._n)
         return len(self._pairs)
 
-    def __contains__(self, pair) -> bool:
-        u, v = norm_pair(*pair)
-        if self._pairs is None:
-            return 0 <= u < self._n and 0 <= v < self._n and u != v
-        return (u, v) in self._pairs
+    @property
+    def complete(self) -> bool:
+        """Whether the set holds every pair of its nodes."""
+        return self._pairs is None
 
     def validate(self, n: int) -> None:
+        """Raise ConfigError naming a self-pair or a pair outside 0..n-1."""
         if self._pairs is None:
             return
         for u, v in self._pairs:
-            if u == v:
-                raise ConfigError(f"interaction set contains self-pair ({u},{v})")
-            if not (0 <= u < n and 0 <= v < n):
+            if not 0 <= u < v < n:
+                if u == v:
+                    raise ConfigError(f"interaction set contains self-pair ({u},{v})")
                 raise ConfigError(f"interaction pair ({u},{v}) out of range for n={n}")
-        if len(self._pairs) > pair_count(n):
-            raise ConfigError("interaction set larger than the number of pairs")
 
 
 class Scheduler:

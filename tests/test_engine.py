@@ -18,7 +18,7 @@ from abdyn.potentials import (PROPER_FUNCTIONS, PairStatsRule, Potential,
                               min_degree_potential, proper_degree_potential,
                               rule110_potential, two_step_merge)
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
-                              FairRoundRobinScheduler, InteractionSet,
+                              FairRoundRobinScheduler, InteractionSet, Scheduler,
                               ScriptedScheduler, UniformRandomScheduler, all_pairs)
 from abdyn.social import niceness_g, random_profile
 
@@ -126,6 +126,30 @@ def test_current_edges_scheduler_stabilizes_on_empty_delta():
                           scheduler=CurrentEdgesScheduler(), max_rounds=20))
     assert trace.verdict.kind == "stabilized"
     assert trace.final_graph.m == 0
+
+
+class _FixedPairScheduler(Scheduler):
+    """A custom scheduler that emits one given pair every round."""
+
+    name = "fixed_pair"
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def interactions(self, t, graph):
+        return InteractionSet([self.pair])
+
+
+@pytest.mark.parametrize("engine", ["auto", "naive"])
+@pytest.mark.parametrize("potential", [min_degree_potential(1, 4), community_potential(1, 4)],
+                         ids=["node_form", "pairwise"])
+@pytest.mark.parametrize("pair,message", [((2, 2), r"self-pair \(2,2\)"),
+                                          ((1, 9), r"pair \(1,9\) out of range")],
+                         ids=["self_pair", "out_of_range"])
+def test_custom_scheduler_pairs_are_validated(engine, potential, pair, message):
+    with pytest.raises(ConfigError, match=message):
+        run(RunConfig(graph=path_graph(4), potential=potential,
+                      scheduler=_FixedPairScheduler(pair), max_rounds=5, engine=engine))
 
 
 def test_empty_script_is_stable_not_fair():
@@ -454,6 +478,66 @@ def test_check_degree_properties_flags_violations():
     assert not report.ok
 
 
+def _pairwise_degree_properties(graphs, start=1):
+    """The pairwise loop that ``check_degree_properties`` replaced, kept as
+    its oracle."""
+    violations = []
+    checked = 0
+    for t in range(start, len(graphs) - 1):
+        g, h = graphs[t], graphs[t + 1]
+        checked += 1
+        n = g.n
+        dg = [g.degree(u) for u in range(n)]
+        dh = [h.degree(u) for u in range(n)]
+        order = sorted(range(n), key=lambda u: -dg[u])
+        for a in range(n):
+            u = order[a]
+            for b in range(a + 1, n):
+                w = order[b]
+                if dh[u] < dh[w]:
+                    violations.append(("P1", t, (u, w)))
+                nu = h.neighbors(u) - {w}
+                nw = h.neighbors(w) - {u}
+                if dg[u] == dg[w]:
+                    if nu != nw:
+                        violations.append(("P2", t, (u, w)))
+                elif not nw <= nu:
+                    violations.append(("L4", t, (u, w)))
+        cg, ch = degree_classes(g), degree_classes(h)
+        if ch.count > cg.count:
+            violations.append(("P3", t, (cg.count, ch.count)))
+        elif ch.count == cg.count:
+            sizes_g = tuple(len(c) for c in cg.classes)
+            sizes_h = tuple(len(c) for c in ch.classes)
+            if sizes_g != sizes_h:
+                violations.append(("P4", t, (sizes_g, sizes_h)))
+    return violations, checked
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_check_degree_properties_matches_the_pairwise_loop(block, monkeypatch):
+    rng = random.Random(11)
+    kinds = set()
+    for case in range(60):
+        n = case if case < 3 else rng.randint(3, 16)
+        p = rng.choice([0.2, 0.5, 0.8])
+        snaps = [random_graph(n, p, rng.randrange(10**6))]
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.3:
+                snaps.append(snaps[-1].copy())     # a quiet round
+            else:
+                snaps.append(random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng.randrange(10**6)))
+        start = rng.choice([0, 1])
+        expected, checked = _pairwise_degree_properties(snaps, start)
+        if block is not None:       # rows per block
+            monkeypatch.setattr(engine_module, "BLOCK_ENTRIES", block * n)
+        report = check_degree_properties(snaps, start=start)
+        assert [(v.prop, v.round, v.witness) for v in report.violations] == expected
+        assert report.rounds_checked == checked
+        kinds.update(v[0] for v in expected)
+    assert kinds == {"P1", "P2", "L4", "P3", "P4"}
+
+
 def test_stabilization_bound_small_sample():
     rng = random.Random(5)
     for _ in range(10):
@@ -508,8 +592,8 @@ def test_frozen_nodes_excludes_flipping_pair():
 # the active-pair route against the naive reference
 
 @st.composite
-def endpoint_local_cases(draw):
-    """A graph with n <= 25 and an endpoint-local potential. The thresholds
+def node_form_cases(draw):
+    """A graph with n <= 25 and a node-form potential. The thresholds
     are values the potential takes on the graph's pairs (beta may also lie
     above all of them, which rules creation out), so runs remove and create."""
     n = draw(st.integers(2, 25))
@@ -549,7 +633,7 @@ def _run_both(g, pot, seed, record_rounds):
 
 
 @settings(max_examples=150)
-@given(endpoint_local_cases(), st.integers(0, 1000))
+@given(node_form_cases(), st.integers(0, 1000))
 def test_active_route_matches_naive(case, seed):
     g, pot = case
     ref, act = _run_both(g, pot, seed, "changes")
@@ -562,7 +646,7 @@ def test_active_route_matches_naive(case, seed):
 
 
 @settings(max_examples=40)
-@given(endpoint_local_cases(), st.integers(0, 1000))
+@given(node_form_cases(), st.integers(0, 1000))
 def test_active_route_records_every_round_like_naive(case, seed):
     g, pot = case
     ref, act = _run_both(g, pot, seed, "all")
@@ -571,14 +655,22 @@ def test_active_route_records_every_round_like_naive(case, seed):
     assert act.rounds == ref.rounds[:act.verdict.round]
 
 
+def _triangles_at(g, u):
+    """Edges among u's neighbours: not a degree-like function, since a toggle
+    between two neighbours of u changes it."""
+    nbrs = g.neighbors(u)
+    return sum(len(g.neighbors(w) & nbrs) for w in nbrs) // 2
+
+
 def test_active_route_rejects_a_false_locality_certificate():
-    # community values read the edges among common neighbours, so creating
-    # (2, 3) makes (0, 1), (0, 4) and (1, 4) reach beta although none of them
-    # has an endpoint at 2 or 3; the confirming sweep finds them
-    g = DynGraph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
-    pot = dataclasses.replace(community_potential(1, 3), endpoint_local=True)
+    # min(h(u), h(v)) >= 1 creates (1, 2) only; that gives node 0 its first
+    # edge among neighbours, so (0, 3) and (0, 4) reach beta although neither
+    # has an endpoint at 1 or 2; the confirming sweep finds them
+    g = DynGraph.from_edges(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    pot = degree_like_potential(min, _triangles_at, 0, 1, name="triangles", validate=False)
+    assert pot.node_form == (min, _triangles_at)
     for seed in range(5):
-        with pytest.raises(ContractError, match="endpoint_local"):
+        with pytest.raises(ContractError, match="node_form"):
             run(RunConfig(graph=g, potential=pot, scheduler=UniformRandomScheduler(seed),
                           max_rounds=10_000))
     naive = run(RunConfig(graph=g, potential=pot, scheduler=UniformRandomScheduler(0),

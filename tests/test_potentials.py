@@ -366,9 +366,9 @@ def test_catalog_potentials_are_local(seed):
                 for name, f in PROPER_FUNCTIONS.items()]
     for pot in catalog:
         assert_local(pot, sparse, sparse_pairs)
-    assert [p.name for p in catalog if not p.endpoint_local] == ["community"]
+    assert [p.name for p in catalog if p.node_form is None] == ["community"]
     for pot in catalog:
-        if pot.endpoint_local:
+        if pot.node_form is not None:
             assert_endpoint_local(pot, sparse, sparse_pairs, rng)
     # the check has teeth: community values read edges among common neighbours
     with pytest.raises(AssertionError):
