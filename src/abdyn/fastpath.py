@@ -6,16 +6,15 @@ with a ``cn_floor``: below that common neighbor count the decision provably
 keeps the current state. Both strategies here exploit that certificate and
 stay exactly equivalent to pairwise evaluation of every pair:
 
-* :class:`IncrementalStepper` maintains, across rounds, the exact common
-  neighbor counts of all pairs of high-degree nodes (only they can reach the
-  floor, since CN <= min degree). It builds the table with one sparse
-  product over the adjacency rows of the high nodes alone, keeps neighbor
-  sets restricted to the high side for those nodes only, and keys each
-  pair {a, b}, a < b, by the integer ``(a << 32) | b``, as
-  :func:`~abdyn.graph.edge_codes` does. Per round it re-decides just the
-  pairs at or above the floor. Updates are O(local) per toggled edge and
-  per node that falls below the floor, so a huge graph with few high nodes
-  and few toggles costs little beyond one pass over the degrees.
+* :class:`IncrementalStepper` keeps, across rounds, the exact common
+  neighbor counts of all pairs of a fixed node set H: the nodes of degree at
+  least the floor at init (only they can reach it, since CN <= min degree,
+  and no node joins them later). The counts are the upper triangle of one
+  sparse matrix, built with one product over the adjacency rows of H, and
+  each substep updates it with sparse products of the substep's toggles
+  alone. Per round it re-decides just the pairs at or above the floor, so a
+  huge graph with few high nodes and few toggles costs little beyond one
+  pass over the degrees.
 
 * :class:`BulkStepper` recomputes all common neighbor counts from scratch
   each round with a chunked sparse matrix product and decides every pair at
@@ -31,7 +30,7 @@ supplier that refuses to be called.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -39,8 +38,6 @@ from .errors import ConfigError, ContractError
 from .graph import DynGraph, EdgeDelta
 from .potentials import PairStatsRule, Potential
 from .schedulers import pair_count
-
-_LOW32 = 0xFFFFFFFF
 
 
 def _resolve_stats(potential: Potential) -> tuple[PairStatsRule, int]:
@@ -66,6 +63,8 @@ def _exact_ce(adj, u: int, v: int):
 
 def _adjacency_rows(adj, rows, n: int):
     """Sparse 0/1 matrix whose i-th row is the neighbor set of ``rows[i]``."""
+    # scipy loads on first use: loaded with this module, before a large graph
+    # is built, it raised the peak resident set of a W=4 rule-110 run by 15 MB
     from scipy import sparse
 
     sets = [adj[u] for u in rows]
@@ -76,14 +75,57 @@ def _adjacency_rows(adj, rows, n: int):
     return sparse.csr_matrix((data, indices, indptr), shape=(len(sets), n))
 
 
+class PairCounts:
+    """Exact common neighbor counts of the pairs of a fixed node set.
+
+    ``ids`` holds the nodes in ascending order and ``upper`` the strict upper
+    triangle of A_H A_H^T as a CSR matrix over positions in ``ids``, where
+    A_H is the |ids| x n adjacency of those nodes. No zero is stored, so
+    ``len`` is the number of pairs with a common neighbor.
+    """
+
+    __slots__ = ("ids", "upper")
+
+    def __init__(self, ids: np.ndarray, upper):
+        self.ids = ids
+        self.upper = upper
+
+    def __len__(self) -> int:
+        return self.upper.nnz
+
+
+def _at_floor(adj, floor: int) -> np.ndarray:
+    """Ascending ids of the nodes of degree at least ``floor``."""
+    return np.flatnonzero(np.fromiter(map(len, adj), dtype=np.int64, count=len(adj)) >= floor)
+
+
+def _high_side(adj, ids: np.ndarray, n: int):
+    """(A_HH, upper triangle of A_H A_H^T) for the nodes ``ids``."""
+    from scipy import sparse
+
+    a_high = _adjacency_rows(adj, ids.tolist(), n)
+    return (a_high[:, ids].tocsr(),
+            sparse.triu(a_high @ a_high.T, 1, format="csr"))
+
+
 class IncrementalStepper:
     """Exact incremental execution of a pair-statistics potential under the
     complete scheduler.
 
-    ``high`` holds the nodes of degree at least the floor, ``nh`` maps each
-    of them to its neighbors in ``high``, and ``cn`` maps the key
-    ``(a << 32) | b`` of every pair a < b of high nodes with a common
-    neighbor to their common neighbor count.
+    H, the nodes of degree at least the floor at init, stays fixed: a pair
+    with an endpoint outside H has fewer common neighbors than the floor,
+    so it is never toggled, and the degree of such a node never changes.
+    ``a_hh`` is the adjacency among the nodes of H and ``cn`` the
+    :class:`PairCounts` of all pairs of H, counted over every node. A node
+    of H may fall below the floor; its counts stay exact, and so below the
+    floor, and its pairs are never decided again.
+
+    Each substep decides the pairs whose count reaches the floor, builds the
+    symmetric +-1 toggle matrix D on H and, with A = ``a_hh`` and C the
+    count triangle, updates ``C += triu(A D + D A + D D, 1)`` and
+    ``A += D``: (A + D)^2 - A^2 = A D + D A + D D. That is exact because
+    every toggle lies inside H and the edges from H to the other nodes
+    never change.
     """
 
     prune = True        # pairs below the floor are never decided
@@ -93,102 +135,55 @@ class IncrementalStepper:
         self.stats, self.substeps = _resolve_stats(potential)
         self.stats.certify()
         self.floor = self.stats.cn_floor
-        adj = g._adj
-        degrees = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
-        high_ids = np.flatnonzero(degrees >= self.floor)
-        hids = high_ids.tolist()
-        self.high = set(hids)
-        self.nh = {h: adj[h] & self.high for h in hids}
-        # common neighbor counts of the high pairs: A_H A_H^T over the high rows
-        a_high = _adjacency_rows(adj, hids, g.n)
-        upper = (a_high @ a_high.T).tocoo()
-        sel = upper.row < upper.col
-        codes = (high_ids[upper.row[sel]] << 32) | high_ids[upper.col[sel]]
-        self.cn: dict[int, int] = dict(zip(codes.tolist(), upper.data[sel].tolist()))
-
-    # -- state maintenance ------------------------------------------------
-    #
-    # Only high nodes change degree: a pair with a low endpoint has fewer
-    # common neighbors than the floor, so it is never toggled. Both ends of
-    # a toggle are therefore high, and a node can leave the high set but
-    # never join it.
-
-    def _toggle(self, u: int, v: int, present_after: bool) -> None:
-        g = self.g
-        adj = g._adj
-        nh = self.nh
-        cn = self.cn
-        # endpoint a gains or loses the common neighbor b with every other
-        # high neighbor x of b
-        if present_after:
-            adj[u].add(v)
-            adj[v].add(u)
-            g._m += 1
-            nh[u].add(v)
-            nh[v].add(u)
-            for a, b in ((u, v), (v, u)):
-                hi = a << 32
-                for x in nh[b]:
-                    if x != a:
-                        key = hi | x if a < x else (x << 32) | a
-                        cn[key] = cn.get(key, 0) + 1
-        else:
-            adj[u].discard(v)
-            adj[v].discard(u)
-            g._m -= 1
-            nh[u].discard(v)
-            nh[v].discard(u)
-            for a, b in ((u, v), (v, u)):
-                hi = a << 32
-                for x in nh[b]:
-                    key = hi | x if a < x else (x << 32) | a
-                    c = cn[key] - 1
-                    if c:
-                        cn[key] = c
-                    else:
-                        del cn[key]
-
-    def _reconcile_threshold_crossings(self, touched) -> None:
-        """Drop the touched nodes that fell below the floor from the high
-        set, the high-neighbor sets and the table."""
-        adj = self.g._adj
-        high = self.high
-        nh = self.nh
-        for v in [u for u in touched if len(adj[u]) < self.floor]:
-            # v's pairs: the high neighbors of its neighbors; a low
-            # neighbor has fewer than floor neighbors to look up
-            partners = set()
-            for w in adj[v]:
-                partners.update(nh[w] if w in high else adj[w] & high)
-            partners.discard(v)
-            for x in partners:
-                del self.cn[(v << 32) | x if v < x else (x << 32) | v]
-            high.discard(v)
-            for x in nh.pop(v):
-                nh[x].discard(v)
+        ids = _at_floor(g._adj, self.floor)
+        self.a_hh, upper = _high_side(g._adj, ids, g.n)
+        self.cn = PairCounts(ids, upper)
 
     # -- round execution ---------------------------------------------------
 
     def _substep(self) -> list[tuple[int, int, bool]]:
-        adj = self.g._adj
-        floor = self.floor
+        from scipy import sparse
+
+        g = self.g
+        adj = g._adj
+        ids = self.cn.ids
+        upper = self.cn.upper
         decide = self.stats.decide
+        hot = np.flatnonzero(upper.data >= self.floor)
+        rows = np.searchsorted(upper.indptr, hot, side="right") - 1
+        cols = upper.indices[hot]
         toggles: list[tuple[int, int, bool]] = []
-        for key, c in self.cn.items():
-            if c < floor:
-                continue
-            u = key >> 32
-            v = key & _LOW32
+        flipped: list[int] = []
+        for k, (u, v, c) in enumerate(zip(ids[rows].tolist(), ids[cols].tolist(),
+                                          upper.data[hot].tolist())):
             edge = 1 if v in adj[u] else 0
             nxt = decide(edge, c, _exact_ce(adj, u, v))
             if nxt != edge:
                 toggles.append((u, v, bool(nxt)))
-        touched = set()
+                flipped.append(k)
+        if not toggles:
+            return toggles
+
+        sign = np.fromiter((1 if present else -1 for _, _, present in toggles),
+                           dtype=np.int32, count=len(toggles))
+        ti, tj = rows[flipped], cols[flipped]
+        d = sparse.csr_matrix((np.concatenate([sign, sign]),
+                               (np.concatenate([ti, tj]), np.concatenate([tj, ti]))),
+                              shape=self.a_hh.shape)
+        # a CSR sum stores no zeros: a count or an edge that drops to 0 leaves
+        # the matrix, and len(self.cn) stays the number of pairs with a count
+        ad = self.a_hh @ d
+        self.cn.upper = upper + sparse.triu(ad + ad.T + d @ d, 1, format="csr")
+        self.a_hh = self.a_hh + d
+
         for u, v, present in toggles:
-            self._toggle(u, v, present)
-            touched.add(u)
-            touched.add(v)
-        self._reconcile_threshold_crossings(touched)
+            if present:
+                adj[u].add(v)
+                adj[v].add(u)
+            else:
+                adj[u].discard(v)
+                adj[v].discard(u)
+        g._m += int(sign.sum())
         return toggles
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
@@ -207,32 +202,25 @@ class IncrementalStepper:
     # -- test hook ----------------------------------------------------------
 
     def verify_counts(self) -> None:
-        """Brute-force audit of the high set, the high-neighbor sets and the
-        tracked common neighbor counts."""
+        """Audit the tracked state against a fresh build: every node of
+        degree at least the floor is in H, and ``a_hh`` and the count
+        triangle equal their values on the live graph."""
         adj = self.g._adj
-        high = {u for u in range(self.g.n) if len(adj[u]) >= self.floor}
-        if high != self.high:
+        ids = self.cn.ids
+        outside = np.setdiff1d(_at_floor(adj, self.floor), ids)
+        if len(outside):
             raise ContractError(
-                f"tracked high set diverged: missing {sorted(high - self.high)[:5]}, "
-                f"stale {sorted(self.high - high)[:5]}")
-        wrong = sorted(h for h in high if self.nh.get(h) != adj[h] & high)
-        if wrong or len(self.nh) != len(high):
-            raise ContractError(
-                f"tracked high-neighbor sets diverged at {len(wrong)} node(s) "
-                f"(first: {wrong[:3]}); {len(self.nh)} sets for {len(high)} high nodes")
-        expect: dict[int, int] = {}
-        for w in range(self.g.n):
-            for u, x in combinations(sorted(adj[w] & high), 2):
-                key = (u << 32) | x
-                expect[key] = expect.get(key, 0) + 1
-        if self.cn != expect:
-            def pairs(items):
-                return [((k >> 32, k & _LOW32), c) for k, c in items][:3]
-            missing = {k: c for k, c in expect.items() if self.cn.get(k) != c}
-            extra = {k: c for k, c in self.cn.items() if expect.get(k) != c}
-            raise ContractError(
-                f"tracked common neighbor counts diverged: {len(missing)} wrong/missing, "
-                f"{len(extra)} stale (examples: {pairs(missing.items())} {pairs(extra.items())})")
+                f"{len(outside)} node(s) reached the floor outside the tracked set "
+                f"(first: {outside[:5].tolist()})")
+        a_hh, upper = _high_side(adj, ids, self.g.n)
+        for name, want, have in (("adjacency among the tracked nodes", a_hh, self.a_hh),
+                                 ("common neighbor counts", upper, self.cn.upper)):
+            wrong = (want != have).tocoo()
+            if wrong.nnz or have.nnz != want.nnz:
+                pairs = list(zip(ids[wrong.row[:3]].tolist(), ids[wrong.col[:3]].tolist()))
+                raise ContractError(
+                    f"tracked {name} diverged at {wrong.nnz} entries (first: {pairs}); "
+                    f"{have.nnz} stored for {want.nnz}")
 
 
 class BulkStepper:

@@ -175,13 +175,23 @@ class EdgeDelta:
             raise ContractError("delta contains duplicate pairs")
         if adds & rems:
             raise ContractError(f"delta adds and removes the same pairs: {sorted(adds & rems)[:5]}")
+        # read the adjacency directly: the inline range test costs less than
+        # two has_edge range checks per pair, or than one pass over the ids
+        adj = g._adj
+        n = len(adj)
         for u, v in adds:
             if u == v:
                 raise ContractError(f"delta contains self-loop ({u},{v})")
-            if g.has_edge(u, v):
+            if not (0 <= u < n and 0 <= v < n):
+                g._check(u)
+                g._check(v)
+            if v in adj[u]:
                 raise ContractError(f"delta adds existing edge ({u},{v})")
         for u, v in rems:
-            if not g.has_edge(u, v):
+            if not (0 <= u < n and 0 <= v < n):
+                g._check(u)
+                g._check(v)
+            if v not in adj[u]:
                 raise ContractError(f"delta removes missing edge ({u},{v})")
 
 

@@ -348,6 +348,46 @@ def test_incremental_counts_stay_exact(seed):
         stepper.verify_counts()
 
 
+def _corrupt_count(stepper):
+    stepper.cn.upper.data[0] += 1
+
+
+def _flip_adjacency(stepper):
+    stepper.a_hh.data[0] = 0
+
+
+def _raise_outside_node(stepper):
+    # an untracked node gains edges until it reaches the floor
+    g = stepper.g
+    low = min(set(range(g.n)) - set(stepper.cn.ids.tolist()))
+    for v in range(g.n):
+        if g.degree(low) >= stepper.floor:
+            break
+        if v != low:
+            g.add_edge(low, v)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_corrupt_count, "common neighbor counts diverged"),
+    (_flip_adjacency, "adjacency among the tracked nodes diverged"),
+    (_raise_outside_node, "reached the floor outside the tracked set"),
+])
+def test_verify_counts_catches_each_corruption(corrupt, message):
+    # K5 on 0..4 plus leaves 5..9 hung off node 0: the leaves stay below the
+    # floor of 3
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    g = DynGraph.from_edges(10, edges + [(0, leaf) for leaf in range(5, 10)])
+    keep = PairStatsRule(decide=lambda edge, cn, ce_fn: edge, cn_floor=3)
+    stepper = IncrementalStepper(g, Potential(name="keep", alpha=1, beta=1,
+                                              evaluator=lambda g, u, v: 0,
+                                              pair_stats=keep))
+    stepper.verify_counts()
+    assert stepper.cn.ids.tolist() == list(range(5))
+    corrupt(stepper)
+    with pytest.raises(ContractError, match=message):
+        stepper.verify_counts()
+
+
 def _table_potential(floor, seed):
     """Pair-statistics rule with a random decision table at and above a low
     floor: an edge is kept or dropped, a non-edge added or not, by its
@@ -368,6 +408,10 @@ def _table_potential(floor, seed):
                      pair_stats=PairStatsRule(decide=decide, cn_floor=floor))
 
 
+def _at_floor(g, floor):
+    return {u for u in range(g.n) if g.degree(u) >= floor}
+
+
 def test_incremental_drops_nodes_that_fall_below_the_floor():
     # K6 on 0..5 plus node 6 joined to 0 and 1: node 6 stays below the floor
     # of 3, yet it is a common neighbor of 0 and 1
@@ -379,11 +423,15 @@ def test_incremental_drops_nodes_that_fall_below_the_floor():
                     pair_stats=drop)
     stepper = IncrementalStepper(g, pot)
     stepper.verify_counts()
-    assert stepper.high == set(range(6)) and stepper.cn[(0 << 32) | 1] == 5
+    # the tracked nodes are 0..5, so positions in the count matrix are node ids
+    assert stepper.cn.ids.tolist() == list(range(6)) and stepper.cn.upper[0, 1] == 5
     delta, _ = stepper.advance(0)
     assert len(delta.removals) == 15
-    # (0, 1) still has node 6 in common, but neither end is high any more
-    assert stepper.high == set() and stepper.nh == {} and len(stepper.cn) == 0
+    # (0, 1) still has node 6 in common, but no node is at the floor any more:
+    # the tracked set stays, with exact counts below the floor
+    assert max(map(len, g._adj)) < 3
+    assert stepper.cn.ids.tolist() == list(range(6)) and stepper.cn.upper[0, 1] == 1
+    assert stepper.cn.upper.max() < 3 and stepper.advance(1)[0].empty
     stepper.verify_counts()
 
 
@@ -398,13 +446,16 @@ def test_incremental_floor_crossings_match_naive():
         naive = run(RunConfig(graph=g, potential=pot, scheduler=CompleteScheduler(),
                               max_rounds=6, engine="naive", stop_mode="budget",
                               record_deltas=True))
+        tracked = stepper.cn.ids.tolist()
         for t in range(6):
-            before = set(stepper.high)
+            before = _at_floor(stepper.g, floor)
             delta, _ = stepper.advance(t)
             stepper.verify_counts()
-            # only high nodes change degree, so none joins the high set
-            assert stepper.high <= before, (seed, t)
-            dropped += len(before - stepper.high)
+            # only tracked nodes change degree, so no node rises to the floor
+            after = _at_floor(stepper.g, floor)
+            assert after <= before, (seed, t)
+            assert stepper.cn.ids.tolist() == tracked, (seed, t)
+            dropped += len(before - after)
             want = naive.deltas[t] if t < len(naive.deltas) else EdgeDelta()
             assert delta == want, (seed, t)
     assert dropped >= 10

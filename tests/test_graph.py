@@ -126,6 +126,25 @@ def test_delta_contract_violations():
         g2.apply_delta(EdgeDelta.build([(0, 1)], [(0, 1)]))  # overlap
 
 
+@pytest.mark.parametrize("additions, removals, error, message", [
+    ([(1, 3)], [], InputError, "node id 3 out of range 0..2"),
+    ([], [(-1, 2)], InputError, "node id -1 out of range 0..2"),
+    ([(1, 1)], [], ContractError, "delta contains self-loop (1,1)"),
+    ([(1, 2), (1, 2)], [], ContractError, "delta contains duplicate pairs"),
+    ([], [(0, 1), (0, 1)], ContractError, "delta contains duplicate pairs"),
+    ([(0, 2)], [(0, 2)], ContractError, "delta adds and removes the same pairs: [(0, 2)]"),
+    ([(1, 2), (0, 1)], [], ContractError, "delta adds existing edge (0,1)"),
+    ([], [(0, 1), (1, 2)], ContractError, "delta removes missing edge (1,2)"),
+])
+def test_delta_validate_messages(additions, removals, error, message):
+    g = DynGraph.from_edges(3, [(0, 1)])
+    delta = EdgeDelta(additions=tuple(additions), removals=tuple(removals))
+    with pytest.raises(error) as info:
+        g.apply_delta(delta)
+    assert str(info.value) == message
+    assert g.edge_set() == {(0, 1)} and g.m == 1
+
+
 def test_fingerprint_examples():
     g = triangle()
     assert graph_fingerprint(g) == graph_fingerprint(triangle())

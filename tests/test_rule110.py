@@ -6,7 +6,7 @@ import pytest
 from abdyn import rule110
 from abdyn.errors import ContractError, InputError
 from abdyn.fastpath import IncrementalStepper
-from abdyn.graph import edge_codes
+from abdyn.graph import DynGraph, edge_codes
 from abdyn.potentials import rule110_potential
 from abdyn.rule110 import (CELL_BLOCK, KINDS, SUBCELL_BLOCK, AssemblyRunner,
                            build_assembly, check_structure, extract_values,
@@ -128,6 +128,12 @@ def test_structure_flags_tampered_blinker(asm4):
     assert not report.ok
     assert any(v.kind == "blinker_parity" and "blinker" in v.where
                for v in report.violations)
+
+
+def test_structure_rejects_a_graph_of_another_size(asm4):
+    for n in (asm4.graph.n - 1, asm4.graph.n + 1):
+        with pytest.raises(InputError, match="assembly expects"):
+            check_structure(asm4, DynGraph(n), round_index=0)
 
 
 def test_structure_flags_tampered_static_edge(asm4):
