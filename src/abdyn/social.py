@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterable, Optional
 
 from .engine import RoundRecord, RunTrace, Verdict
 from .errors import ConfigError, ContractError
@@ -93,8 +94,10 @@ def star_predicate(g: DynGraph) -> bool:
     """One center of degree n-1, everything else a leaf."""
     if g.n < 2:
         return True
+    if g.m != g.n - 1:
+        return False
     if g.n == 2:
-        return g.m == 1
+        return True
     centers = 0
     for u in range(g.n):
         d = g.degree(u)
@@ -202,6 +205,15 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
     confinement contract. With ``progress_check`` every round is classified
     as component-merge, leaf-settling or tie and the classification is
     verified; the per-round tags are stored in the trace metadata.
+
+    A round's checks cost about as much as the rewrite's neighbourhood. The
+    confinement test reads the radius-1 ball N1 of (u, v): a node is within
+    distance 2 iff it is in N1 or has a neighbour there, so the test costs
+    O(deg u + deg v + |delta| * min degree). The component count changes
+    only in components that hold an endpoint of the delta; they are counted
+    before and after it by searches from those endpoints that stop when
+    they meet (``_touched_components``). An empty delta is not counted, and
+    in a connected graph the count before is 1 without a search.
     """
     g = g0.copy()
     scheduler.reset(g)
@@ -211,8 +223,9 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
     tags: list[str] = []
     last_change = None
     fp = graph_fingerprint(g)
+    adj = g._adj
 
-    comp_count = _component_count(g) if progress_check else 0
+    comp_count = _touched_components(adj, range(g.n)) if progress_check else 0
 
     if stop_predicate is not None and stop_predicate(g):
         return RunTrace(rounds=[], verdict=Verdict("target", 0),
@@ -221,28 +234,36 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
 
     verdict = Verdict("budget", budget)
     for t in range(budget):
-        inter = list(scheduler.interactions(t, g))
+        inter = scheduler.interactions(t, g)
         if len(inter) != 1:
             raise ConfigError(
                 f"general protocols need singleton interactions, got {len(inter)} in round {t}")
-        u, v = inter[0]
+        inter.validate(g.n)
+        u, v = next(iter(inter))
         delta, info = protocol.rewrite(g, u, v, rng)
-        if check_confinement and not delta.empty:
-            allowed = ball_nodes(g, u, v, 2)
-            for a, b in delta.additions + delta.removals:
-                if a not in allowed and b not in allowed:
+        changed = not delta.empty
+        pairs = delta.additions + delta.removals
+        if check_confinement and changed:
+            near = ball_nodes(g, u, v, 1)
+            for a, b in pairs:
+                if not (_near(adj, a, near) or _near(adj, b, near)):
                     raise ContractError(
                         f"rewrite touched pair ({a},{b}) outside distance 2 of ({u},{v})")
+        if progress_check and changed:
+            ends = {x for pair in pairs for x in pair}
+            # a connected graph holds every endpoint in its one component
+            touched_before = 1 if comp_count == 1 else _touched_components(adj, ends)
         g.apply_delta(delta)
-        changed = not delta.empty
-        for a, b in delta.additions + delta.removals:
+        for a, b in pairs:
             fp ^= edge_token(a, b)
         if changed:
             changed_rounds.append(t)
             last_change = t
 
         if progress_check:
-            new_comp = _component_count(g) if changed else comp_count
+            new_comp = comp_count
+            if changed:
+                new_comp += _touched_components(adj, ends) - touched_before
             if new_comp < comp_count:
                 tag = "merge"
             elif info.get("tie"):
@@ -272,19 +293,62 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
                     last_change_round=last_change)
 
 
-def _component_count(g: DynGraph) -> int:
-    seen = [False] * g.n
-    count = 0
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        count += 1
-        stack = [s]
-        seen[s] = True
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
+def _near(adj: list[set[int]], x: int, ball: set[int]) -> bool:
+    """Whether x lies in ``ball`` or has a neighbour there; an id outside
+    the graph has neither."""
+    return x in ball or (0 <= x < len(adj) and not adj[x].isdisjoint(ball))
+
+
+def _touched_components(adj: list[set[int]], nodes: Iterable[int]) -> int:
+    """Number of connected components that hold a node of ``nodes``.
+
+    One breadth-first search starts from each node. They advance in
+    lockstep, measured in adjacency entries scanned: the search whose next
+    level ends earliest goes next, so a hub's neighbour set is scanned only
+    once every other search has done as much work. Searches that meet merge
+    (union-find over the search ids). A search that runs dry has covered its
+    whole component, and no other search can still reach it; so the count
+    is final once at most one search is still running. Ids outside the
+    graph lie in no component.
+    """
+    n = len(adj)
+    owner: dict[int, int] = {}          # visited node -> id of the search that reached it
+    for x in nodes:
+        if 0 <= x < n and x not in owner:
+            owner[x] = len(owner)
+    count = running = len(owner)
+    parent = list(range(count))
+    frontier = [[x] for x in owner]
+    cost = [len(adj[x]) for x in owner]     # adjacency entries the next level scans
+    queue = list(zip(cost, range(count)))
+    heapify(queue)
+    while running > 1:
+        work, r = heappop(queue)
+        if parent[r] != r:
+            continue                    # merged into another search
+        nxt = []
+        nxt_cost = 0
+        for x in frontier[r]:
+            for y in adj[x]:
+                s = owner.get(y)
+                if s is None:
+                    owner[y] = r
+                    nxt.append(y)
+                    nxt_cost += len(adj[y])
+                    continue
+                while parent[s] != s:
+                    parent[s] = s = parent[parent[s]]
+                if s != r:
+                    # s is still running: a dry search holds a whole component
+                    parent[s] = r
+                    nxt += frontier[s]
+                    nxt_cost += cost[s]
+                    count -= 1
+                    running -= 1
+        if nxt:
+            frontier[r] = nxt
+            cost[r] = nxt_cost
+            heappush(queue, (work + nxt_cost, r))
+        else:
+            running -= 1
     return count

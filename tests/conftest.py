@@ -38,6 +38,23 @@ def brute_common_neighbor_edges(g: DynGraph, u: int, v: int) -> int:
     return count
 
 
+def brute_component_labels(g: DynGraph) -> list[int]:
+    """Component label of every node, by a depth-first search over has_edge."""
+    label = [-1] * g.n
+    for s in range(g.n):
+        if label[s] >= 0:
+            continue
+        label[s] = s
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in range(g.n):
+                if label[y] < 0 and g.has_edge(x, y):
+                    label[y] = s
+                    stack.append(y)
+    return label
+
+
 def random_graph(n: int, p: float, seed: int) -> DynGraph:
     rng = random.Random(seed)
     g = DynGraph(n)

@@ -1,20 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abdyn.engine import RunConfig, run
 from abdyn.errors import ConfigError, ContractError
 from abdyn.generators import random_connected
-from abdyn.graph import DynGraph, EdgeDelta, graph_fingerprint
+from abdyn.graph import DynGraph, EdgeDelta, ball_nodes, graph_fingerprint, norm_pair
 from abdyn.potentials import (PROPER_FUNCTIONS, degree_like_potential,
                               validate_degree_like)
-from abdyn.schedulers import (FairRoundRobinScheduler, SocialScheduler,
-                              UniformRandomScheduler)
-from abdyn.social import (GeneralProtocol, SocialProfile, niceness_g,
-                          random_profile, run_general, star_predicate,
+from abdyn.schedulers import (FairRoundRobinScheduler, InteractionSet, Scheduler,
+                              ScriptedScheduler, SocialScheduler, UniformRandomScheduler)
+from abdyn.social import (GeneralProtocol, SocialProfile, _touched_components,
+                          niceness_g, random_profile, run_general, star_predicate,
                           star_protocol)
 
-from conftest import random_graph
+from conftest import brute_component_labels, random_graph
 
 
 def profile_of(niceness, extroversion=None, enemies=()):
@@ -160,10 +162,24 @@ def test_star_rewrite_equal_nonleaf_coin():
     assert ties and others
 
 
+def path_graph(n: int) -> DynGraph:
+    return DynGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def test_star_predicate():
-    assert star_predicate(DynGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)]))
+    star = [(0, i) for i in range(1, 6)]
+    assert star_predicate(DynGraph.from_edges(6, star))
     assert not star_predicate(DynGraph.from_edges(4, [(0, 1), (2, 3)]))
     assert not star_predicate(random_graph(5, 1.1, 0))
+    # paths have the n - 1 edges of a star
+    for n in range(4, 9):
+        assert path_graph(n).m == n - 1 and not star_predicate(path_graph(n))
+    assert not star_predicate(DynGraph.from_edges(6, star + [(1, 2)]))
+    assert not star_predicate(DynGraph.from_edges(6, star[:-1]))
+    assert not star_predicate(DynGraph(3))
+    assert star_predicate(path_graph(3))
+    assert star_predicate(DynGraph(0)) and star_predicate(DynGraph(1))
+    assert star_predicate(path_graph(2)) and not star_predicate(DynGraph(2))
 
 
 def test_star_preserved_after_convergence():
@@ -226,3 +242,155 @@ def test_run_general_confinement_contract():
         for seed in range(20):
             run_general(g.copy(), proto, UniformRandomScheduler(seed), budget=50,
                         seed=seed)
+
+
+class FixedPairScheduler(Scheduler):
+    """Emits the same pair every round, unchecked."""
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def interactions(self, t, graph):
+        return InteractionSet([self.pair])
+
+
+@pytest.mark.parametrize("pair, message", [((3, 3), r"self-pair \(3,3\)"),
+                                           ((3, 99), r"\(3,99\) out of range for n=6")])
+def test_run_general_validates_scheduled_pairs(pair, message):
+    g = random_connected(6, 0.3, 0)
+    with pytest.raises(ConfigError, match=message):
+        run_general(g, star_protocol(0), FixedPairScheduler(pair), budget=5)
+
+
+# Confinement at its boundary: on the path 0-1-...-9 the pair (4,5) has
+# {3,4,5,6} within distance 1, {2,7} at distance 2, {1,8} at 3, {0,9} at 4.
+
+def run_fixed_delta_on_path(additions, removals=()):
+    def rewrite(g, u, v, rng):
+        return EdgeDelta.build(additions, removals), {"tie": False, "leaves": []}
+    return run_general(path_graph(10), GeneralProtocol("fixed", rewrite),
+                       ScriptedScheduler([[(4, 5)]], 10), budget=1)
+
+
+@pytest.mark.parametrize("additions, removals", [
+    ([(2, 7), (0, 7)], []),     # an endpoint at distance exactly 2
+    ([(3, 9)], [(7, 8)]),       # one endpoint near, one far
+])
+def test_confinement_passes_pairs_with_an_endpoint_within_distance_2(additions, removals):
+    g = run_fixed_delta_on_path(additions, removals).final_graph
+    assert all(g.has_edge(*p) for p in additions)
+    assert not any(g.has_edge(*p) for p in removals)
+
+
+def test_confinement_rejects_a_pair_at_distance_3():
+    with pytest.raises(ContractError, match=r"pair \(1,8\) outside distance 2 of \(4,5\)"):
+        run_fixed_delta_on_path([(2, 7), (1, 8)])
+
+
+# ---------------------------------------------------------------------------
+# progress accounting against from-scratch component counts
+
+@st.composite
+def small_graphs(draw, min_n=1, max_n=14):
+    n = draw(st.integers(min_n, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    return DynGraph.from_edges(n, [(a, b) for a, b in pairs if a != b])
+
+
+@given(small_graphs(), st.data())
+def test_touched_components_matches_brute_force(g, data):
+    label = brute_component_labels(g)
+    # ids just outside the graph lie in no component
+    nodes = data.draw(st.lists(st.integers(-1, g.n), max_size=g.n + 2))
+    expected = len({label[x] for x in nodes if 0 <= x < g.n})
+    assert _touched_components(g._adj, nodes) == expected
+    assert _touched_components(g._adj, range(g.n)) == len(set(label))
+
+
+def test_touched_components_on_graphs_with_hubs():
+    rng = random.Random(5)
+    for case in range(60):
+        n = rng.randrange(20, 60)
+        g = random_graph(n, rng.choice((0.01, 0.03, 0.08)), case)
+        for w in rng.sample(range(n), n // 3):
+            if w != 0:
+                g.add_edge(0, w)            # node 0 is a hub
+        label = brute_component_labels(g)
+        for _ in range(5):
+            nodes = rng.sample(range(n), rng.randrange(1, 8))
+            expected = len({label[x] for x in nodes})
+            assert _touched_components(g._adj, nodes) == expected
+
+
+def toggle_protocol() -> GeneralProtocol:
+    """Toggles up to three random pairs with an endpoint within distance 2
+    of the interacting pair, so rounds both merge and split components."""
+
+    def rewrite(g, u, v, rng):
+        ball = sorted(ball_nodes(g, u, v, 2))
+        pairs = set()
+        for _ in range(rng.randrange(4)):
+            a = rng.choice(ball)
+            # half the picks remove an edge at a, to split components too
+            nbrs = sorted(g.neighbors(a))
+            b = rng.choice(nbrs) if nbrs and rng.random() < 0.5 else rng.randrange(g.n)
+            if a != b:
+                pairs.add(norm_pair(a, b))
+        adds = [p for p in pairs if not g.has_edge(*p)]
+        rems = [p for p in pairs if g.has_edge(*p)]
+        return EdgeDelta.build(adds, rems), {"tie": not pairs, "leaves": []}
+
+    return GeneralProtocol("toggle", rewrite)
+
+
+def component_count(g) -> int:
+    return len(set(brute_component_labels(g)))
+
+
+def reference_progress(g0, protocol, seed, budget, stop):
+    """The progress tags, verdict round and component counts of a run,
+    recounting every component from scratch after every round."""
+    g = g0.copy()
+    sched = UniformRandomScheduler(seed)
+    sched.reset(g)
+    rng = random.Random(seed)
+    counts = [component_count(g)]
+    if stop(g):
+        return [], 0, counts
+    tags = []
+    for t in range(budget):
+        (u, v), = sched.interactions(t, g)
+        delta, info = protocol.rewrite(g, u, v, rng)
+        g.apply_delta(delta)
+        counts.append(component_count(g))
+        tags.append("merge" if counts[-1] < counts[-2] else "tie" if info["tie"] else "leaf")
+        if not delta.empty and stop(g):
+            return tags, t + 1, counts
+    return tags, budget, counts
+
+
+def empty_graph(g) -> bool:
+    return g.m == 0
+
+
+@given(small_graphs(min_n=2, max_n=12), st.integers(0, 2 ** 16))
+def test_progress_tags_match_full_recounts(g, seed):
+    trace = run_general(g, toggle_protocol(), UniformRandomScheduler(seed), budget=30,
+                        seed=seed, stop_predicate=empty_graph, progress_check=True)
+    tags, verdict_round, _ = reference_progress(g, toggle_protocol(), seed, 30, empty_graph)
+    assert trace.metadata["tags"] == tags
+    assert trace.verdict.round == verdict_round
+
+
+def test_toggle_protocol_merges_and_splits():
+    merges = splits = 0
+    for seed in range(10):
+        g = random_graph(10, 0.15, seed)
+        trace = run_general(g, toggle_protocol(), UniformRandomScheduler(seed), budget=60,
+                            seed=seed, progress_check=True)
+        tags, _, counts = reference_progress(g, toggle_protocol(), seed, 60, lambda g: False)
+        assert trace.metadata["tags"] == tags
+        merges += tags.count("merge")
+        splits += sum(b > a for a, b in zip(counts, counts[1:]))
+    assert merges >= 50 and splits >= 50
