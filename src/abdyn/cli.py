@@ -3,10 +3,11 @@
 Subcommands: run, verify, kcore, rule110, star, social. Exit codes: 0 for a
 stabilized or target-met run (and passing verification), 2 for a detected
 cycle, 3 for an exhausted budget, 4 for verification failure, 64 for usage
-or configuration errors.
+or configuration errors, malformed numbers in input files and configs among them.
 
 Run configs are flat ``key = value`` text files; see the README for the key
-set.
+set. ``run.stop = cycle``, the default, ends a run at its first repeated
+state; ``run.stop = budget`` runs every round and reports a cycle at the end.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .fileio import (TraceWriter, read_edgelist, read_interaction_script,
 from .graph import DynGraph, fingerprint_hex
 from .kcore import peel, verify_kcore_run
 from .potentials import make_potential
-from .rule110 import build_assembly, check_structure, extract_values, simulate
+from .rule110 import (AssemblyRunner, build_assembly, check_structure, extract_values,
+                      validate_tape)
 from .schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                          FairRoundRobinScheduler, ScriptedScheduler,
                          SocialScheduler, UniformRandomScheduler)
@@ -52,15 +54,25 @@ def parse_config(path: str) -> dict[str, str]:
     return cfg
 
 
+def _number(cfg: dict, key: str, default=None, kind=int):
+    """The value of ``key``, or ``default`` when it is not set, as ``kind``."""
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key} needs {kind.__name__}, got {value!r}") from None
+
+
 def _build_graph(cfg: dict, base: str = "graph") -> DynGraph:
     if f"{base}.file" in cfg:
         return read_edgelist(cfg[f"{base}.file"])
     gen = cfg.get(f"{base}.generator")
     if gen is None:
         raise ConfigError(f"config needs {base}.file or {base}.generator")
-    n = int(cfg.get(f"{base}.n", "0"))
+    n = _number(cfg, f"{base}.n", "0")
     if gen == "gnp":
-        return generators.gnp(n, float(cfg[f"{base}.p"]), int(cfg.get(f"{base}.seed", "0")))
+        return generators.gnp(n, _number(cfg, f"{base}.p", kind=float),
+                              _number(cfg, f"{base}.seed", "0"))
     if gen == "cycle":
         return generators.cycle(n)
     if gen == "path":
@@ -73,8 +85,15 @@ def _build_graph(cfg: dict, base: str = "graph") -> DynGraph:
         tape = cfg.get(f"{base}.tape")
         if not tape:
             raise ConfigError("rule110-assembly generator needs graph.tape")
-        return build_assembly([int(c) for c in tape]).graph
+        return build_assembly(tape).graph
     raise ConfigError(f"unknown generator {gen!r}")
+
+
+def _potential_from_config(cfg: dict, default_name: str, profile=None):
+    return make_potential(cfg.get("potential.name", default_name),
+                          alpha=_number(cfg, "potential.alpha", "0", float),
+                          beta=_number(cfg, "potential.beta", "0", float),
+                          f=cfg.get("potential.f"), profile=profile)
 
 
 def _scheduler_from_config(cfg: dict, graph: DynGraph, profile=None):
@@ -84,9 +103,9 @@ def _scheduler_from_config(cfg: dict, graph: DynGraph, profile=None):
     if name == "current_edges":
         return CurrentEdgesScheduler()
     if name == "uniform":
-        return UniformRandomScheduler(int(cfg.get("scheduler.seed", cfg.get("seed", "0"))))
+        return UniformRandomScheduler(_number(cfg, "scheduler.seed", cfg.get("seed", "0")))
     if name == "round_robin":
-        return FairRoundRobinScheduler(int(cfg.get("scheduler.batch", "1")))
+        return FairRoundRobinScheduler(_number(cfg, "scheduler.batch", "1"))
     if name == "scripted":
         script = read_interaction_script(cfg["scheduler.script"])
         fair = cfg.get("scheduler.fair", "false").lower() == "true"
@@ -94,7 +113,7 @@ def _scheduler_from_config(cfg: dict, graph: DynGraph, profile=None):
     if name == "social":
         if profile is None:
             raise ConfigError("social scheduler needs potential.profile")
-        return SocialScheduler(profile, int(cfg.get("scheduler.gamma", "1")))
+        return SocialScheduler(profile, _number(cfg, "scheduler.gamma", "1"))
     raise ConfigError(f"unknown scheduler {name!r}")
 
 
@@ -108,26 +127,20 @@ def _load_profile(cfg: dict):
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
+    seed = _number(cfg, "seed", "0")
     graph = _build_graph(cfg)
     profile = _load_profile(cfg)
     if profile is not None and profile.n != graph.n:
         raise ConfigError(
             f"potential.profile describes {profile.n} nodes, graph has {graph.n}")
-    potential = make_potential(
-        cfg.get("potential.name", "min_degree"),
-        alpha=float(cfg.get("potential.alpha", "0")),
-        beta=float(cfg.get("potential.beta", "0")),
-        f=cfg.get("potential.f"),
-        profile=profile,
-    )
+    potential = _potential_from_config(cfg, "min_degree", profile)
     scheduler = _scheduler_from_config(cfg, graph, profile)
-    seed = int(cfg.get("seed", "0"))
     rc = RunConfig(
         graph=graph,
         potential=potential,
         scheduler=scheduler,
-        max_rounds=int(cfg.get("run.rounds", "100000")),
-        stop_mode=cfg.get("run.stop", "fixed_point"),
+        max_rounds=_number(cfg, "run.rounds", "100000"),
+        stop_mode=cfg.get("run.stop", "cycle"),
         engine=cfg.get("run.engine", "auto"),
     )
     trace = run(rc)
@@ -165,14 +178,15 @@ def cmd_kcore(args) -> int:
 
 
 def cmd_rule110(args) -> int:
-    tape = [int(c) for c in args.tape]
+    tape = validate_tape(args.tape)
     if args.dump_assembly:
         assembly = build_assembly(tape)
         write_edgelist(assembly.graph, args.dump_assembly + ".edges")
         with open(args.dump_assembly + ".labels", "w") as fh:
             for node in range(assembly.graph.n):
                 fh.write(f"{node}\t{assembly.gmap.describe_node(node)}\n")
-    result = simulate(tape, args.steps, merged=args.merged, check=args.check)
+    result = AssemblyRunner(len(tape)).run(tape, args.steps, merged=args.merged,
+                                           check=args.check)
     for k, extracted in enumerate(result.tapes):
         print(f"step {k}: " + "".join("?" if c is None else str(c) for c in extracted))
     ok = result.ok and result.matches_reference()
@@ -231,11 +245,8 @@ def cmd_verify(args) -> int:
     if args.mode == "rule110":
         if not (args.tape and args.graph_file):
             raise ConfigError("rule110 mode needs --tape and --graph")
-        assembly = build_assembly([int(c) for c in args.tape])
+        assembly = build_assembly(args.tape)
         g = read_edgelist(args.graph_file)
-        if g.n != assembly.graph.n:
-            raise ConfigError(
-                f"graph has {g.n} nodes, assembly expects {assembly.graph.n}")
         report = check_structure(assembly, g, round_index=args.round)
         print(report.summary())
         if report.ok and args.round % 2 == 0:
@@ -252,15 +263,11 @@ def cmd_verify(args) -> int:
             raise ConfigError("degree-props mode needs --config")
         cfg = parse_config(args.config)
         graph = _build_graph(cfg)
-        potential = make_potential(
-            cfg.get("potential.name", "proper_degree"),
-            alpha=float(cfg.get("potential.alpha", "0")),
-            beta=float(cfg.get("potential.beta", "0")),
-            f=cfg.get("potential.f"))
+        potential = _potential_from_config(cfg, "proper_degree")
         snapshots = [graph.copy()]
         rc = RunConfig(graph=graph, potential=potential,
                        scheduler=CompleteScheduler(),
-                       max_rounds=int(cfg.get("run.rounds", "100000")),
+                       max_rounds=_number(cfg, "run.rounds", "100000"),
                        observers=(snapshot_observer(snapshots),))
         trace = run(rc)
         if args.trace:

@@ -95,7 +95,6 @@ class RunTrace:
     metadata: dict
     final_graph: DynGraph
     changed_rounds: list[int]
-    last_change_round: Optional[int]
     deltas: Optional[list[EdgeDelta]] = None
     # pairs whose state differs from the run's initial graph: the run loop's
     # own set, handed over uncopied (read-only); None when it is not tracked
@@ -105,6 +104,10 @@ class RunTrace:
     def change_count(self) -> int:
         return len(self.changed_rounds)
 
+    @property
+    def last_change_round(self) -> Optional[int]:
+        return self.changed_rounds[-1] if self.changed_rounds else None
+
 
 @dataclass
 class RunConfig:
@@ -112,7 +115,7 @@ class RunConfig:
     potential: Potential
     scheduler: Scheduler
     max_rounds: int
-    stop_mode: str = "fixed_point"          # fixed_point | cycle | budget
+    stop_mode: str = "cycle"                # cycle | budget
     engine: str = "auto"                    # auto | naive | incremental | bulk
     copy_graph: bool = True
     record_rounds: str = "auto"             # all | changes | auto
@@ -122,7 +125,7 @@ class RunConfig:
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be at least 1, got {self.max_rounds}")
-        if self.stop_mode not in ("fixed_point", "cycle", "budget"):
+        if self.stop_mode not in ("cycle", "budget"):
             raise ConfigError(f"unknown stop_mode {self.stop_mode!r}")
         if self.record_rounds not in ("all", "changes", "auto"):
             raise ConfigError(f"unknown record_rounds {self.record_rounds!r}")
@@ -414,7 +417,6 @@ def run(config: RunConfig) -> RunTrace:
     rounds: list[RoundRecord] = []
     deltas: list[EdgeDelta] | None = [] if config.record_deltas else None
     changed_rounds: list[int] = []
-    last_change: Optional[int] = None
     quiet_streak = 0
     cycle_seen: Optional[Verdict] = None
 
@@ -431,12 +433,11 @@ def run(config: RunConfig) -> RunTrace:
                 # Without a change the set is still the exact all-pairs
                 # decision made at init; after one it rests on the
                 # potential's node_form certificate, which a sweep checks.
-                if last_change is not None and not fast.sweep_is_clean():
+                if changed_rounds and not fast.sweep_is_clean():
                     raise ContractError(
                         f"potential {config.potential.name} has a false node_form: the "
                         f"active set is empty but a sweep finds a pair that would change")
-                verdict = Verdict("stabilized",
-                                  (last_change + 1) if last_change is not None else 0)
+                verdict = Verdict("stabilized", changed_rounds[-1] + 1 if changed_rounds else 0)
                 break
             # fast-forward over the rounds that draw a pair outside the set
             quiet = fast.skip_quiet(config.max_rounds - t)
@@ -459,7 +460,6 @@ def run(config: RunConfig) -> RunTrace:
             for u, v in delta.removals:
                 fp ^= edge_token(u, v)
             changed_rounds.append(t)
-            last_change = t
             quiet_streak = 0
         else:
             quiet_streak += 1
@@ -486,7 +486,7 @@ def run(config: RunConfig) -> RunTrace:
                 else:
                     quiet_streak = 0
         if stabilized:
-            verdict = Verdict("stabilized", (last_change + 1) if last_change is not None else 0)
+            verdict = Verdict("stabilized", changed_rounds[-1] + 1 if changed_rounds else 0)
             break
 
         if track_cycles and cycle_seen is None:
@@ -494,12 +494,11 @@ def run(config: RunConfig) -> RunTrace:
             if key in history:
                 entered = history[key]
                 period = t + 1 - entered
-                if last_change is None or last_change < entered:
-                    verdict = Verdict("stabilized",
-                                      (last_change + 1) if last_change is not None else 0)
+                if not changed_rounds or changed_rounds[-1] < entered:
+                    verdict = Verdict("stabilized", changed_rounds[-1] + 1 if changed_rounds else 0)
                     break
                 cycle_seen = Verdict("cycle", entered, period)
-                if config.stop_mode in ("fixed_point", "cycle"):
+                if config.stop_mode == "cycle":
                     verdict = cycle_seen
                     break
             else:
@@ -522,8 +521,7 @@ def run(config: RunConfig) -> RunTrace:
         "half_step_rounds": (config.potential.name == "rule110"),
     }
     return RunTrace(rounds=rounds, verdict=verdict, metadata=metadata, final_graph=g,
-                    changed_rounds=changed_rounds, last_change_round=last_change,
-                    deltas=deltas, diff=diff)
+                    changed_rounds=changed_rounds, deltas=deltas, diff=diff)
 
 
 def _bookkeep(delta: EdgeDelta, g: DynGraph, counter: Counter, diff: set) -> None:

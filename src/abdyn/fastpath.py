@@ -39,6 +39,9 @@ from .graph import DynGraph, EdgeDelta
 from .potentials import PairStatsRule, Potential
 from .schedulers import pair_count
 
+# Adjacency rows per sparse product in BulkStepper.advance.
+BULK_ROWS = 2048
+
 
 def _resolve_stats(potential: Potential) -> tuple[PairStatsRule, int]:
     """Return (stats, substeps). A merged potential executes two base rounds."""
@@ -230,14 +233,13 @@ class BulkStepper:
 
     prune = True
 
-    def __init__(self, g: DynGraph, potential: Potential, chunk: int = 2048):
+    def __init__(self, g: DynGraph, potential: Potential):
         self.g = g
         stats, substeps = _resolve_stats(potential)
         if substeps != 1:
             raise ConfigError("bulk execution does not support merged potentials")
         self.stats = stats
         stats.certify()
-        self.chunk = chunk
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
         g = self.g
@@ -249,8 +251,8 @@ class BulkStepper:
         decide = self.stats.decide
         additions = []
         removals = []
-        for start in range(0, n, self.chunk):
-            stop = min(start + self.chunk, n)
+        for start in range(0, n, BULK_ROWS):
+            stop = min(start + BULK_ROWS, n)
             block = (a_mat[start:stop] @ a_mat).tocoo()
             sel = block.data >= floor
             rows = block.row[sel].astype(np.int64) + start

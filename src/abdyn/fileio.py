@@ -27,6 +27,10 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
+def _malformed(path: str, lineno: int, line: str) -> InputError:
+    return InputError(f"{path}:{lineno}: malformed number in {line!r}")
+
+
 def read_edgelist(path: str) -> DynGraph:
     n_declared = None
     edges: list[tuple[int, int]] = []
@@ -37,17 +41,15 @@ def read_edgelist(path: str) -> DynGraph:
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "nodes":
-                if len(parts) != 2:
-                    raise InputError(f"{path}:{lineno}: malformed nodes header")
-                n_declared = int(parts[1])
-                continue
             if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+                raise InputError(f"{path}:{lineno}: expected 'nodes N' or 'u v', got {line!r}")
             try:
+                if parts[0] == "nodes":
+                    n_declared = int(parts[1])
+                    continue
                 u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: non-integer node id") from exc
+            except ValueError:
+                raise _malformed(path, lineno, line) from None
             edges.append((u, v))
             max_id = max(max_id, u, v)
     n = n_declared if n_declared is not None else max_id + 1
@@ -76,7 +78,10 @@ def read_interaction_script(path: str) -> list[list[tuple[int, int]]]:
                     if "-" not in tok:
                         raise InputError(f"{path}:{lineno}: expected 'u-v' token, got {tok!r}")
                     a, b = tok.split("-", 1)
-                    pairs.append(norm_pair(int(a), int(b)))
+                    try:
+                        pairs.append(norm_pair(int(a), int(b)))
+                    except ValueError:
+                        raise _malformed(path, lineno, line) from None
             rounds.append(pairs)
     return rounds
 
@@ -98,16 +103,18 @@ def read_social_profile(path: str):
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "enemy":
-                if len(parts) != 3:
-                    raise InputError(f"{path}:{lineno}: expected 'enemy u v'")
-                enemies.add(norm_pair(int(parts[1]), int(parts[2])))
-                continue
             if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected 'id niceness extroversion'")
-            node = int(parts[0])
-            niceness[node] = float(parts[1])
-            extroversion[node] = int(parts[2])
+                raise InputError(
+                    f"{path}:{lineno}: expected 'id niceness extroversion' or 'enemy u v'")
+            try:
+                if parts[0] == "enemy":
+                    enemies.add(norm_pair(int(parts[1]), int(parts[2])))
+                    continue
+                node = int(parts[0])
+                niceness[node] = float(parts[1])
+                extroversion[node] = int(parts[2])
+            except ValueError:
+                raise _malformed(path, lineno, line) from None
     if sorted(niceness) != list(range(len(niceness))):
         raise InputError(f"{path}: node ids must be dense 0..n-1")
     n = len(niceness)

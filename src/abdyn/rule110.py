@@ -59,11 +59,13 @@ HALF = 1
 
 
 def validate_tape(tape) -> tuple[int, ...]:
+    """The cells of ``tape``, a sequence of 0/1 ints or a string such as
+    ``"0110"``, as a tuple of ints."""
+    if any(str(c) not in ("0", "1") for c in tape):
+        raise InputError(f"tape cells must be 0 or 1, got {tape!r}")
     cells = tuple(int(c) for c in tape)
     if len(cells) < 3:
         raise InputError(f"tape width must be at least 3, got {len(cells)}")
-    if any(c not in (0, 1) for c in cells):
-        raise InputError("tape cells must be 0 or 1")
     return cells
 
 
@@ -115,13 +117,9 @@ class GadgetMap:
     subcells: dict[tuple[int, str], SubCell]
     driver_blinkers: frozenset
     follower_blinkers: frozenset
-    anchor_pairs: frozenset
+    dynamic: frozenset             # anchor and blinker pairs: all a healthy run toggles
     blinker_owner: dict            # pair -> (cell, kind, anchor_idx, aux_idx)
     anchor_owner: dict             # pair -> (cell, kind)
-
-    @property
-    def blinker_pairs(self) -> frozenset:
-        return self.driver_blinkers | self.follower_blinkers
 
     def describe_node(self, node: int) -> str:
         cell, off = divmod(node, CELL_BLOCK)
@@ -156,21 +154,15 @@ class GadgetMap:
 class CellAssembly:
     graph: DynGraph
     gmap: GadgetMap
-    tape: tuple[int, ...]
     initial_codes: np.ndarray      # graph.edge_codes of the built edge set
 
 
-def _add_clique(g: DynGraph, nodes) -> None:
+def _add_clique(g: DynGraph, nodes, skip=None) -> None:
+    """Join every two of ``nodes`` except the pair ``skip``, given in list
+    order."""
     for i, u in enumerate(nodes):
         for v in nodes[i + 1:]:
-            g.add_edge(u, v)
-
-
-def _add_clique_except(g: DynGraph, nodes, skip) -> None:
-    a, b = norm_pair(*skip)
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            if norm_pair(u, v) != (a, b):
+            if (u, v) != skip:
                 g.add_edge(u, v)
 
 
@@ -187,7 +179,6 @@ def build_assembly(tape) -> CellAssembly:
     driver_blinkers = set()
     follower_blinkers = set()
     blinker_owner: dict = {}
-    anchor_pairs = set()
     anchor_owner: dict = {}
 
     for cell in range(rw):
@@ -198,9 +189,7 @@ def build_assembly(tape) -> CellAssembly:
             aux = tuple(sb + 2 + i for i in range(AUX_PER_SUBCELL))
             sc = SubCell(cell=cell, kind=kind, anchors=anchors, aux=aux)
             subcells[(cell, kind)] = sc
-            pair = norm_pair(*anchors)
-            anchor_pairs.add(pair)
-            anchor_owner[pair] = (cell, kind)
+            anchor_owner[norm_pair(*anchors)] = (cell, kind)
             is_driver = kind in DRIVERS
 
             internal_base = sb + 2 + AUX_PER_SUBCELL
@@ -209,12 +198,10 @@ def build_assembly(tape) -> CellAssembly:
                 for aux_idx in range(AUX_PER_SUBCELL):
                     y = aux[aux_idx]
                     b = anchor_idx * AUX_PER_SUBCELL + aux_idx
-                    half0 = [internal_base + b * 2 * BLINKER_HALF + s
-                             for s in range(BLINKER_HALF)]
-                    half1 = [internal_base + b * 2 * BLINKER_HALF + BLINKER_HALF + s
-                             for s in range(BLINKER_HALF)]
-                    _add_clique_except(g, [x, y] + half0, (x, y))
-                    _add_clique_except(g, [x, y] + half1, (x, y))
+                    for h in (0, 1):    # the two pin gadgets of the blinker
+                        first = internal_base + (2 * b + h) * BLINKER_HALF
+                        half = list(range(first, first + BLINKER_HALF))
+                        _add_clique(g, [x, y] + half, skip=(x, y))
                     spair = norm_pair(x, y)
                     blinker_owner[spair] = (cell, kind, anchor_idx, aux_idx)
                     if is_driver:
@@ -257,11 +244,11 @@ def build_assembly(tape) -> CellAssembly:
         subcells=subcells,
         driver_blinkers=frozenset(driver_blinkers),
         follower_blinkers=frozenset(follower_blinkers),
-        anchor_pairs=frozenset(anchor_pairs),
+        dynamic=frozenset(anchor_owner) | frozenset(blinker_owner),
         blinker_owner=blinker_owner,
         anchor_owner=anchor_owner,
     )
-    return CellAssembly(graph=g, gmap=gmap, tape=logical, initial_codes=edge_codes(g))
+    return CellAssembly(graph=g, gmap=gmap, initial_codes=edge_codes(g))
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +260,14 @@ def subcell_bits(assembly: CellAssembly, g: Optional[DynGraph] = None) -> dict:
             for key, sc in assembly.gmap.subcells.items()}
 
 
-def extract_values(assembly: CellAssembly, g: Optional[DynGraph] = None,
-                   per_subcell: bool = False):
+def extract_values(assembly: CellAssembly, g: Optional[DynGraph] = None):
     """Read the tape off the anchor pairs.
 
-    Returns a list of 0, 1, or None (inconsistent) per logical cell. With
-    ``per_subcell`` the raw bit of every subcell is returned instead, which
-    is the diagnostic view for half-round states where followers lag.
+    Returns a list of 0, 1, or None (inconsistent) per logical cell.
+    ``subcell_bits`` gives the raw bit of every subcell instead, which is the
+    diagnostic view for half-round states where followers lag.
     """
-    g = g or assembly.graph
     bits = subcell_bits(assembly, g)
-    if per_subcell:
-        return bits
     gmap = assembly.gmap
     values = []
     for i in range(gmap.width):
@@ -342,32 +325,20 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
     parity = round_index % 2
     report = StructureReport(round=round_index)
 
-    for pair in gmap.driver_blinkers:
-        want = parity == INTEGER
-        if (pair[1] in adj[pair[0]]) != want:
-            report.violations.append(StructureViolation(
-                "blinker_parity", gmap.describe_pair(pair), want, not want))
-    for pair in gmap.follower_blinkers:
-        want = parity == HALF
-        if (pair[1] in adj[pair[0]]) != want:
-            report.violations.append(StructureViolation(
-                "blinker_parity", gmap.describe_pair(pair), want, not want))
+    for pairs, want in ((gmap.driver_blinkers, parity == INTEGER),
+                        (gmap.follower_blinkers, parity == HALF)):
+        for pair in pairs:
+            if (pair[1] in adj[pair[0]]) != want:
+                report.violations.append(StructureViolation(
+                    "blinker_parity", gmap.describe_pair(pair), want, not want))
 
-    dynamic = gmap.anchor_pairs | gmap.blinker_pairs
-    if diff is not None:
-        for pair in diff:
-            if pair not in dynamic:
-                report.violations.append(StructureViolation(
-                    "static_edge", gmap.describe_pair(pair),
-                    "unchanged from build", "toggled"))
-    else:
+    if diff is None:
         changed = np.setxor1d(edge_codes(g), assembly.initial_codes, assume_unique=True)
-        for code in changed.tolist():
-            pair = (code >> 32, code & 0xFFFFFFFF)
-            if pair not in dynamic:
-                report.violations.append(StructureViolation(
-                    "static_edge", gmap.describe_pair(pair),
-                    "unchanged from build", "toggled"))
+        diff = [(code >> 32, code & 0xFFFFFFFF) for code in changed.tolist()]
+    for pair in diff:
+        if pair not in gmap.dynamic:
+            report.violations.append(StructureViolation(
+                "static_edge", gmap.describe_pair(pair), "unchanged from build", "toggled"))
 
     bits = subcell_bits(assembly, g)
     rw = gmap.ring_width
@@ -422,67 +393,8 @@ class SimulationResult:
         return [tuple(t) for t in self.tapes] == ref
 
 
-def _run_assembly(assembly: CellAssembly, steps: int, merged: bool,
-                  check_rounds: bool, stop_mode: str, engine: str,
-                  round0_diff=None) -> SimulationResult:
-    """Simulate on ``assembly.graph`` in place. ``round0_diff``, when known,
-    is the exact set of pairs in which the graph differs from the build; the
-    round-0 check then reads it instead of comparing every edge."""
-    potential: Potential = two_step_merge(rule110_potential(100)) if merged \
-        else rule110_potential(100)
-    rounds = max(steps if merged else 2 * steps, 1)
-
-    tapes = [extract_values(assembly)]
-    reports: list[StructureReport] = []
-    inconsistent: list[int] = []
-    if check_rounds:
-        reports.append(check_structure(assembly, round_index=0, diff=round0_diff))
-
-    def observer(t, g, delta, diff):
-        round_index = 2 * (t + 1) if merged else t + 1
-        if check_rounds:
-            reports.append(check_structure(assembly, g, round_index, diff=diff))
-        if round_index % 2 == 0 and round_index // 2 <= steps:
-            vals = extract_values(assembly, g)
-            if None in vals:
-                inconsistent.append(round_index // 2)
-            tapes.append(vals)
-
-    cfg = RunConfig(
-        graph=assembly.graph,
-        potential=potential,
-        scheduler=CompleteScheduler(),
-        max_rounds=rounds,
-        stop_mode=stop_mode,
-        engine=engine,
-        copy_graph=False,
-        record_rounds="all",
-        observers=(observer,),
-    )
-    trace = run(cfg)
-    while len(tapes) < steps + 1:
-        tapes.append(list(tapes[-1]))
-    return SimulationResult(tapes=tapes, trace=trace,
-                            structure_reports=reports,
-                            inconsistent_rounds=inconsistent)
-
-
-def simulate(tape, steps: int, merged: bool = False, check: bool = True,
-             stop_mode: str = "budget", engine: str = "auto") -> SimulationResult:
-    """Build the assembly for ``tape`` and simulate ``steps`` automaton steps.
-
-    Unmerged runs spend two engine rounds per step; merged runs one. The
-    returned tapes hold the extraction after every automaton step, padded
-    with the fixed point if the run stabilized early.
-    """
-    if steps < 0:
-        raise InputError(f"steps must be nonnegative, got {steps}")
-    assembly = build_assembly(tape)
-    return _run_assembly(assembly, steps, merged, check, stop_mode, engine)
-
-
 class AssemblyRunner:
-    """Reuses one built assembly across many tapes of the same width.
+    """Runs rule-110 tapes of one width on one built assembly.
 
     A run only ever toggles anchor and blinker edges when the construction is
     healthy; the runner restores the graph to its built state from the exact
@@ -501,42 +413,57 @@ class AssemblyRunner:
 
     def run(self, tape, steps: int, merged: bool = False, check: bool = True,
             stop_mode: str = "budget", engine: str = "auto") -> SimulationResult:
-        logical = validate_tape(tape)
-        gmap = self.assembly.gmap
-        if len(logical) != gmap.width:
-            raise InputError(f"runner is built for width {gmap.width}")
-        switched_on = self._set_tape(logical)
-        exact, self._exact = self._exact, False
-        result = _run_assembly(self.assembly, steps, merged, check, stop_mode, engine,
-                               round0_diff=switched_on if exact else None)
-        self._restore(result.trace.diff)
-        self._exact = exact or (check and result.structure_reports[0].ok)
-        return result
+        """Simulate ``steps`` automaton steps of ``tape``.
 
-    def raw_run(self, tape, rounds: int, engine: str,
-                stop_mode: str = "budget") -> RunTrace:
-        """Engine-level run on the shared assembly graph, restored afterwards.
-
-        Used to compare execution strategies round for round on the same
-        initial state.
+        Unmerged runs spend two engine rounds per step; merged runs one. The
+        returned tapes hold the extraction after every automaton step, padded
+        with the fixed point if the run stabilized early.
         """
         logical = validate_tape(tape)
-        self._set_tape(logical)
+        if steps < 0:
+            raise InputError(f"steps must be nonnegative, got {steps}")
+        assembly = self.assembly
+        if len(logical) != assembly.gmap.width:
+            raise InputError(f"runner is built for width {assembly.gmap.width}")
+        switched_on = self._set_tape(logical)
         exact, self._exact = self._exact, False
+
+        tapes = [extract_values(assembly)]
+        reports: list[StructureReport] = []
+        inconsistent: list[int] = []
+        if check:
+            reports.append(check_structure(assembly, round_index=0,
+                                           diff=switched_on if exact else None))
+
+        def observer(t, g, delta, diff):
+            round_index = 2 * (t + 1) if merged else t + 1
+            if check:
+                reports.append(check_structure(assembly, g, round_index, diff=diff))
+            if round_index % 2 == 0 and round_index // 2 <= steps:
+                vals = extract_values(assembly, g)
+                if None in vals:
+                    inconsistent.append(round_index // 2)
+                tapes.append(vals)
+
+        potential: Potential = rule110_potential(100)
         cfg = RunConfig(
-            graph=self.assembly.graph,
-            potential=rule110_potential(100),
+            graph=assembly.graph,
+            potential=two_step_merge(potential) if merged else potential,
             scheduler=CompleteScheduler(),
-            max_rounds=rounds,
+            max_rounds=max(steps if merged else 2 * steps, 1),
             stop_mode=stop_mode,
             engine=engine,
             copy_graph=False,
             record_rounds="all",
+            observers=(observer,),
         )
         trace = run(cfg)
         self._restore(trace.diff)
-        self._exact = exact
-        return trace
+        self._exact = exact or (check and reports[0].ok)
+        while len(tapes) < steps + 1:
+            tapes.append(list(tapes[-1]))
+        return SimulationResult(tapes=tapes, trace=trace, structure_reports=reports,
+                                inconsistent_rounds=inconsistent)
 
     def _set_tape(self, logical) -> frozenset:
         """Write the tape into the anchor pairs; returns the anchor pairs
@@ -546,14 +473,11 @@ class AssemblyRunner:
         ring = logical * 2 if gmap.ring_width != gmap.width else logical
         on = []
         for (cell, kind), sc in gmap.subcells.items():
-            want = bool(ring[cell])
-            if g.has_edge(*sc.anchors) != want:
-                if want:
-                    g.add_edge(*sc.anchors)
-                else:
-                    g.remove_edge(*sc.anchors)
-            if want:
+            if ring[cell]:
+                g.add_edge(*sc.anchors)
                 on.append(norm_pair(*sc.anchors))
+            else:
+                g.remove_edge(*sc.anchors)
         return frozenset(on)
 
     def _restore(self, diff) -> None:
@@ -574,8 +498,7 @@ class AssemblyRunner:
                 g.add_edge(u, v)
         for sc in gmap.subcells.values():
             g.remove_edge(*sc.anchors)
-        static = sorted(p for p in diff
-                        if p not in gmap.anchor_owner and p not in gmap.blinker_owner)
+        static = sorted(p for p in diff if p not in gmap.dynamic)
         if static:
             raise ContractError(
                 f"run toggled {len(static)} static pair(s); first: "

@@ -45,9 +45,6 @@ class SocialProfile:
     def n(self) -> int:
         return len(self.niceness)
 
-    def are_enemies(self, u: int, v: int) -> bool:
-        return norm_pair(u, v) in self.enemies
-
 
 def random_profile(n: int, seed: int, enemy_p: float = 0.0) -> SocialProfile:
     rng = random.Random(seed)
@@ -196,7 +193,6 @@ def star_protocol(seed: int) -> GeneralProtocol:
 def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
                 budget: int, seed: int = 0,
                 stop_predicate: Optional[Callable[[DynGraph], bool]] = None,
-                check_confinement: bool = True,
                 progress_check: bool = False) -> RunTrace:
     """Run a general rewrite protocol under a singleton-interaction scheduler.
 
@@ -221,7 +217,6 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
     rounds: list[RoundRecord] = []
     changed_rounds: list[int] = []
     tags: list[str] = []
-    last_change = None
     fp = graph_fingerprint(g)
     adj = g._adj
 
@@ -230,7 +225,7 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
     if stop_predicate is not None and stop_predicate(g):
         return RunTrace(rounds=[], verdict=Verdict("target", 0),
                         metadata={"protocol": protocol.name, "tags": []},
-                        final_graph=g, changed_rounds=[], last_change_round=None)
+                        final_graph=g, changed_rounds=[])
 
     verdict = Verdict("budget", budget)
     for t in range(budget):
@@ -243,7 +238,8 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
         delta, info = protocol.rewrite(g, u, v, rng)
         changed = not delta.empty
         pairs = delta.additions + delta.removals
-        if check_confinement and changed:
+        if changed:
+            changed_rounds.append(t)
             near = ball_nodes(g, u, v, 1)
             for a, b in pairs:
                 if not (_near(adj, a, near) or _near(adj, b, near)):
@@ -256,9 +252,6 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
         g.apply_delta(delta)
         for a, b in pairs:
             fp ^= edge_token(a, b)
-        if changed:
-            changed_rounds.append(t)
-            last_change = t
 
         if progress_check:
             new_comp = comp_count
@@ -289,8 +282,7 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
 
     return RunTrace(rounds=rounds, verdict=verdict,
                     metadata={"protocol": protocol.name, "tags": tags},
-                    final_graph=g, changed_rounds=changed_rounds,
-                    last_change_round=last_change)
+                    final_graph=g, changed_rounds=changed_rounds)
 
 
 def _near(adj: list[set[int]], x: int, ball: set[int]) -> bool:

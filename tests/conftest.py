@@ -65,6 +65,18 @@ def random_graph(n: int, p: float, seed: int) -> DynGraph:
     return g
 
 
+def blinker() -> DynGraph:
+    """Two 22-cliques sharing the pair (0, 1), whose edge the rule-110
+    potential flips every round: a cycle of period 2 from round 0."""
+    g = DynGraph(42)
+    for half in (range(2, 22), range(22, 42)):
+        nodes = [0, 1] + list(half)
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1:]:
+                g.add_edge(a, b)
+    return g
+
+
 def triangle() -> DynGraph:
     return DynGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 

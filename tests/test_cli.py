@@ -6,7 +6,7 @@ from abdyn.cli import main
 from abdyn.fileio import read_edgelist, read_trace, write_edgelist
 from abdyn.graph import graph_fingerprint
 
-from conftest import random_graph
+from conftest import blinker, random_graph
 
 
 @pytest.fixture
@@ -177,3 +177,50 @@ output.trace = -
 
 def test_usage_error_on_missing_mode_args(capsys):
     assert main(["verify", "--mode", "kcore"]) == 64
+
+
+@pytest.mark.parametrize("files, argv, where", [
+    ({}, ["rule110", "--tape", "01a0", "--steps", "1"], "'01a0'"),
+    ({"edges": "nodes x\n0 1\n"}, ["kcore", "{edges}", "2"], "edges:1"),
+    ({"script": "0-1\n0-a\n",
+      "cfg": "graph.generator = cycle\ngraph.n = 4\n"
+             "scheduler.name = scripted\nscheduler.script = {script}\n"},
+     ["run", "{cfg}"], "script:2"),
+    ({"profile": "0 1.0 1\n1 kind 1\n", "edges": "0 1\n"},
+     ["social", "--graph", "{edges}", "--profile", "{profile}", "--alpha", "2", "--beta", "8"],
+     "profile:2"),
+    ({"cfg": "graph.generator = cycle\ngraph.n = ten\n"}, ["run", "{cfg}"], "graph.n"),
+])
+def test_malformed_number_is_a_usage_error(tmp_path, capsys, files, argv, where):
+    paths = {name: str(tmp_path / name) for name in files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text.format(**paths))
+    assert main([arg.format(**paths) for arg in argv]) == 64
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stop, code, records", [
+    (None, 2, 2),               # cycle, the default: the run ends at the repeated state
+    ("budget", 2, 20),          # every round runs; the cycle is reported at the end
+    ("fixed_point", 64, None),
+])
+def test_run_stop_modes(tmp_path, capsys, stop, code, records):
+    gpath = tmp_path / "blinker.edges"
+    write_edgelist(blinker(), str(gpath))
+    trace_path = tmp_path / "out.trace"
+    cfg = write_config(tmp_path, f"""
+graph.file = {gpath}
+potential.name = rule110
+potential.alpha = 100
+potential.beta = 100
+scheduler.name = complete
+run.rounds = 20
+output.trace = {trace_path}
+""" + (f"run.stop = {stop}\n" if stop else ""))
+    assert main(["run", cfg]) == code
+    captured = capsys.readouterr()
+    if records is None:
+        assert "stop_mode" in captured.err
+        return
+    assert "verdict: cycle at round 0 (period 2)" in captured.out
+    assert len(read_trace(str(trace_path))["rounds"]) == records

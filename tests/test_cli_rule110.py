@@ -66,3 +66,8 @@ def test_rule110_dump_assembly(tmp_path, capsys):
     labels = (tmp_path / "dump.labels").read_text().splitlines()
     assert labels[0] == "0\tcell 0 d1 anchor0"
     assert len(labels) == fresh.graph.n
+
+
+def test_rule110_negative_steps_is_a_usage_error(capsys):
+    assert main(["rule110", "--tape", "0000", "--steps", "-1"]) == 64
+    assert "steps" in capsys.readouterr().err

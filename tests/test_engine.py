@@ -22,7 +22,7 @@ from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                               ScriptedScheduler, UniformRandomScheduler, all_pairs)
 from abdyn.social import niceness_g, random_profile
 
-from conftest import random_graph, triangle
+from conftest import blinker, random_graph, triangle
 
 
 def cycle_graph(n):
@@ -217,16 +217,7 @@ def test_active_route_budget_verdict():
 
 
 def test_cycle_detection_exact_period_two():
-    # two 22-cliques sharing an open special pair flip forever
-    g = DynGraph(42)
-    for half in (range(2, 22), range(22, 42)):
-        nodes = [0, 1] + list(half)
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                if {a, b} != {0, 1}:
-                    g.add_edge(a, b)
-    g.add_edge(0, 1)
-    trace = run(RunConfig(graph=g, potential=rule110_potential(100),
+    trace = run(RunConfig(graph=blinker(), potential=rule110_potential(100),
                           scheduler=CompleteScheduler(), max_rounds=50,
                           stop_mode="cycle"))
     assert trace.verdict.kind == "cycle"
@@ -241,6 +232,8 @@ def test_max_rounds_validation():
         RunConfig(max_rounds=0, **base)
     with pytest.raises(ConfigError, match="record_rounds"):
         RunConfig(max_rounds=1, record_rounds="change", **base)
+    with pytest.raises(ConfigError, match="stop_mode"):
+        RunConfig(max_rounds=1, stop_mode="fixed_point", **base)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from abdyn.graph import DynGraph, edge_codes
 from abdyn.potentials import rule110_potential
 from abdyn.rule110 import (CELL_BLOCK, KINDS, SUBCELL_BLOCK, AssemblyRunner,
                            build_assembly, check_structure, extract_values,
-                           reference_run, reference_step, simulate)
+                           reference_run, reference_step, subcell_bits)
 
 RULE_TABLE = {  # patterns 111..000 mapped to the bits of 0b01101110
     (1, 1, 1): 0, (1, 1, 0): 1, (1, 0, 1): 1, (1, 0, 0): 0,
@@ -146,11 +146,13 @@ def test_structure_flags_tampered_static_edge(asm4):
     g.remove_edge(internal, partner)
     report = check_structure(asm4, g, round_index=0)
     assert any(v.kind == "static_edge" for v in report.violations)
+    # the engine's diff set reports the same violation as the full compare
+    assert check_structure(asm4, g, round_index=0, diff={(internal, partner)}) == report
 
 
 def test_extraction_consistency_and_diagnostics(asm4):
     assert extract_values(asm4) == [0, 1, 1, 0]
-    bits = extract_values(asm4, per_subcell=True)
+    bits = subcell_bits(asm4)
     assert bits[(1, "d1")] == 1 and bits[(0, "f2")] == 0
     g = asm4.graph.copy()
     sc = asm4.gmap.subcells[(2, "f1")]
@@ -167,18 +169,13 @@ def test_describe_node_and_pair(asm4):
     assert gmap.describe_pair(sc.anchors) == "anchor pair of cell 1 f2"
 
 
-def test_simulate_one_step_matches_reference(asm4):
-    res = simulate([0, 1, 1, 0], steps=1, check=True)
-    assert res.ok
-    assert [tuple(t) for t in res.tapes] == reference_run((0, 1, 1, 0), 1)
-    assert all(r.ok for r in res.structure_reports)
-
-
 def test_runner_restores_between_tapes():
     runner = AssemblyRunner(4)
     first = runner.run([1, 0, 0, 1], steps=1)
     second = runner.run([0, 0, 1, 0], steps=1)
-    assert first.matches_reference() and second.matches_reference()
+    assert first.ok and second.ok
+    assert [tuple(t) for t in first.tapes] == reference_run((1, 0, 0, 1), 1)
+    assert second.matches_reference()
     assert extract_values(runner.assembly) == [0, 0, 0, 0]
     assert check_structure(runner.assembly, round_index=0).ok
     assert runner.assembly.graph == build_assembly((0, 0, 0, 0)).graph
@@ -186,6 +183,8 @@ def test_runner_restores_between_tapes():
 
 def test_runner_restores_the_built_width3_graph():
     runner = AssemblyRunner(3)
+    with pytest.raises(InputError, match="steps"):
+        runner.run((0, 1, 1), steps=-1)
     result = runner.run((0, 1, 1), steps=1)
     assert result.ok and result.matches_reference()
     assert result.trace.diff    # anchors and blinkers did toggle
