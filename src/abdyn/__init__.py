@@ -1,7 +1,7 @@
 """Thresholded structural network dynamics: engine, rule catalog, verifiers."""
 
 from .engine import (RunConfig, RunTrace, Verdict, check_degree_properties,
-                     decide_pairs, degree_classes, frozen_nodes, run)
+                     decide_pairs, degree_classes, run)
 from .errors import AbdynError, ConfigError, ContractError, InputError
 from .graph import DynGraph, EdgeDelta, graph_fingerprint, induced_ball
 from .kcore import CoreDecomposition, peel, verify_kcore_run

@@ -107,6 +107,8 @@ def _scheduler_from_config(cfg: dict, graph: DynGraph, profile=None):
     if name == "round_robin":
         return FairRoundRobinScheduler(_number(cfg, "scheduler.batch", "1"))
     if name == "scripted":
+        if "scheduler.script" not in cfg:
+            raise ConfigError("scripted scheduler needs config key scheduler.script")
         script = read_interaction_script(cfg["scheduler.script"])
         fair = cfg.get("scheduler.fair", "false").lower() == "true"
         return ScriptedScheduler(script, graph.n, repeat=True, claim_fair=fair)
@@ -117,19 +119,27 @@ def _scheduler_from_config(cfg: dict, graph: DynGraph, profile=None):
     raise ConfigError(f"unknown scheduler {name!r}")
 
 
-def _load_profile(cfg: dict):
-    path = cfg.get("potential.profile")
-    if path is None:
-        return None
+def _read_profile(path: str) -> SocialProfile:
     niceness, extroversion, enemies = read_social_profile(path)
     return SocialProfile(niceness=niceness, extroversion=extroversion, enemies=enemies)
+
+
+def _finish(trace, graph_path=None) -> int:
+    """Print the verdict, write the final graph to ``graph_path`` if one is
+    given, and return the verdict's exit code."""
+    v = trace.verdict
+    print(f"verdict: {v.kind} at round {v.round}"
+          + (f" (period {v.period})" if v.period else ""))
+    if graph_path:
+        write_edgelist(trace.final_graph, graph_path)
+    return _VERDICT_CODES.get(v.kind, EXIT_BUDGET)
 
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     seed = _number(cfg, "seed", "0")
     graph = _build_graph(cfg)
-    profile = _load_profile(cfg)
+    profile = _read_profile(cfg["potential.profile"]) if "potential.profile" in cfg else None
     if profile is not None and profile.n != graph.n:
         raise ConfigError(
             f"potential.profile describes {profile.n} nodes, graph has {graph.n}")
@@ -159,12 +169,7 @@ def cmd_run(args) -> int:
         else:
             with open(target, "w") as fh:
                 _emit(fh)
-    if "output.graph" in cfg:
-        write_edgelist(trace.final_graph, cfg["output.graph"])
-    v = trace.verdict
-    print(f"verdict: {v.kind} at round {v.round}"
-          + (f" (period {v.period})" if v.period else ""))
-    return _VERDICT_CODES.get(v.kind, EXIT_BUDGET)
+    return _finish(trace, cfg.get("output.graph"))
 
 
 def cmd_kcore(args) -> int:
@@ -179,6 +184,8 @@ def cmd_kcore(args) -> int:
 
 def cmd_rule110(args) -> int:
     tape = validate_tape(args.tape)
+    if args.steps < 0:
+        raise InputError(f"steps must be nonnegative, got {args.steps}")
     if args.dump_assembly:
         assembly = build_assembly(tape)
         write_edgelist(assembly.graph, args.dump_assembly + ".edges")
@@ -191,12 +198,8 @@ def cmd_rule110(args) -> int:
         print(f"step {k}: " + "".join("?" if c is None else str(c) for c in extracted))
     ok = result.ok and result.matches_reference()
     print(f"reference match: {'yes' if ok else 'NO'}")
-    v = result.trace.verdict
-    print(f"verdict: {v.kind} at round {v.round}"
-          + (f" (period {v.period})" if v.period else ""))
-    if not ok:
-        return EXIT_VERIFY_FAIL
-    return _VERDICT_CODES.get(v.kind, EXIT_BUDGET)
+    code = _finish(result.trace)
+    return code if ok else EXIT_VERIFY_FAIL
 
 
 def cmd_star(args) -> int:
@@ -208,16 +211,11 @@ def cmd_star(args) -> int:
     trace = run_general(g, star_protocol(args.seed), scheduler,
                         budget=args.budget, seed=args.seed,
                         stop_predicate=star_predicate)
-    v = trace.verdict
-    print(f"verdict: {v.kind} at round {v.round}")
-    if args.out:
-        write_edgelist(trace.final_graph, args.out)
-    return _VERDICT_CODES.get(v.kind, EXIT_BUDGET)
+    return _finish(trace, args.out)
 
 
 def cmd_social(args) -> int:
-    niceness, extroversion, enemies = read_social_profile(args.profile)
-    profile = SocialProfile(niceness=niceness, extroversion=extroversion, enemies=enemies)
+    profile = _read_profile(args.profile)
     g = read_edgelist(args.graph)
     if g.n != profile.n:
         raise ConfigError(f"graph has {g.n} nodes but profile describes {profile.n}")
@@ -226,11 +224,7 @@ def cmd_social(args) -> int:
     scheduler = SocialScheduler(profile, args.gamma)
     trace = run(RunConfig(graph=g, potential=potential, scheduler=scheduler,
                           max_rounds=args.rounds))
-    v = trace.verdict
-    print(f"verdict: {v.kind} at round {v.round}")
-    if args.out:
-        write_edgelist(trace.final_graph, args.out)
-    return _VERDICT_CODES.get(v.kind, EXIT_BUDGET)
+    return _finish(trace, args.out)
 
 
 def cmd_verify(args) -> int:

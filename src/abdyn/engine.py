@@ -45,6 +45,12 @@ certificates, which changes no decision:
 Cycle detection compares exact edge-set differences from the initial graph
 (plus the scheduler phase), so a cycle verdict is never a false positive;
 fingerprints appear in traces only as cheap labels.
+
+The same loop runs a rewrite protocol (:class:`abdyn.social.GeneralProtocol`
+passed as ``RunConfig.potential``) through its stepper. Such a run has no
+stabilization rules, sweeps or cycle keys: it ends with verdict ``target``
+when the protocol's ``stop`` predicate holds, checked before round 0 and
+after each changed round, or with ``budget``.
 """
 
 from __future__ import annotations
@@ -112,7 +118,7 @@ class RunTrace:
 @dataclass
 class RunConfig:
     graph: DynGraph
-    potential: Potential
+    potential: Potential                    # or a social.GeneralProtocol
     scheduler: Scheduler
     max_rounds: int
     stop_mode: str = "cycle"                # cycle | budget
@@ -363,6 +369,9 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
     mode = cfg.engine
     sched = cfg.scheduler
     pot = cfg.potential
+    if not isinstance(pot, Potential):
+        from . import social
+        return social.RewriteStepper(g, pot, sched)
     npairs = pair_count(g.n)
     merged_capable = pot.merged_base is not None and pot.merged_base.pair_stats is not None
     if mode == "auto":
@@ -400,15 +409,21 @@ def run(config: RunConfig) -> RunTrace:
     sched.reset(g)
 
     stepper = _make_stepper(config, g)
+    rule = config.potential
+    # A rewrite protocol's coin tie changes nothing but proves no fixed point,
+    # so its run ends only at its goal (verdict target) or the budget.
+    settles = isinstance(rule, Potential)
+    stop = None if settles else rule.stop
 
     record_all = config.record_rounds == "all" or (
         config.record_rounds == "auto" and config.max_rounds <= 100_000)
 
     fp = graph_fingerprint(g)
-    degree_counter = Counter(map(len, g._adj))
+    degrees = list(map(len, g._adj))
+    degree_counter = Counter(degrees)
     diff: set[tuple[int, int]] = set()
 
-    track_cycles = sched.deterministic
+    track_cycles = settles and sched.deterministic
     # insertion-ordered, so the first key is the oldest
     history: dict[tuple, int] = {}
     if track_cycles:
@@ -422,12 +437,12 @@ def run(config: RunConfig) -> RunTrace:
 
     window = min(coupon_streak_default(g.n), 4 * pair_count(g.n) + 8)
     sweep_allowed = pair_count(g.n) <= NAIVE_PAIR_LIMIT
-    verdict: Optional[Verdict] = None
+    verdict = Verdict("target", 0) if stop is not None and stop(g) else None
     fast = stepper if isinstance(stepper, ActiveSetStepper) else None
     quiet_delta = EdgeDelta()
 
     t = 0
-    while True:
+    while verdict is None:
         if fast is not None:
             if not fast.active:
                 # Without a change the set is still the exact all-pairs
@@ -454,10 +469,8 @@ def run(config: RunConfig) -> RunTrace:
         changed = not delta.empty
 
         if changed:
-            _bookkeep(delta, g, degree_counter, diff)
-            for u, v in delta.additions:
-                fp ^= edge_token(u, v)
-            for u, v in delta.removals:
+            _bookkeep(delta, g, degrees, degree_counter, diff)
+            for u, v in chain(delta.additions, delta.removals):
                 fp ^= edge_token(u, v)
             changed_rounds.append(t)
             quiet_streak = 0
@@ -471,13 +484,15 @@ def run(config: RunConfig) -> RunTrace:
             deltas.append(delta)
         for obs in config.observers:
             obs(t, g, delta, diff)
+        if changed and stop is not None and stop(g):
+            verdict = Verdict("target", t + 1)
+            break
 
         # stabilization by scheduler contract
         stabilized = False
-        if not changed:
-            if sched.is_complete or sched.graph_driven:
-                stabilized = True
-            elif sched.fairness_period is not None and quiet_streak >= sched.fairness_period:
+        if settles and not changed:
+            if sched.is_complete or sched.graph_driven or (
+                    sched.fairness_period is not None and quiet_streak >= sched.fairness_period):
                 stabilized = True
             elif sched.fairness_period is None and not sched.deterministic \
                     and quiet_streak >= window and sweep_allowed:
@@ -510,49 +525,39 @@ def run(config: RunConfig) -> RunTrace:
     if verdict is None:
         verdict = cycle_seen if cycle_seen is not None else Verdict("budget", config.max_rounds)
 
-    metadata = {
-        "potential": config.potential.name,
-        "potential_params": config.potential.params,
-        "scheduler": sched.name,
-        "scheduler_params": sched.params(),
-        "prune": stepper.prune,
-        "engine": type(stepper).__name__,
-        "n": g.n,
-        "half_step_rounds": (config.potential.name == "rule110"),
-    }
+    if settles:
+        metadata = {
+            "potential": rule.name,
+            "potential_params": rule.params,
+            "scheduler": sched.name,
+            "scheduler_params": sched.params(),
+            "prune": stepper.prune,
+            "engine": type(stepper).__name__,
+            "n": g.n,
+            "half_step_rounds": (rule.name == "rule110"),
+        }
+    else:
+        metadata = {"protocol": rule.name, "tags": stepper.tags}
     return RunTrace(rounds=rounds, verdict=verdict, metadata=metadata, final_graph=g,
                     changed_rounds=changed_rounds, deltas=deltas, diff=diff)
 
 
-def _bookkeep(delta: EdgeDelta, g: DynGraph, counter: Counter, diff: set) -> None:
-    """Update the degree-class counter and the diff-from-initial set after
-    the delta has been applied."""
-    shift = Counter()
-    for u, v in delta.additions:
-        shift[u] += 1
-        shift[v] += 1
-        pair = (u, v)
-        if pair in diff:
-            diff.discard(pair)
-        else:
-            diff.add(pair)
-    for u, v in delta.removals:
-        shift[u] -= 1
-        shift[v] -= 1
-        pair = (u, v)
-        if pair in diff:
-            diff.discard(pair)
-        else:
-            diff.add(pair)
-    for node, ch in shift.items():
-        if ch == 0:
-            continue
-        new = len(g._adj[node])
-        old = new - ch
-        counter[old] -= 1
-        if counter[old] == 0:
-            del counter[old]
-        counter[new] += 1
+def _bookkeep(delta: EdgeDelta, g: DynGraph, degrees: list[int], counter: Counter,
+              diff: set) -> None:
+    """Update the degrees, their class counter and the diff-from-initial set
+    after the delta has been applied; an endpoint met again is up to date."""
+    pairs = delta.additions + delta.removals
+    diff.symmetric_difference_update(pairs)
+    adj = g._adj
+    for x in chain.from_iterable(pairs):
+        new = len(adj[x])
+        old = degrees[x]
+        if new != old:
+            degrees[x] = new
+            counter[old] -= 1
+            if not counter[old]:
+                del counter[old]
+            counter[new] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -684,24 +689,6 @@ def _pair_violations(t: int, g: DynGraph, h: DynGraph) -> list[PropertyViolation
     names = np.where(kinds == 0, "P1", np.where(dg[i] == dg[j], "P2", "L4"))
     return [PropertyViolation(str(name), t, (int(u), int(w)))
             for name, u, w in zip(names, order[i], order[j])]
-
-
-def frozen_nodes(trace: RunTrace, window: int) -> set[int]:
-    """Nodes untouched by any delta over the last ``window`` recorded rounds,
-    hence with unchanged neighborhoods there. Requires record_deltas."""
-    if window < 1:
-        raise ConfigError(f"window must be positive, got {window}")
-    if trace.deltas is None:
-        raise ConfigError("run was not configured with record_deltas=True")
-    touched: set[int] = set()
-    for delta in trace.deltas[-window:]:
-        for u, v in delta.additions:
-            touched.add(u)
-            touched.add(v)
-        for u, v in delta.removals:
-            touched.add(u)
-            touched.add(v)
-    return set(range(trace.final_graph.n)) - touched
 
 
 def snapshot_observer(store: list):

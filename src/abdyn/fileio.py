@@ -17,7 +17,7 @@ one record per round and a verdict record. Round fingerprints are those of
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable
+from typing import IO
 
 from .errors import InputError
 from .graph import DynGraph, fingerprint_hex, norm_pair
@@ -84,12 +84,6 @@ def read_interaction_script(path: str) -> list[list[tuple[int, int]]]:
                         raise _malformed(path, lineno, line) from None
             rounds.append(pairs)
     return rounds
-
-
-def write_interaction_script(rounds: Iterable[Iterable[tuple[int, int]]], path: str) -> None:
-    with open(path, "w") as fh:
-        for pairs in rounds:
-            fh.write(" ".join(f"{u}-{v}" for u, v in pairs) + "\n")
 
 
 def read_social_profile(path: str):
@@ -165,18 +159,22 @@ class TraceWriter:
 def read_trace(path: str) -> dict:
     """Load a trace file back into {header, rounds, verdict}.
 
-    Raises InputError unless the header declares format TRACE_FORMAT.
+    Raises InputError, naming the line, for a line that is not a JSON record
+    with a ``type``, and unless the header declares format TRACE_FORMAT.
     """
     header = None
     rounds = []
     verdict = None
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             raw = raw.strip()
             if not raw:
                 continue
-            rec = json.loads(raw)
-            kind = rec.pop("type")
+            try:
+                rec = json.loads(raw)
+                kind = rec.pop("type")
+            except (ValueError, TypeError, AttributeError, KeyError):
+                raise InputError(f"{path}:{lineno}: malformed trace record") from None
             if kind == "header":
                 header = rec
             elif kind == "round":

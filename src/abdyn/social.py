@@ -14,13 +14,17 @@ threshold rule: a pairwise interaction may rewire everything up to distance
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
-from .engine import RoundRecord, RunTrace, Verdict
+from .engine import RunConfig, RunTrace, run
 from .errors import ConfigError, ContractError
-from .graph import DynGraph, EdgeDelta, ball_nodes, edge_token, graph_fingerprint, norm_pair
+from .graph import DynGraph, EdgeDelta, ball_nodes, norm_pair
+# unused here: perfbench/tracer.py wraps them by name until ROADMAP item 1 step B
+from .graph import edge_token, graph_fingerprint  # noqa: F401
 from .schedulers import Scheduler
 
 
@@ -81,10 +85,16 @@ def niceness_g(profile: SocialProfile) -> Callable:
 class GeneralProtocol:
     """A pairwise rewrite rule confined to distance 2 from the interacting
     pair. ``rewrite`` returns the delta plus a round annotation used by
-    progress accounting."""
+    progress accounting. As ``RunConfig.potential`` it runs in
+    :func:`abdyn.engine.run` with the goal ``stop`` (verdict ``target``),
+    ``random.Random(seed)`` handed to every rewrite, and, with
+    ``progress_check``, every round tagged (see :func:`run_general`)."""
 
     name: str
     rewrite: Callable[[DynGraph, int, int, random.Random], tuple[EdgeDelta, dict]]
+    stop: Optional[Callable[[DynGraph], bool]] = None
+    seed: int = 0
+    progress_check: bool = False
 
 
 def star_predicate(g: DynGraph) -> bool:
@@ -200,67 +210,71 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
     when exhausted. Each rewrite is validated against the distance-2
     confinement contract. With ``progress_check`` every round is classified
     as component-merge, leaf-settling or tie and the classification is
-    verified; the per-round tags are stored in the trace metadata.
+    verified; the per-round tags are stored in the trace metadata. Only the
+    rounds that change the graph are recorded.
+    """
+    rule = replace(protocol, stop=stop_predicate, seed=seed, progress_check=progress_check)
+    return run(RunConfig(graph=g0, potential=rule, scheduler=scheduler, max_rounds=budget,
+                         record_rounds="changes"))
+
+
+class RewriteStepper:
+    """One round of a :class:`GeneralProtocol`: the scheduler's single pair
+    is rewritten, the rewrite checked against the confinement contract and
+    applied, and with ``progress_check`` the round tagged in ``tags``.
 
     A round's checks cost about as much as the rewrite's neighbourhood. The
     confinement test reads the radius-1 ball N1 of (u, v): a node is within
     distance 2 iff it is in N1 or has a neighbour there, so the test costs
     O(deg u + deg v + |delta| * min degree). The component count changes
     only in components that hold an endpoint of the delta; they are counted
-    before and after it by searches from those endpoints that stop when
-    they meet (``_touched_components``). An empty delta is not counted, and
-    in a connected graph the count before is 1 without a search.
+    before and after it by searches from those endpoints that stop when they
+    meet (``_touched_components``). An empty delta is not counted. In a
+    connected graph the count before is 1 without a search, and so is the
+    count after when every endpoint is the hub of the additions or adjacent
+    to it (``_touched_after``).
     """
-    g = g0.copy()
-    scheduler.reset(g)
-    rng = random.Random(seed)
-    rounds: list[RoundRecord] = []
-    changed_rounds: list[int] = []
-    tags: list[str] = []
-    fp = graph_fingerprint(g)
-    adj = g._adj
 
-    comp_count = _touched_components(adj, range(g.n)) if progress_check else 0
+    def __init__(self, g: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler):
+        self.g = g
+        self.protocol = protocol
+        self.scheduler = scheduler
+        self.rng = random.Random(protocol.seed)
+        self.tags: list[str] = []
+        self.components = (_touched_components(g._adj, range(g.n))
+                           if protocol.progress_check else 0)
 
-    if stop_predicate is not None and stop_predicate(g):
-        return RunTrace(rounds=[], verdict=Verdict("target", 0),
-                        metadata={"protocol": protocol.name, "tags": []},
-                        final_graph=g, changed_rounds=[])
-
-    verdict = Verdict("budget", budget)
-    for t in range(budget):
-        inter = scheduler.interactions(t, g)
+    def advance(self, t: int) -> tuple[EdgeDelta, int]:
+        g = self.g
+        adj = g._adj
+        inter = self.scheduler.interactions(t, g)
         if len(inter) != 1:
             raise ConfigError(
                 f"general protocols need singleton interactions, got {len(inter)} in round {t}")
         inter.validate(g.n)
         u, v = next(iter(inter))
-        delta, info = protocol.rewrite(g, u, v, rng)
-        changed = not delta.empty
+        delta, info = self.protocol.rewrite(g, u, v, self.rng)
         pairs = delta.additions + delta.removals
-        if changed:
-            changed_rounds.append(t)
+        if pairs:
             near = ball_nodes(g, u, v, 1)
             for a, b in pairs:
                 if not (_near(adj, a, near) or _near(adj, b, near)):
                     raise ContractError(
                         f"rewrite touched pair ({a},{b}) outside distance 2 of ({u},{v})")
-        if progress_check and changed:
+        progress = self.protocol.progress_check
+        if progress and pairs:
             ends = {x for pair in pairs for x in pair}
             # a connected graph holds every endpoint in its one component
-            touched_before = 1 if comp_count == 1 else _touched_components(adj, ends)
+            before = 1 if self.components == 1 else _touched_components(adj, ends)
         g.apply_delta(delta)
-        for a, b in pairs:
-            fp ^= edge_token(a, b)
-
-        if progress_check:
-            new_comp = comp_count
-            if changed:
-                new_comp += _touched_components(adj, ends) - touched_before
-            if new_comp < comp_count:
+        if progress:
+            count = self.components
+            if pairs:
+                count += _touched_after(adj, delta, ends) - before
+            if count < self.components:
                 tag = "merge"
             elif info.get("tie"):
-                if changed:
+                if pairs:
                     raise ContractError(f"tie round {t} changed the graph")
                 tag = "tie"
             else:
@@ -270,19 +284,23 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
                             f"round {t}: node {leaf} should have settled as a leaf, "
                             f"degree {g.degree(leaf)}")
                 tag = "leaf"
-            comp_count = new_comp
-            tags.append(tag)
+            self.tags.append(tag)
+            self.components = count
+        return delta, 1
 
-        if changed:
-            rounds.append(RoundRecord(t, 1, len(delta.additions), len(delta.removals),
-                                      0, fp))
-        if stop_predicate is not None and changed and stop_predicate(g):
-            verdict = Verdict("target", t + 1)
-            break
 
-    return RunTrace(rounds=rounds, verdict=verdict,
-                    metadata={"protocol": protocol.name, "tags": tags},
-                    final_graph=g, changed_rounds=changed_rounds)
+def _touched_after(adj: list[set[int]], delta: EdgeDelta, ends: set[int]) -> int:
+    """Number of components that hold a node of ``ends``, the endpoints of
+    the applied ``delta``. If every endpoint is the hub (the endpoint of the
+    most additions) or adjacent to it, that is 1 at O(|delta|) cost;
+    otherwise ``_touched_components`` counts."""
+    hits = Counter(chain.from_iterable(delta.additions))
+    if hits:
+        hub = max(hits, key=hits.__getitem__)
+        nbrs = adj[hub]
+        if all(x == hub or x in nbrs for x in ends):
+            return 1
+    return _touched_components(adj, ends)
 
 
 def _near(adj: list[set[int]], x: int, ball: set[int]) -> bool:

@@ -137,6 +137,33 @@ output.trace = {trace_path}
         assert "trace format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ['{"type": "header", "format": 2, "se',    # truncated
+                                  '[1, 2]', '{"format": 2}'])
+def test_malformed_trace_is_a_usage_error(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, """
+graph.generator = complete
+graph.n = 6
+potential.name = proper_degree
+potential.f = sum
+potential.alpha = 9
+potential.beta = 9
+""")
+    trace_path = tmp_path / "cut.trace"
+    trace_path.write_text(line + "\n")
+    assert main(["verify", "--mode", "degree-props", "--config", cfg,
+                 "--trace", str(trace_path)]) == 64
+    assert "cut.trace:1: malformed trace record" in capsys.readouterr().err
+
+
+def test_scripted_scheduler_without_script_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, """graph.generator = cycle
+graph.n = 4
+scheduler.name = scripted
+""")
+    assert main(["run", cfg]) == 64
+    assert "scheduler.script" in capsys.readouterr().err
+
+
 def test_star_subcommand(tmp_path, capsys):
     out_path = tmp_path / "star.edges"
     code = main(["star", "--n", "14", "--p", "0.2", "--seed", "4",

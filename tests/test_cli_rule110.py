@@ -3,6 +3,7 @@ the smallest ring costs a few seconds."""
 
 import pytest
 
+from abdyn import cli, rule110
 from abdyn.cli import main
 from abdyn.fileio import read_edgelist, write_edgelist
 from abdyn.rule110 import build_assembly
@@ -68,6 +69,10 @@ def test_rule110_dump_assembly(tmp_path, capsys):
     assert len(labels) == fresh.graph.n
 
 
-def test_rule110_negative_steps_is_a_usage_error(capsys):
+def test_rule110_negative_steps_is_a_usage_error(capsys, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the step count is refused before any build")
+    monkeypatch.setattr(rule110, "build_assembly", unexpected)
+    monkeypatch.setattr(cli, "build_assembly", unexpected)
     assert main(["rule110", "--tape", "0000", "--steps", "-1"]) == 64
     assert "steps" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from abdyn import engine as engine_module
 from abdyn.engine import (RunConfig, Verdict, check_degree_properties, decide_pairs,
-                          degree_classes, frozen_nodes, run, snapshot_observer)
+                          degree_classes, run, snapshot_observer)
 from abdyn.errors import ConfigError, ContractError
 from abdyn.fastpath import IncrementalStepper
 from abdyn.graph import DynGraph, EdgeDelta, graph_fingerprint
@@ -596,40 +596,6 @@ def test_stabilization_bound_small_sample():
         assert trace.verdict.kind == "stabilized"
         last = trace.last_change_round
         assert last is None or last + 1 <= classes0 + 1
-
-
-def test_frozen_nodes():
-    pot = min_degree_potential(2, 100)
-    trace = run(RunConfig(graph=path_graph(5), potential=pot,
-                          scheduler=CompleteScheduler(), max_rounds=20,
-                          record_deltas=True))
-    assert trace.verdict.kind == "stabilized"
-    assert frozen_nodes(trace, 1) == set(range(5))
-    with pytest.raises(ConfigError):
-        frozen_nodes(trace, 0)
-    # isolated node under deletion dynamics freezes once isolated
-    g = DynGraph.from_edges(3, [(0, 1)])
-    tr = run(RunConfig(graph=g, potential=min_degree_potential(2, 100),
-                       scheduler=CompleteScheduler(), max_rounds=20,
-                       record_deltas=True, stop_mode="budget"))
-    assert 2 in frozen_nodes(tr, len(tr.deltas))
-
-
-def test_frozen_nodes_excludes_flipping_pair():
-    g = DynGraph(42)
-    for half in (range(2, 22), range(22, 42)):
-        nodes = [0, 1] + list(half)
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                if {a, b} != {0, 1}:
-                    g.add_edge(a, b)
-    g.add_edge(0, 1)
-    trace = run(RunConfig(graph=g, potential=rule110_potential(100),
-                          scheduler=CompleteScheduler(), max_rounds=6,
-                          stop_mode="budget", record_deltas=True))
-    frozen = frozen_nodes(trace, 2)
-    assert 0 not in frozen and 1 not in frozen
-    assert 5 in frozen
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 import pytest
 
 from abdyn.errors import InputError
-from abdyn.fileio import (read_edgelist, read_interaction_script,
-                          read_social_profile, write_edgelist,
-                          write_interaction_script)
+from abdyn.fileio import (read_edgelist, read_interaction_script, read_social_profile,
+                          write_edgelist)
 from abdyn.graph import graph_fingerprint
 
 from conftest import random_graph
@@ -36,9 +35,8 @@ def test_edgelist_bad_lines(tmp_path):
 
 
 def test_script_roundtrip(tmp_path):
-    rounds = [[(0, 1), (2, 3)], [], [(1, 2)]]
     path = tmp_path / "sched.txt"
-    write_interaction_script(rounds, str(path))
+    path.write_text("0-1 3-2\n\n# a comment line is no round\n2-1\n")
     back = read_interaction_script(str(path))
     assert back == [[(0, 1), (2, 3)], [], [(1, 2)]]
 

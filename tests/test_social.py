@@ -1,10 +1,12 @@
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abdyn.engine import RunConfig, run
+from abdyn import social
+from abdyn.engine import RunConfig, Verdict, run
 from abdyn.errors import ConfigError, ContractError
 from abdyn.generators import random_connected
 from abdyn.graph import DynGraph, EdgeDelta, ball_nodes, graph_fingerprint, norm_pair
@@ -348,39 +350,68 @@ def component_count(g) -> int:
     return len(set(brute_component_labels(g)))
 
 
-def reference_progress(g0, protocol, seed, budget, stop):
-    """The progress tags, verdict round and component counts of a run,
-    recounting every component from scratch after every round."""
+class Reference(NamedTuple):
+    records: list               # (t, added, removed, classes, fingerprint) of changed rounds
+    changed_rounds: list
+    verdict: tuple              # (kind, round)
+    final: DynGraph
+    tags: list
+    counts: list                # component count before round 0 and after each round
+
+
+def reference_run(g0, protocol, scheduler, seed, budget, stop=None) -> Reference:
+    """A rewrite run as a plain loop of its own, recounting components,
+    degree classes and the fingerprint from scratch after every round."""
     g = g0.copy()
-    sched = UniformRandomScheduler(seed)
-    sched.reset(g)
+    scheduler.reset(g)
     rng = random.Random(seed)
     counts = [component_count(g)]
-    if stop(g):
-        return [], 0, counts
-    tags = []
+    records, changed, tags = [], [], []
+    if stop is not None and stop(g):
+        return Reference(records, changed, ("target", 0), g, tags, counts)
     for t in range(budget):
-        (u, v), = sched.interactions(t, g)
+        (u, v), = scheduler.interactions(t, g)
         delta, info = protocol.rewrite(g, u, v, rng)
         g.apply_delta(delta)
         counts.append(component_count(g))
         tags.append("merge" if counts[-1] < counts[-2] else "tie" if info["tie"] else "leaf")
-        if not delta.empty and stop(g):
-            return tags, t + 1, counts
-    return tags, budget, counts
+        if delta.empty:
+            continue
+        classes = len({g.degree(x) for x in range(g.n)})
+        records.append((t, len(delta.additions), len(delta.removals), classes,
+                        graph_fingerprint(g)))
+        changed.append(t)
+        if stop is not None and stop(g):
+            return Reference(records, changed, ("target", t + 1), g, tags, counts)
+    return Reference(records, changed, ("budget", budget), g, tags, counts)
+
+
+def assert_matches_reference(trace, ref: Reference) -> None:
+    assert [(r.t, r.added, r.removed, r.classes, r.fingerprint)
+            for r in trace.rounds] == ref.records
+    assert all(r.interactions == 1 for r in trace.rounds)
+    assert trace.changed_rounds == ref.changed_rounds
+    assert (trace.verdict.kind, trace.verdict.round) == ref.verdict
+    assert trace.final_graph == ref.final
+    assert trace.metadata == {"protocol": trace.metadata["protocol"], "tags": ref.tags}
 
 
 def empty_graph(g) -> bool:
     return g.m == 0
 
 
-@given(small_graphs(min_n=2, max_n=12), st.integers(0, 2 ** 16))
-def test_progress_tags_match_full_recounts(g, seed):
-    trace = run_general(g, toggle_protocol(), UniformRandomScheduler(seed), budget=30,
-                        seed=seed, stop_predicate=empty_graph, progress_check=True)
-    tags, verdict_round, _ = reference_progress(g, toggle_protocol(), seed, 30, empty_graph)
-    assert trace.metadata["tags"] == tags
-    assert trace.verdict.round == verdict_round
+PROTOCOLS = {"toggle": (lambda seed: toggle_protocol(), empty_graph),
+             "star": (star_protocol, star_predicate)}
+
+
+@given(small_graphs(min_n=2, max_n=12), st.integers(0, 2 ** 16),
+       st.sampled_from(sorted(PROTOCOLS)))
+def test_progress_tags_match_full_recounts(g, seed, name):
+    make, stop = PROTOCOLS[name]
+    trace = run_general(g, make(seed), UniformRandomScheduler(seed), budget=30,
+                        seed=seed, stop_predicate=stop, progress_check=True)
+    ref = reference_run(g, make(seed), UniformRandomScheduler(seed), seed, 30, stop)
+    assert_matches_reference(trace, ref)
 
 
 def test_toggle_protocol_merges_and_splits():
@@ -389,8 +420,71 @@ def test_toggle_protocol_merges_and_splits():
         g = random_graph(10, 0.15, seed)
         trace = run_general(g, toggle_protocol(), UniformRandomScheduler(seed), budget=60,
                             seed=seed, progress_check=True)
-        tags, _, counts = reference_progress(g, toggle_protocol(), seed, 60, lambda g: False)
-        assert trace.metadata["tags"] == tags
-        merges += tags.count("merge")
-        splits += sum(b > a for a, b in zip(counts, counts[1:]))
+        ref = reference_run(g, toggle_protocol(), UniformRandomScheduler(seed), seed, 60)
+        assert_matches_reference(trace, ref)
+        merges += ref.tags.count("merge")
+        splits += sum(b > a for a, b in zip(ref.counts, ref.counts[1:]))
     assert merges >= 50 and splits >= 50
+
+
+def test_rewrite_runs_never_stabilize_or_cycle():
+    # Two stars whose hubs 0 and 3 have equal degree, and a deterministic
+    # script that repeats (0, 3): a coin tie there changes nothing. A
+    # threshold rule's run would stop at its first quiet round, whose cycle
+    # key repeats the initial one.
+    g = DynGraph.from_edges(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
+
+    def script():
+        return ScriptedScheduler([[(0, 3)]], 6, repeat=True)
+
+    first_ties = 0
+    for seed in range(12):
+        trace = run_general(g, star_protocol(seed), script(), budget=8, seed=seed,
+                            progress_check=True)
+        assert trace.verdict == Verdict("budget", 8)
+        assert_matches_reference(trace, reference_run(g, star_protocol(seed), script(),
+                                                      seed, 8))
+        first_ties += trace.metadata["tags"][0] == "tie"
+        # with a goal, the run ends right after the merge that reaches it
+        trace = run_general(g, star_protocol(seed), script(), budget=8, seed=seed,
+                            stop_predicate=star_predicate)
+        if trace.changed_rounds:
+            assert trace.verdict == Verdict("target", trace.changed_rounds[0] + 1)
+        else:
+            assert trace.verdict == Verdict("budget", 8)
+    assert 0 < first_ties < 12
+
+
+def test_run_general_stops_before_round_0_at_its_goal():
+    star = DynGraph.from_edges(5, [(0, i) for i in range(1, 5)])
+    # the round-robin pairs are no singletons, but no round runs
+    trace = run_general(star, star_protocol(0), FairRoundRobinScheduler(2), budget=1,
+                        stop_predicate=star_predicate)
+    assert trace.verdict == Verdict("target", 0)
+    assert trace.rounds == [] and trace.changed_rounds == []
+
+
+@pytest.mark.parametrize("edges, additions, removals, touched, searched", [
+    # the hub 0 absorbs 3 and its neighbour 4, as in a star rewrite
+    ([(0, 5)], [(0, 3), (0, 4)], [(3, 4)], 1, False),
+    # the hub 0 gains 1 and 2, and the removal leaves 3 and 4 apart
+    ([(0, 5), (3, 6)], [(0, 1), (0, 2)], [(3, 4)], 3, True),
+    # 4 and 5 are two steps from the hub 0, in its component
+    ([(0, 3), (3, 4), (3, 5)], [(0, 1), (0, 2)], [(4, 5)], 1, True),
+    # removals only: no hub
+    ([(0, 1), (2, 3)], [], [(1, 2)], 2, True),
+])
+def test_touched_after_shortcut_and_its_fallback(monkeypatch, edges, additions, removals,
+                                                 touched, searched):
+    g = DynGraph.from_edges(7, edges + removals)
+    delta = EdgeDelta.build(additions, removals)
+    g.apply_delta(delta)
+    ends = {x for pair in additions + removals for x in pair}
+    label = brute_component_labels(g)
+    assert len({label[x] for x in ends}) == touched
+    calls = []
+    monkeypatch.setattr(social, "_touched_components",
+                        lambda adj, nodes: calls.append(sorted(nodes)) or
+                        _touched_components(adj, nodes))
+    assert social._touched_after(g._adj, delta, ends) == touched
+    assert calls == ([sorted(ends)] if searched else [])
