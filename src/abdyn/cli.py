@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import generators
 from .engine import RunConfig, check_degree_properties, run, snapshot_observer
 from .errors import AbdynError, ConfigError, InputError
-from .fileio import (TraceWriter, read_edgelist, read_interaction_script,
-                     read_social_profile, read_trace, write_edgelist)
+from .fileio import (read_edgelist, read_interaction_script, read_social_profile,
+                     read_trace, write_edgelist, write_trace)
 from .graph import DynGraph, fingerprint_hex
 from .kcore import peel, verify_kcore_run
 from .potentials import make_potential
@@ -154,21 +155,10 @@ def cmd_run(args) -> int:
         engine=cfg.get("run.engine", "auto"),
     )
     trace = run(rc)
-    if "output.trace" in cfg:
-        target = cfg["output.trace"]
-
-        def _emit(fh):
-            writer = TraceWriter(fh)
-            writer.header(seed, {"config": cfg, **trace.metadata})
-            for record in trace.rounds:
-                writer.round(record)
-            writer.verdict(trace.verdict)
-
-        if target == "-":
-            _emit(sys.stdout)
-        else:
-            with open(target, "w") as fh:
-                _emit(fh)
+    target = cfg.get("output.trace")
+    if target is not None:
+        with nullcontext(sys.stdout) if target == "-" else open(target, "w") as fh:
+            write_trace(fh, seed, {"config": cfg, **trace.metadata}, trace)
     return _finish(trace, cfg.get("output.graph"))
 
 
@@ -227,6 +217,24 @@ def cmd_social(args) -> int:
     return _finish(trace, args.out)
 
 
+def _trace_mismatch(recorded: dict, trace) -> str:
+    """What differs between a trace file read by ``read_trace`` and the
+    replay's rounds and verdict; empty if nothing does."""
+    want = [r.get("fingerprint") for r in recorded["rounds"]]
+    got = [fingerprint_hex(r.fingerprint) for r in trace.rounds]
+    if want != got:
+        k = next((k for k, (a, b) in enumerate(zip(want, got)) if a != b),
+                 min(len(want), len(got)))
+        return (f"replay fingerprints diverge from trace at round record {k}; "
+                f"trace has {len(want)} round records, replay {len(got)}")
+    v = recorded["verdict"]
+    if v is None:
+        return "trace has no verdict record"
+    if (v.get("kind"), v.get("round"), v.get("period")) != tuple(trace.verdict):
+        return f"replay {trace.verdict} differs from trace verdict {v}"
+    return ""
+
+
 def cmd_verify(args) -> int:
     if args.mode == "kcore":
         if not (args.initial and args.final and args.alpha is not None):
@@ -256,21 +264,20 @@ def cmd_verify(args) -> int:
         if not args.config:
             raise ConfigError("degree-props mode needs --config")
         cfg = parse_config(args.config)
+        recorded = read_trace(args.trace) if args.trace else None
         graph = _build_graph(cfg)
         potential = _potential_from_config(cfg, "proper_degree")
         snapshots = [graph.copy()]
         rc = RunConfig(graph=graph, potential=potential,
                        scheduler=CompleteScheduler(),
                        max_rounds=_number(cfg, "run.rounds", "100000"),
+                       stop_mode=cfg.get("run.stop", "cycle"),
                        observers=(snapshot_observer(snapshots),))
         trace = run(rc)
-        if args.trace:
-            recorded = read_trace(args.trace)
-            want = [r["fingerprint"] for r in recorded["rounds"]]
-            got = [fingerprint_hex(r.fingerprint) for r in trace.rounds]
-            if want != got[:len(want)]:
-                print("degree-props: FAIL (replay fingerprints diverge from trace)")
-                return EXIT_VERIFY_FAIL
+        mismatch = recorded and _trace_mismatch(recorded, trace)
+        if mismatch:
+            print(f"degree-props: FAIL ({mismatch})")
+            return EXIT_VERIFY_FAIL
         report = check_degree_properties(snapshots)
         if report.ok:
             print(f"degree-props: PASS ({report.rounds_checked} rounds checked)")

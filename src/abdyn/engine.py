@@ -13,9 +13,9 @@ Stabilization verdicts depend on the scheduler contract:
   proves a fixed point;
 * schedulers with a declared fairness period P: P consecutive changeless
   rounds prove it;
-* stochastic schedulers: after a quiet streak scaled to the graph the engine
-  runs a full sweep over all pairs and declares stabilization only if no pair
-  would change.
+* stochastic schedulers: after 4 C(n,2) + 8 quiet rounds the engine runs a
+  full sweep over all pairs and declares stabilization only if no pair would
+  change.
 
 Routes (``RunConfig.engine``): ``naive`` evaluates whatever the scheduler
 emits through ``potential.evaluator`` and is the unpruned reference;
@@ -133,15 +133,12 @@ class RunConfig:
             raise ConfigError(f"max_rounds must be at least 1, got {self.max_rounds}")
         if self.stop_mode not in ("cycle", "budget"):
             raise ConfigError(f"unknown stop_mode {self.stop_mode!r}")
+        if self.engine not in ("auto", "naive", "incremental", "bulk"):
+            raise ConfigError(f"unknown engine {self.engine!r}")
+        if self.engine != "auto" and not isinstance(self.potential, Potential):
+            raise ConfigError(f"a rewrite protocol runs on engine auto, not {self.engine!r}")
         if self.record_rounds not in ("all", "changes", "auto"):
             raise ConfigError(f"unknown record_rounds {self.record_rounds!r}")
-
-
-def coupon_streak_default(n: int) -> int:
-    """Changeless-round streak after which a stochastic run is worth a
-    stabilization sweep; scaled like pair-coupon collection."""
-    pairs = max(pair_count(n), 2)
-    return int(20 * pairs * math.log(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +387,12 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
     if mode == "naive":
         # a forced naive run is the unpruned reference
         return NaiveStepper(g, pot, sched, certified=cfg.engine == "auto")
-    if mode in ("incremental", "bulk"):
-        if not sched.is_complete:
-            raise ConfigError(f"{mode} engine requires the complete scheduler")
-        from . import fastpath
-        if mode == "incremental":
-            return fastpath.IncrementalStepper(g, pot)
-        return fastpath.BulkStepper(g, pot)
-    raise ConfigError(f"unknown engine {mode!r}")
+    if not sched.is_complete:
+        raise ConfigError(f"{mode} engine requires the complete scheduler")
+    from . import fastpath
+    if mode == "incremental":
+        return fastpath.IncrementalStepper(g, pot)
+    return fastpath.BulkStepper(g, pot)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +429,9 @@ def run(config: RunConfig) -> RunTrace:
     changed_rounds: list[int] = []
     quiet_streak = 0
     cycle_seen: Optional[Verdict] = None
+    stable = False      # a fixed point is proved
 
-    window = min(coupon_streak_default(g.n), 4 * pair_count(g.n) + 8)
+    window = 4 * pair_count(g.n) + 8       # quiet rounds before a stochastic sweep
     sweep_allowed = pair_count(g.n) <= NAIVE_PAIR_LIMIT
     verdict = Verdict("target", 0) if stop is not None and stop(g) else None
     fast = stepper if isinstance(stepper, ActiveSetStepper) else None
@@ -452,7 +448,7 @@ def run(config: RunConfig) -> RunTrace:
                     raise ContractError(
                         f"potential {config.potential.name} has a false node_form: the "
                         f"active set is empty but a sweep finds a pair that would change")
-                verdict = Verdict("stabilized", changed_rounds[-1] + 1 if changed_rounds else 0)
+                stable = True
                 break
             # fast-forward over the rounds that draw a pair outside the set
             quiet = fast.skip_quiet(config.max_rounds - t)
@@ -489,20 +485,16 @@ def run(config: RunConfig) -> RunTrace:
             break
 
         # stabilization by scheduler contract
-        stabilized = False
         if settles and not changed:
             if sched.is_complete or sched.graph_driven or (
                     sched.fairness_period is not None and quiet_streak >= sched.fairness_period):
-                stabilized = True
+                stable = True
             elif sched.fairness_period is None and not sched.deterministic \
                     and quiet_streak >= window and sweep_allowed:
-                if stepper.sweep_is_clean():
-                    stabilized = True
-                else:
-                    quiet_streak = 0
-        if stabilized:
-            verdict = Verdict("stabilized", changed_rounds[-1] + 1 if changed_rounds else 0)
-            break
+                stable = stepper.sweep_is_clean()
+                quiet_streak = 0
+            if stable:
+                break
 
         if track_cycles and cycle_seen is None:
             key = (frozenset(diff), sched.phase(t + 1))
@@ -510,7 +502,7 @@ def run(config: RunConfig) -> RunTrace:
                 entered = history[key]
                 period = t + 1 - entered
                 if not changed_rounds or changed_rounds[-1] < entered:
-                    verdict = Verdict("stabilized", changed_rounds[-1] + 1 if changed_rounds else 0)
+                    stable = True
                     break
                 cycle_seen = Verdict("cycle", entered, period)
                 if config.stop_mode == "cycle":
@@ -522,7 +514,9 @@ def run(config: RunConfig) -> RunTrace:
                     del history[next(iter(history))]
         t += 1
 
-    if verdict is None:
+    if stable:
+        verdict = Verdict("stabilized", changed_rounds[-1] + 1 if changed_rounds else 0)
+    elif verdict is None:
         verdict = cycle_seen if cycle_seen is not None else Verdict("budget", config.max_rounds)
 
     if settles:

@@ -52,16 +52,21 @@ def _resolve_stats(potential: Potential) -> tuple[PairStatsRule, int]:
     raise ConfigError(f"potential {potential.name} provides no pair statistics")
 
 
-def _exact_ce(adj, u: int, v: int):
-    def _ce() -> int:
-        common = adj[u] & adj[v]
-        if len(common) < 2:
-            return 0
-        total = 0
-        for w in common:
-            total += len(adj[w] & common)
-        return total // 2
-    return _ce
+def _exact_ce(g: DynGraph, u: int, v: int):
+    """The lazy common neighbor edge count that ``decide`` receives."""
+    return lambda: g.common_neighbor_edges(u, v)
+
+
+def _toggling(g: DynGraph, decide, us: list, vs: list, counts: list) -> list[int]:
+    """Positions k at which ``decide`` toggles the pair (us[k], vs[k]),
+    whose common neighbor count is counts[k]."""
+    adj = g._adj
+    flipped = []
+    for k, (u, v, c) in enumerate(zip(us, vs, counts)):
+        edge = 1 if v in adj[u] else 0
+        if decide(edge, c, _exact_ce(g, u, v)) != edge:
+            flipped.append(k)
+    return flipped
 
 
 def _adjacency_rows(adj, rows, n: int):
@@ -151,19 +156,12 @@ class IncrementalStepper:
         adj = g._adj
         ids = self.cn.ids
         upper = self.cn.upper
-        decide = self.stats.decide
         hot = np.flatnonzero(upper.data >= self.floor)
         rows = np.searchsorted(upper.indptr, hot, side="right") - 1
         cols = upper.indices[hot]
-        toggles: list[tuple[int, int, bool]] = []
-        flipped: list[int] = []
-        for k, (u, v, c) in enumerate(zip(ids[rows].tolist(), ids[cols].tolist(),
-                                          upper.data[hot].tolist())):
-            edge = 1 if v in adj[u] else 0
-            nxt = decide(edge, c, _exact_ce(adj, u, v))
-            if nxt != edge:
-                toggles.append((u, v, bool(nxt)))
-                flipped.append(k)
+        us, vs = ids[rows].tolist(), ids[cols].tolist()
+        flipped = _toggling(g, self.stats.decide, us, vs, upper.data[hot].tolist())
+        toggles = [(us[k], vs[k], vs[k] not in adj[us[k]]) for k in flipped]
         if not toggles:
             return toggles
 
@@ -247,24 +245,17 @@ class BulkStepper:
         n = g.n
         a_mat = _adjacency_rows(adj, range(n), n)
 
-        floor = self.stats.cn_floor
-        decide = self.stats.decide
         additions = []
         removals = []
         for start in range(0, n, BULK_ROWS):
             stop = min(start + BULK_ROWS, n)
             block = (a_mat[start:stop] @ a_mat).tocoo()
-            sel = block.data >= floor
-            rows = block.row[sel].astype(np.int64) + start
-            cols = block.col[sel].astype(np.int64)
-            counts = block.data[sel]
-            upper = cols > rows
-            for u, v, c in zip(rows[upper], cols[upper], counts[upper]):
-                u, v, c = int(u), int(v), int(c)
-                edge = 1 if v in adj[u] else 0
-                nxt = decide(edge, c, _exact_ce(adj, u, v))
-                if nxt != edge:
-                    (additions if nxt else removals).append((u, v))
+            rows = block.row.astype(np.int64) + start
+            keep = (block.data >= self.stats.cn_floor) & (block.col > rows)
+            us, vs = rows[keep].tolist(), block.col[keep].tolist()
+            for k in _toggling(g, self.stats.decide, us, vs, block.data[keep].tolist()):
+                u, v = us[k], vs[k]
+                (removals if v in adj[u] else additions).append((u, v))
         delta = EdgeDelta.build(additions, removals)
         g.apply_delta(delta)
         return delta, pair_count(n)

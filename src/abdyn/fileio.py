@@ -123,37 +123,18 @@ def read_social_profile(path: str):
 TRACE_FORMAT = 2
 
 
-class TraceWriter:
-    """Line-delimited JSON trace records, one per round plus header/verdict."""
-
-    def __init__(self, fh: IO[str]):
-        self._fh = fh
-
-    def header(self, seed: int, metadata: dict) -> None:
-        self._fh.write(json.dumps({"type": "header", "format": TRACE_FORMAT, "seed": seed,
-                                   **metadata}) + "\n")
-
-    def round(self, record) -> None:
-        self._fh.write(
-            json.dumps(
-                {
-                    "type": "round",
-                    "round": record.t,
-                    "interactions": record.interactions,
-                    "added": record.added,
-                    "removed": record.removed,
-                    "classes": record.classes,
-                    "fingerprint": fingerprint_hex(record.fingerprint),
-                }
-            )
-            + "\n"
-        )
-
-    def verdict(self, verdict) -> None:
-        rec = {"type": "verdict", "kind": verdict.kind, "round": verdict.round}
-        if verdict.period is not None:
-            rec["period"] = verdict.period
-        self._fh.write(json.dumps(rec) + "\n")
+def write_trace(fh: IO[str], seed: int, metadata: dict, trace) -> None:
+    """Write a run's trace to ``fh``: the header, carrying ``seed`` and
+    ``metadata``, one record per recorded round, and the verdict."""
+    fh.write(json.dumps({"type": "header", "format": TRACE_FORMAT, "seed": seed,
+                         **metadata}) + "\n")
+    for r in trace.rounds:
+        fh.write(json.dumps({"type": "round", "round": r.t, "interactions": r.interactions,
+                             "added": r.added, "removed": r.removed, "classes": r.classes,
+                             "fingerprint": fingerprint_hex(r.fingerprint)}) + "\n")
+    v = trace.verdict
+    period = {} if v.period is None else {"period": v.period}
+    fh.write(json.dumps({"type": "verdict", "kind": v.kind, "round": v.round, **period}) + "\n")
 
 
 def read_trace(path: str) -> dict:

@@ -412,12 +412,13 @@ class AssemblyRunner:
         self._exact = False     # a full check and exact restores proved the build
 
     def run(self, tape, steps: int, merged: bool = False, check: bool = True,
-            stop_mode: str = "budget", engine: str = "auto") -> SimulationResult:
+            engine: str = "auto") -> SimulationResult:
         """Simulate ``steps`` automaton steps of ``tape``.
 
         Unmerged runs spend two engine rounds per step; merged runs one. The
         returned tapes hold the extraction after every automaton step, padded
-        with the fixed point if the run stabilized early.
+        with the fixed point if the run stabilized early. A repeated state
+        does not end the run; it is reported as a cycle at the end.
         """
         logical = validate_tape(tape)
         if steps < 0:
@@ -451,7 +452,7 @@ class AssemblyRunner:
             potential=two_step_merge(potential) if merged else potential,
             scheduler=CompleteScheduler(),
             max_rounds=max(steps if merged else 2 * steps, 1),
-            stop_mode=stop_mode,
+            stop_mode="budget",
             engine=engine,
             copy_graph=False,
             record_rounds="all",

@@ -14,9 +14,8 @@ threshold rule: a pairwise interaction may rewire everything up to distance
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
-from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
@@ -39,6 +38,9 @@ class SocialProfile:
             raise ConfigError("niceness must be nonnegative")
         if any(x < 0 for x in self.extroversion):
             raise ConfigError("extroversion must be nonnegative")
+        if len(self.extroversion) != len(self.niceness):
+            raise ConfigError(f"{len(self.niceness)} niceness values but "
+                              f"{len(self.extroversion)} extroversion values")
         for u, v in self.enemies:
             if u == v:
                 raise ConfigError("a node cannot be its own enemy")
@@ -228,8 +230,8 @@ class RewriteStepper:
     distance 2 iff it is in N1 or has a neighbour there, so the test costs
     O(deg u + deg v + |delta| * min degree). The component count changes
     only in components that hold an endpoint of the delta; they are counted
-    before and after it by searches from those endpoints that stop when they
-    meet (``_touched_components``). An empty delta is not counted. In a
+    before and after it by a breadth-first search from those endpoints
+    (``_touched_components``). An empty delta is not counted. In a
     connected graph the count before is 1 without a search, and so is the
     count after when every endpoint is the hub of the additions or adjacent
     to it (``_touched_after``).
@@ -312,53 +314,21 @@ def _near(adj: list[set[int]], x: int, ball: set[int]) -> bool:
 def _touched_components(adj: list[set[int]], nodes: Iterable[int]) -> int:
     """Number of connected components that hold a node of ``nodes``.
 
-    One breadth-first search starts from each node. They advance in
-    lockstep, measured in adjacency entries scanned: the search whose next
-    level ends earliest goes next, so a hub's neighbour set is scanned only
-    once every other search has done as much work. Searches that meet merge
-    (union-find over the search ids). A search that runs dry has covered its
-    whole component, and no other search can still reach it; so the count
-    is final once at most one search is still running. Ids outside the
-    graph lie in no component.
+    A breadth-first search starts at a node not yet reached and counts one
+    component; the count is final as soon as every node has been reached.
+    Ids outside the graph lie in no component.
     """
-    n = len(adj)
-    owner: dict[int, int] = {}          # visited node -> id of the search that reached it
-    for x in nodes:
-        if 0 <= x < n and x not in owner:
-            owner[x] = len(owner)
-    count = running = len(owner)
-    parent = list(range(count))
-    frontier = [[x] for x in owner]
-    cost = [len(adj[x]) for x in owner]     # adjacency entries the next level scans
-    queue = list(zip(cost, range(count)))
-    heapify(queue)
-    while running > 1:
-        work, r = heappop(queue)
-        if parent[r] != r:
-            continue                    # merged into another search
-        nxt = []
-        nxt_cost = 0
-        for x in frontier[r]:
-            for y in adj[x]:
-                s = owner.get(y)
-                if s is None:
-                    owner[y] = r
-                    nxt.append(y)
-                    nxt_cost += len(adj[y])
-                    continue
-                while parent[s] != s:
-                    parent[s] = s = parent[parent[s]]
-                if s != r:
-                    # s is still running: a dry search holds a whole component
-                    parent[s] = r
-                    nxt += frontier[s]
-                    nxt_cost += cost[s]
-                    count -= 1
-                    running -= 1
-        if nxt:
-            frontier[r] = nxt
-            cost[r] = nxt_cost
-            heappush(queue, (work + nxt_cost, r))
-        else:
-            running -= 1
+    left = {x for x in nodes if 0 <= x < len(adj)}
+    count = 0
+    while left:
+        count += 1
+        start = left.pop()
+        seen = {start}
+        queue = deque((start,))
+        while left and queue:
+            for y in adj[queue.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    left.discard(y)
+                    queue.append(y)
     return count

@@ -217,8 +217,7 @@ def test_criterion_6_merged_equivalence(runner_w3):
 
     all_zero_merged = runner_w3.run((0, 0, 0), steps=3, merged=True)
     assert all_zero_merged.trace.verdict.kind == "stabilized"
-    all_zero_plain = runner_w3.run((0, 0, 0), steps=3, merged=False,
-                                   stop_mode="cycle", check=False)
+    all_zero_plain = runner_w3.run((0, 0, 0), steps=3, merged=False, check=False)
     assert all_zero_plain.trace.verdict.kind == "cycle"
     assert all_zero_plain.trace.verdict.period == 2
     _report(6, "merged-step equivalence", True,

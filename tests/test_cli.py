@@ -137,6 +137,62 @@ output.trace = {trace_path}
         assert "trace format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cut, reason", [
+    ("header only", "trace has 0 round records, replay 3"),
+    ("no verdict", "trace has no verdict record"),
+    ("round dropped", "diverge from trace at round record 0"),
+    ("verdict moved", "differs from trace verdict"),
+])
+def test_degree_props_verify_refuses_a_cut_trace(tmp_path, capsys, cut, reason):
+    gpath = tmp_path / "g.edges"
+    write_edgelist(random_graph(30, 0.3, 5), str(gpath))
+    trace_path = tmp_path / "dp.trace"
+    cfg = write_config(tmp_path, f"""
+graph.file = {gpath}
+potential.name = proper_degree
+potential.f = sum
+potential.alpha = 9
+potential.beta = 9
+run.rounds = 200
+output.trace = {trace_path}
+""")
+    verify = ["verify", "--mode", "degree-props", "--config", cfg, "--trace", str(trace_path)]
+    assert main(["run", cfg]) == 0
+    assert main(verify) == 0
+    lines = trace_path.read_text().splitlines()
+    assert len(lines) == 5          # header, 3 rounds, verdict
+    verdict = json.loads(lines[-1])
+    kept = {"header only": lines[:1], "no verdict": lines[:-1],
+            "round dropped": lines[:1] + lines[2:],
+            "verdict moved": lines[:-1] + [json.dumps({**verdict, "round": 0})]}[cut]
+    trace_path.write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    assert main(verify) == 4
+    out = capsys.readouterr().out
+    assert out.startswith("degree-props: FAIL (") and reason in out
+
+
+def test_degree_props_verify_replays_with_run_stop(tmp_path, capsys):
+    gpath = tmp_path / "blinker.edges"
+    write_edgelist(blinker(), str(gpath))
+    trace_path = tmp_path / "out.trace"
+    cfg = write_config(tmp_path, f"""
+graph.file = {gpath}
+potential.name = rule110
+potential.alpha = 100
+potential.beta = 100
+run.rounds = 20
+run.stop = budget
+output.trace = {trace_path}
+""")
+    assert main(["run", cfg]) == 2
+    # the replay runs all 20 rounds too, so it reaches the degree checks,
+    # which the blinker's flipping pair fails
+    assert main(["verify", "--mode", "degree-props", "--config", cfg,
+                 "--trace", str(trace_path)]) == 4
+    assert "degree-props: FAIL (P2 at round 1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("line", ['{"type": "header", "format": 2, "se',    # truncated
                                   '[1, 2]', '{"format": 2}'])
 def test_malformed_trace_is_a_usage_error(tmp_path, capsys, line):

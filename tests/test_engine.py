@@ -20,7 +20,7 @@ from abdyn.potentials import (PROPER_FUNCTIONS, PairStatsRule, Potential,
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                               FairRoundRobinScheduler, InteractionSet, Scheduler,
                               ScriptedScheduler, UniformRandomScheduler, all_pairs)
-from abdyn.social import niceness_g, random_profile
+from abdyn.social import niceness_g, random_profile, star_protocol
 
 from conftest import blinker, random_graph, triangle
 
@@ -234,6 +234,28 @@ def test_max_rounds_validation():
         RunConfig(max_rounds=1, record_rounds="change", **base)
     with pytest.raises(ConfigError, match="stop_mode"):
         RunConfig(max_rounds=1, stop_mode="fixed_point", **base)
+    with pytest.raises(ConfigError, match="unknown engine 'bogus'"):
+        RunConfig(max_rounds=1, engine="bogus", **base)
+
+
+@pytest.mark.parametrize("engine", ["bogus", "naive", "incremental", "bulk"])
+def test_rewrite_protocols_run_on_engine_auto_only(engine):
+    base = dict(graph=DynGraph(4), potential=star_protocol(1),
+                scheduler=UniformRandomScheduler(1), max_rounds=5)
+    with pytest.raises(ConfigError, match=repr(engine)):
+        RunConfig(engine=engine, **base)
+    assert run(RunConfig(engine="auto", **base)).metadata["protocol"] == "star"
+
+
+@pytest.mark.parametrize("n, window", [(2, 12), (5, 48), (12, 272)])
+def test_stochastic_sweep_window(n, window):
+    """A uniform run that starts at a fixed point sweeps all pairs after
+    4 C(n,2) + 8 quiet rounds; the clean sweep stabilizes it at round 0."""
+    trace = run(RunConfig(graph=DynGraph(n), potential=min_degree_potential(0, 1),
+                          scheduler=UniformRandomScheduler(1), max_rounds=10_000,
+                          engine="naive", record_rounds="all"))
+    assert trace.verdict == Verdict("stabilized", 0)
+    assert len(trace.rounds) == window
 
 
 # ---------------------------------------------------------------------------

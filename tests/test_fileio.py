@@ -1,9 +1,10 @@
 import pytest
 
+from abdyn.engine import RoundRecord, RunTrace, Verdict
 from abdyn.errors import InputError
-from abdyn.fileio import (read_edgelist, read_interaction_script, read_social_profile,
-                          write_edgelist)
-from abdyn.graph import graph_fingerprint
+from abdyn.fileio import (TRACE_FORMAT, read_edgelist, read_interaction_script,
+                          read_social_profile, read_trace, write_edgelist, write_trace)
+from abdyn.graph import DynGraph, graph_fingerprint
 
 from conftest import random_graph
 
@@ -55,3 +56,25 @@ def test_social_profile_dense_ids(tmp_path):
     path.write_text("0 1 1\n2 1 1\n")
     with pytest.raises(InputError):
         read_social_profile(str(path))
+
+
+@pytest.mark.parametrize("verdict", [Verdict("stabilized", 3), Verdict("cycle", 1, 2),
+                                     Verdict("budget", 5), Verdict("target", 0)])
+def test_write_trace_roundtrip(tmp_path, verdict):
+    rounds = [RoundRecord(0, 3, 1, 0, 2, 0x0123456789ABCDEF),
+              RoundRecord(1, 3, 0, 1, 1, 2**64 - 1)]
+    trace = RunTrace(rounds=rounds, verdict=verdict, metadata={}, final_graph=DynGraph(3),
+                     changed_rounds=[0, 1])
+    path = tmp_path / "run.trace"
+    with open(path, "w") as fh:
+        write_trace(fh, 7, {"config": {"seed": "7"}, "n": 3}, trace)
+    back = read_trace(str(path))
+    assert back["header"] == {"format": TRACE_FORMAT, "seed": 7, "config": {"seed": "7"},
+                              "n": 3}
+    assert back["rounds"] == [
+        {"round": 0, "interactions": 3, "added": 1, "removed": 0, "classes": 2,
+         "fingerprint": "0123456789abcdef"},
+        {"round": 1, "interactions": 3, "added": 0, "removed": 1, "classes": 1,
+         "fingerprint": "ffffffffffffffff"}]
+    period = {} if verdict.period is None else {"period": verdict.period}
+    assert back["verdict"] == {"kind": verdict.kind, "round": verdict.round, **period}

@@ -38,6 +38,8 @@ def test_profile_validation():
         SocialProfile(niceness=(1.0,), extroversion=(-1,), enemies=frozenset())
     with pytest.raises(ConfigError):
         profile_of([1.0, 1.0], enemies=[(0, 5)])
+    with pytest.raises(ConfigError, match="3 niceness values but 1 extroversion values"):
+        SocialProfile(niceness=(1.0, 2.0, 3.0), extroversion=(1,), enemies=frozenset())
 
 
 def test_niceness_examples():
