@@ -40,6 +40,9 @@ EXIT_USAGE = 64
 _VERDICT_CODES = {"stabilized": EXIT_OK, "target": EXIT_OK,
                   "cycle": EXIT_CYCLE, "budget": EXIT_BUDGET}
 
+# potential.name of a run config that sets none, for run and its replay alike
+DEFAULT_POTENTIAL = "min_degree"
+
 
 def parse_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
@@ -90,8 +93,8 @@ def _build_graph(cfg: dict, base: str = "graph") -> DynGraph:
     raise ConfigError(f"unknown generator {gen!r}")
 
 
-def _potential_from_config(cfg: dict, default_name: str, profile=None):
-    return make_potential(cfg.get("potential.name", default_name),
+def _potential_from_config(cfg: dict, profile=None):
+    return make_potential(cfg.get("potential.name", DEFAULT_POTENTIAL),
                           alpha=_number(cfg, "potential.alpha", "0", float),
                           beta=_number(cfg, "potential.beta", "0", float),
                           f=cfg.get("potential.f"), profile=profile)
@@ -144,7 +147,7 @@ def cmd_run(args) -> int:
     if profile is not None and profile.n != graph.n:
         raise ConfigError(
             f"potential.profile describes {profile.n} nodes, graph has {graph.n}")
-    potential = _potential_from_config(cfg, "min_degree", profile)
+    potential = _potential_from_config(cfg, profile)
     scheduler = _scheduler_from_config(cfg, graph, profile)
     rc = RunConfig(
         graph=graph,
@@ -264,9 +267,14 @@ def cmd_verify(args) -> int:
         if not args.config:
             raise ConfigError("degree-props mode needs --config")
         cfg = parse_config(args.config)
+        # the degree properties hold along complete-scheduler runs only
+        scheduler = cfg.get("scheduler.name", "complete")
+        if scheduler != "complete":
+            raise ConfigError(f"degree-props mode replays under the complete scheduler; "
+                              f"config key scheduler.name is {scheduler!r}")
         recorded = read_trace(args.trace) if args.trace else None
         graph = _build_graph(cfg)
-        potential = _potential_from_config(cfg, "proper_degree")
+        potential = _potential_from_config(cfg)
         snapshots = [graph.copy()]
         rc = RunConfig(graph=graph, potential=potential,
                        scheduler=CompleteScheduler(),

@@ -44,7 +44,11 @@ certificates, which changes no decision:
 
 Cycle detection compares exact edge-set differences from the initial graph
 (plus the scheduler phase), so a cycle verdict is never a false positive;
-fingerprints appear in traces only as cheap labels.
+fingerprints appear in traces only as cheap labels. The loop reads them from
+the graph (:attr:`~abdyn.graph.DynGraph.fingerprint`), which folds itself once
+and then XORs in the tokens of each toggle as the steppers apply them, so a
+round's label costs O(toggles), not O(m). A graph run with ``copy_graph``
+off keeps its fingerprint between runs and is folded only once.
 
 The same loop runs a rewrite protocol (:class:`abdyn.social.GeneralProtocol`
 passed as ``RunConfig.potential``) through its stepper. Such a run has no
@@ -65,7 +69,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .graph import DynGraph, EdgeDelta, edge_token, graph_fingerprint, norm_pair
+from .graph import DynGraph, EdgeDelta, norm_pair
+# unused here: perfbench/tracer.py wraps them by name until ROADMAP item 1 step B
+from .graph import edge_token, graph_fingerprint  # noqa: F401
 from .potentials import PROPER_FUNCTIONS, Potential, degree
 from .schedulers import (InteractionSet, Scheduler, UniformRandomScheduler, pair_count,
                          rank_pair, unrank_pair)
@@ -413,7 +419,7 @@ def run(config: RunConfig) -> RunTrace:
     record_all = config.record_rounds == "all" or (
         config.record_rounds == "auto" and config.max_rounds <= 100_000)
 
-    fp = graph_fingerprint(g)
+    fp = g.fingerprint
     degrees = list(map(len, g._adj))
     degree_counter = Counter(degrees)
     diff: set[tuple[int, int]] = set()
@@ -466,8 +472,7 @@ def run(config: RunConfig) -> RunTrace:
 
         if changed:
             _bookkeep(delta, g, degrees, degree_counter, diff)
-            for u, v in chain(delta.additions, delta.removals):
-                fp ^= edge_token(u, v)
+            fp = g.fingerprint
             changed_rounds.append(t)
             quiet_streak = 0
         else:

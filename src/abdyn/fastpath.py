@@ -25,7 +25,13 @@ stay exactly equivalent to pairwise evaluation of every pair:
 
 Both verify the floor certificate itself at startup by exhaustively checking
 ``decide`` on every count below the floor, with a common-neighbor-edge
-supplier that refuses to be called.
+supplier that refuses to be called. The same supplier tabulates ``decide``
+over (edge state, count) at and above the floor (:class:`Decisions`): a round
+looks its pairs up in one array operation and calls ``decide`` only on the
+pairs whose entry reads the common neighbor edges. The rule keeps one
+definition, its own ``decide``. The incremental route hands each substep's
+toggles to the graph as sorted edge codes (:meth:`DynGraph.toggle_codes`),
+and builds the round's delta from them.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .graph import DynGraph, EdgeDelta
+from .graph import DynGraph, EdgeDelta, graph_fingerprint, pair_codes
 from .potentials import PairStatsRule, Potential
 from .schedulers import pair_count
 
@@ -57,16 +63,104 @@ def _exact_ce(g: DynGraph, u: int, v: int):
     return lambda: g.common_neighbor_edges(u, v)
 
 
-def _toggling(g: DynGraph, decide, us: list, vs: list, counts: list) -> list[int]:
-    """Positions k at which ``decide`` toggles the pair (us[k], vs[k]),
-    whose common neighbor count is counts[k]."""
-    adj = g._adj
-    flipped = []
-    for k, (u, v, c) in enumerate(zip(us, vs, counts)):
-        edge = 1 if v in adj[u] else 0
-        if decide(edge, c, _exact_ce(g, u, v)) != edge:
-            flipped.append(k)
-    return flipped
+class _Refused(Exception):
+    """Raised by the common neighbor edge supplier of a tabulation call."""
+
+
+class Decisions:
+    """A pair-statistics rule's ``decide``, tabulated over (edge state,
+    common neighbor count) from the floor up.
+
+    Each entry comes from the rule's own ``decide``, called with a common
+    neighbor edge supplier that records the call and refuses. An entry whose
+    call used the supplier, even if ``decide`` caught the refusal, or raised,
+    is marked ``slow``: its pairs are decided one by one by ``decide`` with
+    their exact count, so an error is raised on the pair that causes it.
+    Below the certified floor no entry toggles. The table grows when a count
+    passes its end.
+    """
+
+    __slots__ = ("decide", "floor", "flips", "slow")
+
+    def __init__(self, stats: PairStatsRule, size: int):
+        self.decide = stats.decide
+        self.floor = stats.cn_floor
+        self.flips = np.zeros((2, 0), dtype=bool)
+        self.slow = np.zeros((2, 0), dtype=bool)
+        self._grow(size)
+
+    def __len__(self) -> int:
+        return self.flips.shape[1]
+
+    def _grow(self, size: int) -> None:
+        old = len(self)
+        flips = np.zeros((2, size), dtype=bool)
+        slow = np.zeros((2, size), dtype=bool)
+        flips[:, :old] = self.flips
+        slow[:, :old] = self.slow
+        asked = []
+
+        def refuse() -> int:
+            asked.append(True)
+            raise _Refused
+
+        for cn in range(max(old, self.floor), size):
+            for edge in (0, 1):
+                asked.clear()
+                try:
+                    flips[edge, cn] = self.decide(edge, cn, refuse) != edge
+                except Exception:   # the pair-by-pair call raises it again
+                    slow[edge, cn] = True
+                if asked:
+                    slow[edge, cn] = True
+        self.flips, self.slow = flips, slow
+
+    def toggling(self, g: DynGraph, us: np.ndarray, vs: np.ndarray, edges: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+        """Positions k at which the rule toggles the pair (us[k], vs[k]) of
+        edge state edges[k] (0 or 1) and common neighbor count counts[k]."""
+        top = int(counts.max(initial=0))
+        if top >= len(self):
+            self._grow(max(2 * len(self), top + 1))
+        flips = self.flips[edges, counts]
+        for k in np.flatnonzero(self.slow[edges, counts]).tolist():
+            edge = int(edges[k])
+            ce = _exact_ce(g, int(us[k]), int(vs[k]))
+            flips[k] = self.decide(edge, int(counts[k]), ce) != edge
+        return np.flatnonzero(flips)
+
+
+class Toggles:
+    """One substep's toggles: the ascending codes of the toggled edges (see
+    :func:`~abdyn.graph.pair_codes`) and whether each was born or removed."""
+
+    __slots__ = ("codes", "born")
+
+    def __init__(self, codes: np.ndarray, born: np.ndarray):
+        self.codes = codes
+        self.born = born
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @classmethod
+    def ordered(cls, codes: np.ndarray, born: np.ndarray) -> "Toggles":
+        order = np.argsort(codes)
+        return cls(codes[order], born[order])
+
+    def then(self, later: "Toggles") -> "Toggles":
+        """The net toggles of this substep followed by ``later``: a pair
+        toggled in both is back in its state and drops out."""
+        both = Toggles.ordered(np.concatenate([self.codes, later.codes]),
+                               np.concatenate([self.born, later.born]))
+        twice = both.codes[1:] == both.codes[:-1]
+        keep = np.ones(len(both), dtype=bool)
+        keep[1:] &= ~twice
+        keep[:-1] &= ~twice
+        return Toggles(both.codes[keep], both.born[keep])
+
+
+_NO_TOGGLES = Toggles(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool))
 
 
 def _adjacency_rows(adj, rows, n: int):
@@ -128,12 +222,13 @@ class IncrementalStepper:
     of H may fall below the floor; its counts stay exact, and so below the
     floor, and its pairs are never decided again.
 
-    Each substep decides the pairs whose count reaches the floor, builds the
-    symmetric +-1 toggle matrix D on H and, with A = ``a_hh`` and C the
-    count triangle, updates ``C += triu(A D + D A + D D, 1)`` and
-    ``A += D``: (A + D)^2 - A^2 = A D + D A + D D. That is exact because
-    every toggle lies inside H and the edges from H to the other nodes
-    never change.
+    Each substep decides the pairs whose count reaches the floor, reading
+    their edge state from ``a_hh`` and their decision from the rule's
+    :class:`Decisions`. It builds the symmetric +-1 toggle matrix D on H
+    and, with A = ``a_hh`` and C the count triangle, updates
+    ``C += triu(A D + D A + D D, 1)`` and ``A += D``:
+    (A + D)^2 - A^2 = A D + D A + D D. That is exact because every toggle
+    lies inside H and the edges from H to the other nodes never change.
     """
 
     prune = True        # pairs below the floor are never decided
@@ -146,27 +241,30 @@ class IncrementalStepper:
         ids = _at_floor(g._adj, self.floor)
         self.a_hh, upper = _high_side(g._adj, ids, g.n)
         self.cn = PairCounts(ids, upper)
+        self.decisions = Decisions(self.stats,
+                                   max(self.floor, int(upper.data.max(initial=0))) + 1)
 
     # -- round execution ---------------------------------------------------
 
-    def _substep(self) -> list[tuple[int, int, bool]]:
+    def _substep(self) -> Toggles:
         from scipy import sparse
 
-        g = self.g
-        adj = g._adj
         ids = self.cn.ids
         upper = self.cn.upper
         hot = np.flatnonzero(upper.data >= self.floor)
+        if not len(hot):
+            # fancy indexing a sparse matrix with empty arrays gives a matrix
+            return _NO_TOGGLES
         rows = np.searchsorted(upper.indptr, hot, side="right") - 1
         cols = upper.indices[hot]
-        us, vs = ids[rows].tolist(), ids[cols].tolist()
-        flipped = _toggling(g, self.stats.decide, us, vs, upper.data[hot].tolist())
-        toggles = [(us[k], vs[k], vs[k] not in adj[us[k]]) for k in flipped]
-        if not toggles:
-            return toggles
+        edges = np.asarray(self.a_hh[rows, cols]).ravel()
+        flipped = self.decisions.toggling(self.g, ids[rows], ids[cols], edges,
+                                          upper.data[hot])
+        if not len(flipped):
+            return _NO_TOGGLES
 
-        sign = np.fromiter((1 if present else -1 for _, _, present in toggles),
-                           dtype=np.int32, count=len(toggles))
+        born = edges[flipped] == 0
+        sign = np.where(born, 1, -1).astype(np.int32)
         ti, tj = rows[flipped], cols[flipped]
         d = sparse.csr_matrix((np.concatenate([sign, sign]),
                                (np.concatenate([ti, tj]), np.concatenate([tj, ti]))),
@@ -177,36 +275,30 @@ class IncrementalStepper:
         self.cn.upper = upper + sparse.triu(ad + ad.T + d @ d, 1, format="csr")
         self.a_hh = self.a_hh + d
 
-        for u, v, present in toggles:
-            if present:
-                adj[u].add(v)
-                adj[v].add(u)
-            else:
-                adj[u].discard(v)
-                adj[v].discard(u)
-        g._m += int(sign.sum())
+        # ti < tj and the ids ascend, so each code is (smaller << 32) | larger
+        toggles = Toggles.ordered(pair_codes(ids[ti], ids[tj]), born)
+        self.g.toggle_codes(toggles.codes, toggles.born)
         return toggles
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
-        net: dict[tuple[int, int], bool] = {}
-        for _ in range(self.substeps):
-            for u, v, present in self._substep():
-                key = (u, v)
-                if key in net:
-                    del net[key]
-                else:
-                    net[key] = present
-        additions = [p for p, present in net.items() if present]
-        removals = [p for p, present in net.items() if not present]
-        return EdgeDelta.build(additions, removals), pair_count(self.g.n)
+        net = self._substep()
+        for _ in range(1, self.substeps):
+            net = net.then(self._substep())
+        return EdgeDelta.from_codes(net.codes, net.born), pair_count(self.g.n)
 
     # -- test hook ----------------------------------------------------------
 
     def verify_counts(self) -> None:
         """Audit the tracked state against a fresh build: every node of
-        degree at least the floor is in H, and ``a_hh`` and the count
-        triangle equal their values on the live graph."""
-        adj = self.g._adj
+        degree at least the floor is in H, ``a_hh`` and the count triangle
+        equal their values on the live graph, and so does the graph's
+        maintained fingerprint."""
+        g = self.g
+        if g.fingerprint != graph_fingerprint(g):
+            raise ContractError(
+                f"maintained fingerprint {g.fingerprint:016x} diverged from the "
+                f"graph's fold {graph_fingerprint(g):016x}")
+        adj = g._adj
         ids = self.cn.ids
         outside = np.setdiff1d(_at_floor(adj, self.floor), ids)
         if len(outside):
@@ -238,24 +330,29 @@ class BulkStepper:
             raise ConfigError("bulk execution does not support merged potentials")
         self.stats = stats
         stats.certify()
+        self.decisions = Decisions(stats, stats.cn_floor + 1)
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
         g = self.g
-        adj = g._adj
         n = g.n
-        a_mat = _adjacency_rows(adj, range(n), n)
+        a_mat = _adjacency_rows(g._adj, range(n), n)
 
-        additions = []
-        removals = []
+        found = [_NO_TOGGLES]
         for start in range(0, n, BULK_ROWS):
-            stop = min(start + BULK_ROWS, n)
-            block = (a_mat[start:stop] @ a_mat).tocoo()
-            rows = block.row.astype(np.int64) + start
-            keep = (block.data >= self.stats.cn_floor) & (block.col > rows)
-            us, vs = rows[keep].tolist(), block.col[keep].tolist()
-            for k in _toggling(g, self.stats.decide, us, vs, block.data[keep].tolist()):
-                u, v = us[k], vs[k]
-                (removals if v in adj[u] else additions).append((u, v))
-        delta = EdgeDelta.build(additions, removals)
+            band = a_mat[start:min(start + BULK_ROWS, n)]
+            block = (band @ a_mat).tocoo()
+            rows = block.row.astype(np.int64)
+            cols = block.col.astype(np.int64)
+            keep = np.flatnonzero((block.data >= self.stats.cn_floor) & (cols > rows + start))
+            if not len(keep):
+                continue
+            rows, cols = rows[keep], cols[keep]
+            edges = np.asarray(band[rows, cols]).ravel()
+            us = rows + start
+            flipped = self.decisions.toggling(g, us, cols, edges, block.data[keep])
+            found.append(Toggles(pair_codes(us[flipped], cols[flipped]), edges[flipped] == 0))
+        toggles = Toggles.ordered(np.concatenate([x.codes for x in found]),
+                                  np.concatenate([x.born for x in found]))
+        delta = EdgeDelta.from_codes(toggles.codes, toggles.born)
         g.apply_delta(delta)
         return delta, pair_count(n)

@@ -2,7 +2,9 @@
 
 Node ids are dense integers 0..n-1 and the node set is fixed for the lifetime
 of a graph; only edges change. Adjacency is kept in hash sets so that common
-neighbor counting is a single C-level intersection.
+neighbor counting is a single C-level intersection. Once its fingerprint has
+been asked for, a graph keeps it up to date under every edit (Zobrist
+hashing: each toggle XORs one edge token).
 
 Thread safety: read-only queries may run concurrently; mutation requires
 exclusive access.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -27,13 +29,14 @@ def norm_pair(u: int, v: int) -> tuple[int, int]:
 class DynGraph:
     """Simple undirected graph on a fixed node set."""
 
-    __slots__ = ("_adj", "_m")
+    __slots__ = ("_adj", "_m", "_fp")
 
     def __init__(self, n: int):
         if n < 0:
             raise InputError(f"node count must be nonnegative, got {n}")
         self._adj: list[set[int]] = [set() for _ in range(n)]
         self._m = 0
+        self._fp: Optional[int] = None      # the fingerprint, once asked for
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DynGraph":
@@ -49,6 +52,15 @@ class DynGraph:
     @property
     def m(self) -> int:
         return self._m
+
+    @property
+    def fingerprint(self) -> int:
+        """:func:`graph_fingerprint` of the graph. The first access folds the
+        whole graph; from then on every edit through this class XORs in the
+        tokens of the edges it toggles, so a read costs O(1)."""
+        if self._fp is None:
+            self._fp = graph_fingerprint(self)
+        return self._fp
 
     def _check(self, u: int) -> None:
         if not 0 <= u < len(self._adj):
@@ -68,6 +80,8 @@ class DynGraph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._m += 1
+            if self._fp is not None:
+                self._fp ^= edge_token(u, v)
 
     def remove_edge(self, u: int, v: int) -> None:
         self._check(u)
@@ -76,6 +90,8 @@ class DynGraph:
             self._adj[u].discard(v)
             self._adj[v].discard(u)
             self._m -= 1
+            if self._fp is not None:
+                self._fp ^= edge_token(u, v)
 
     def neighbors(self, u: int) -> set[int]:
         """Live neighbor set of u. Callers must not mutate it."""
@@ -128,11 +144,36 @@ class DynGraph:
             self._adj[u].add(v)
             self._adj[v].add(u)
         self._m += len(delta.additions) - len(delta.removals)
+        if self._fp is not None:
+            fp = self._fp
+            for u, v in chain(delta.additions, delta.removals):
+                fp ^= edge_token(u, v)
+            self._fp = fp
+
+    def toggle_codes(self, codes: np.ndarray, born: np.ndarray) -> None:
+        """Toggle the edges whose codes (see :func:`pair_codes`) are in the
+        uint64 array ``codes``: add those where the bool array ``born`` holds,
+        remove the others. Unlike :meth:`apply_delta` it does not validate:
+        the caller guarantees that exactly the born edges are absent, as a
+        stepper does from the adjacency it tracks."""
+        adj = self._adj
+        us, vs = code_ends(codes)
+        for u, v, new in zip(us.tolist(), vs.tolist(), born.tolist()):
+            if new:
+                adj[u].add(v)
+                adj[v].add(u)
+            else:
+                adj[u].discard(v)
+                adj[v].discard(u)
+        self._m += 2 * int(np.count_nonzero(born)) - len(codes)
+        if self._fp is not None:
+            self._fp ^= int(np.bitwise_xor.reduce(_splitmix64_array(codes)))
 
     def copy(self) -> "DynGraph":
         g = DynGraph.__new__(DynGraph)
         g._adj = [set(s) for s in self._adj]
         g._m = self._m
+        g._fp = self._fp
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -160,6 +201,16 @@ class EdgeDelta:
             additions=tuple(sorted(norm_pair(*e) for e in additions)),
             removals=tuple(sorted(norm_pair(*e) for e in removals)),
         )
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, born: np.ndarray) -> "EdgeDelta":
+        """The delta of the edges whose codes are in the ascending uint64
+        array ``codes``: additions where ``born`` holds, removals elsewhere.
+        Ascending codes give the pairs in the order :meth:`build` sorts them."""
+        def pairs(part):
+            us, vs = code_ends(part)
+            return tuple(zip(us.tolist(), vs.tolist()))
+        return cls(additions=pairs(codes[born]), removals=pairs(codes[~born]))
 
     @property
     def empty(self) -> bool:
@@ -205,6 +256,8 @@ class EdgeDelta:
 # equals n, so the seed is never the token of an edge.
 
 _MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT = np.uint64(32)
 _GOLDEN = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
@@ -227,6 +280,16 @@ def _splitmix64_array(codes: np.ndarray) -> np.ndarray:
     z *= np.uint64(_MUL2)
     z ^= z >> np.uint64(31)
     return z
+
+
+def pair_codes(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """uint64 codes (u << 32) | v of the pairs (us[k], vs[k]), each u < v."""
+    return (us.astype(np.uint64, copy=False) << _SHIFT) | vs.astype(np.uint64, copy=False)
+
+
+def code_ends(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller and the larger endpoint of each edge code."""
+    return codes >> _SHIFT, codes & _LOW32
 
 
 def edge_token(u: int, v: int) -> int:
@@ -253,7 +316,7 @@ def _edge_code_blocks(g: DynGraph) -> Iterator[np.ndarray]:
                            count=int(lens.sum())).view(np.uint64)    # int64 converts faster
         srcs = np.repeat(np.arange(lo, lo + len(sets), dtype=np.uint64), lens)
         keep = srcs < nbrs
-        yield (srcs[keep] << np.uint64(32)) | nbrs[keep]
+        yield pair_codes(srcs[keep], nbrs[keep])
 
 
 def edge_codes(g: DynGraph) -> np.ndarray:

@@ -59,14 +59,22 @@ class PairStatsRule:
 
     def certify(self) -> None:
         """Check the floor exhaustively: below it, ``decide`` keeps both edge
-        states without consulting the common neighbor edges."""
+        states without consulting the common neighbor edges, also when it
+        would catch the refusal of the supplier it is given."""
+        asked = []
+
         def _no_ce() -> int:
+            asked.append(True)
             raise ContractError("decision below the floor consulted common neighbor edges")
 
         for cn in range(self.cn_floor):
             if self.decide(0, cn, _no_ce) != 0 or self.decide(1, cn, _no_ce) != 1:
                 raise ContractError(
                     f"cn_floor certificate violated at cn={cn}: decision changes state")
+            if asked:
+                raise ContractError(
+                    f"cn_floor certificate violated at cn={cn}: decision below the floor "
+                    f"consulted common neighbor edges")
 
 
 @dataclass(frozen=True)

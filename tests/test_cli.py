@@ -193,6 +193,49 @@ output.trace = {trace_path}
     assert "degree-props: FAIL (P2 at round 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scheduler", ["round_robin", "uniform", "current_edges"])
+def test_degree_props_verify_refuses_other_schedulers(tmp_path, capsys, scheduler):
+    gpath = tmp_path / "g.edges"
+    write_edgelist(random_graph(30, 0.3, 5), str(gpath))
+    trace_path = tmp_path / "rr.trace"
+    cfg = write_config(tmp_path, f"""
+graph.file = {gpath}
+potential.name = proper_degree
+potential.f = sum
+potential.alpha = 9
+potential.beta = 9
+scheduler.name = {scheduler}
+scheduler.batch = 50
+run.rounds = 200
+output.trace = {trace_path}
+""")
+    assert main(["run", cfg]) in (0, 3)
+    capsys.readouterr()
+    assert main(["verify", "--mode", "degree-props", "--config", cfg,
+                 "--trace", str(trace_path)]) == 64
+    err = capsys.readouterr().err
+    assert "scheduler.name" in err and repr(scheduler) in err
+
+
+def test_degree_props_verify_defaults_the_potential_as_run_does(tmp_path, capsys):
+    gpath = tmp_path / "g.edges"
+    write_edgelist(random_graph(30, 0.3, 5), str(gpath))
+    trace_path = tmp_path / "md.trace"
+    cfg = write_config(tmp_path, f"""
+graph.file = {gpath}
+potential.alpha = 4
+potential.beta = 4
+run.rounds = 200
+output.trace = {trace_path}
+""")
+    assert main(["run", cfg]) == 0
+    assert json.loads(trace_path.read_text().splitlines()[0])["potential"] == "min_degree"
+    capsys.readouterr()
+    assert main(["verify", "--mode", "degree-props", "--config", cfg,
+                 "--trace", str(trace_path)]) == 0
+    assert "degree-props: PASS" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("line", ['{"type": "header", "format": 2, "se',    # truncated
                                   '[1, 2]', '{"format": 2}'])
 def test_malformed_trace_is_a_usage_error(tmp_path, capsys, line):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abdyn import engine as engine_module
+from abdyn import graph as graph_module
 from abdyn.engine import (RunConfig, Verdict, check_degree_properties, decide_pairs,
                           degree_classes, run, snapshot_observer)
 from abdyn.errors import ConfigError, ContractError
@@ -474,6 +475,88 @@ def test_incremental_floor_crossings_match_naive():
             want = naive.deltas[t] if t < len(naive.deltas) else EdgeDelta()
             assert delta == want, (seed, t)
     assert dropped >= 10
+
+
+def test_verify_counts_catches_a_drifted_fingerprint():
+    g = random_graph(20, 0.5, 3)
+    stepper = IncrementalStepper(g, _table_potential(3, 3))
+    stepper.advance(0)
+    stepper.verify_counts()
+    assert g._fp is not None
+    g._fp ^= 1
+    with pytest.raises(ContractError, match="maintained fingerprint"):
+        stepper.verify_counts()
+
+
+# ---------------------------------------------------------------------------
+# the maintained fingerprint on every route
+
+def _fold_check(seen):
+    """Observer recording, per round, the graph's maintained fingerprint
+    and a fresh fold of it."""
+    def observe(t, g, delta, diff):
+        seen.append((g.fingerprint, graph_fingerprint(g)))
+    return observe
+
+
+@pytest.mark.parametrize("route", ["naive", "incremental", "bulk", "merged", "auto-pruned",
+                                   "rewrite"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cached", [False, True])
+def test_maintained_fingerprint_equals_the_fold_every_round(route, seed, cached):
+    g = random_graph(20, 0.4, seed)
+    if cached:
+        g.fingerprint     # the run's copy then starts from a maintained value
+    table = _table_potential(2 + seed, seed)
+    engine, potential, scheduler = {
+        "naive": ("naive", table, CompleteScheduler()),
+        "incremental": ("incremental", table, CompleteScheduler()),
+        "bulk": ("bulk", table, CompleteScheduler()),
+        "merged": ("incremental", two_step_merge(table), CompleteScheduler()),
+        "auto-pruned": ("auto", table, FairRoundRobinScheduler(17)),
+        "rewrite": ("auto", star_protocol(seed), UniformRandomScheduler(seed)),
+    }[route]
+    seen = []
+    trace = run(RunConfig(graph=g, potential=potential, scheduler=scheduler,
+                          max_rounds=300, engine=engine, stop_mode="budget",
+                          record_rounds="all", observers=(_fold_check(seen),)))
+    assert trace.change_count
+    assert len(seen) == len(trace.rounds)
+    for t, ((kept, folded), record) in enumerate(zip(seen, trace.rounds)):
+        assert kept == folded == record.fingerprint, (route, t)
+    assert trace.final_graph.fingerprint == graph_fingerprint(trace.final_graph)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_active_route_fingerprints_equal_naive_and_the_fold(seed):
+    # the active route takes no observers: its records must equal naive's
+    g = random_graph(18, 0.3, seed)
+    pot = min_degree_potential(5, 100)
+    ref, act = _run_both(g, pot, seed, "all")
+    assert act.metadata["engine"] == "ActiveSetStepper" and act.change_count
+    assert act.rounds == ref.rounds[:act.verdict.round]
+    assert act.final_graph.fingerprint == graph_fingerprint(act.final_graph)
+    assert act.rounds[-1].fingerprint == graph_fingerprint(act.final_graph)
+
+
+def test_graph_reused_across_runs_keeps_its_fingerprint(monkeypatch):
+    # copy_graph off, as a reused rule-110 runner runs: the second run reads
+    # the value the first one kept up to date, edits between runs included,
+    # without folding again
+    g = blinker()
+    cfg = dict(graph=g, potential=rule110_potential(100), scheduler=CompleteScheduler(),
+               max_rounds=3, engine="incremental", stop_mode="budget", copy_graph=False,
+               record_rounds="all")
+    assert run(RunConfig(**cfg)).change_count and g._fp == graph_fingerprint(g)
+    g.remove_edge(2, 3)
+    folds = []
+    fold = graph_module.graph_fingerprint
+    monkeypatch.setattr(graph_module, "graph_fingerprint",
+                        lambda h: folds.append(h) or fold(h))
+    second = run(RunConfig(**cfg))
+    monkeypatch.undo()
+    assert not folds and second.change_count
+    assert second.rounds[-1].fingerprint == g.fingerprint == graph_fingerprint(g)
 
 
 @pytest.mark.parametrize("seed", range(3))

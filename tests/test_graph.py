@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from abdyn import graph as graph_module
@@ -207,3 +208,73 @@ def test_copy_independent():
     h.remove_edge(0, 1)
     assert g.has_edge(0, 1) and not h.has_edge(0, 1)
     assert g != h and g == triangle()
+
+
+def _edits(g):
+    """Edits of every kind on a random graph: a toggle through each entry
+    point, a no-op add and remove, a refused delta and a toggle by codes."""
+    absent = next((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                  if not g.has_edge(u, v))
+    present = next(iter(g.edges()))
+    yield lambda: g.add_edge(*absent)
+    yield lambda: g.add_edge(absent[1], absent[0])          # already there
+    yield lambda: g.remove_edge(present[1], present[0])
+    yield lambda: g.remove_edge(*present)                   # already gone
+    yield lambda: g.apply_delta(EdgeDelta.build([present], [absent]))
+
+    def refused():
+        with pytest.raises(ContractError):
+            g.apply_delta(EdgeDelta.build([present], []))
+    yield refused
+    edges = sorted(g.edges())[:3]
+    gaps = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            if not g.has_edge(u, v)][:2]
+    pairs = sorted(edges + gaps)
+    codes = np.array([(u << 32) | v for u, v in pairs], dtype=np.uint64)
+    born = np.array([p in gaps for p in pairs])
+    yield lambda: g.toggle_codes(codes, born)
+    yield lambda: g.toggle_codes(codes, ~born)              # and back
+    yield lambda: g.toggle_codes(codes[:0], born[:0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edits_keep_a_cached_fingerprint(seed):
+    g = random_graph(12, 0.4, seed)
+    assert g._fp is None and g.fingerprint == token_fold(g)
+    for k, edit in enumerate(_edits(g)):
+        edit()
+        assert g._fp == token_fold(g), k
+        assert g.m == len(g.edge_set()), k
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edits_leave_an_unasked_fingerprint_unfolded(seed):
+    g = random_graph(12, 0.4, seed)
+    for k, edit in enumerate(_edits(g)):
+        edit()
+        assert g._fp is None, k
+        assert g.m == len(g.edge_set()), k
+    assert g.fingerprint == token_fold(g)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_copy_carries_the_fingerprint(cached):
+    g = random_graph(12, 0.4, 9)
+    if cached:
+        g.fingerprint
+    h = g.copy()
+    assert h._fp == g._fp
+    h.add_edge(0, 1) if not h.has_edge(0, 1) else h.remove_edge(0, 1)
+    assert h.fingerprint == token_fold(h) != token_fold(g)
+    assert g.fingerprint == token_fold(g)
+
+
+def test_delta_from_codes_equals_build():
+    rng = random.Random(3)
+    pairs = sorted({tuple(sorted(rng.sample(range(70_000), 2))) for _ in range(300)})
+    born = [rng.random() < 0.5 for _ in pairs]
+    codes = np.array([(u << 32) | v for u, v in pairs], dtype=np.uint64)
+    want = EdgeDelta.build([p for p, b in zip(pairs, born) if b],
+                           [(v, u) for (u, v), b in zip(pairs, born) if not b])
+    assert EdgeDelta.from_codes(codes, np.array(born)) == want
+    assert EdgeDelta.from_codes(codes[:0], np.array(born)[:0]) == EdgeDelta()

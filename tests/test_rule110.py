@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from abdyn import graph as graph_module
 from abdyn import rule110
 from abdyn.errors import ContractError, InputError
 from abdyn.fastpath import IncrementalStepper
-from abdyn.graph import DynGraph, edge_codes
+from abdyn.graph import DynGraph, edge_codes, graph_fingerprint
 from abdyn.potentials import rule110_potential
 from abdyn.rule110 import (CELL_BLOCK, KINDS, SUBCELL_BLOCK, AssemblyRunner,
                            build_assembly, check_structure, extract_values,
@@ -169,11 +170,20 @@ def test_describe_node_and_pair(asm4):
     assert gmap.describe_pair(sc.anchors) == "anchor pair of cell 1 f2"
 
 
-def test_runner_restores_between_tapes():
+def test_runner_restores_between_tapes(monkeypatch):
     runner = AssemblyRunner(4)
+    folds = []
+    fold = graph_module.graph_fingerprint
+    monkeypatch.setattr(graph_module, "graph_fingerprint", lambda g: folds.append(g) or fold(g))
     first = runner.run([1, 0, 0, 1], steps=1)
     second = runner.run([0, 0, 1, 0], steps=1)
+    monkeypatch.undo()
+    # the reused graph is folded once; later runs read the value it kept
+    assert folds == [runner.assembly.graph]
+    assert runner.assembly.graph.fingerprint == graph_fingerprint(runner.assembly.graph)
     assert first.ok and second.ok
+    fresh = AssemblyRunner(4).run([0, 0, 1, 0], steps=1)
+    assert second.trace.rounds == fresh.trace.rounds
     assert [tuple(t) for t in first.tapes] == reference_run((1, 0, 0, 1), 1)
     assert second.matches_reference()
     assert extract_values(runner.assembly) == [0, 0, 0, 0]
