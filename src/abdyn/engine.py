@@ -20,12 +20,13 @@ Stabilization verdicts depend on the scheduler contract:
 Routes (``RunConfig.engine``): ``naive`` evaluates whatever the scheduler
 emits through ``potential.evaluator`` and is the unpruned reference;
 ``incremental`` and ``bulk`` (see :mod:`abdyn.fastpath`) serve the complete
-scheduler on pair-statistics rules. ``auto`` uses the potential's
+scheduler on potentials with a pair rule (``bulk`` on unmerged ones only);
+``RunConfig`` refuses any other forced route. ``auto`` uses the potential's
 certificates, which changes no decision:
 
-* it skips the pairs below a pair-statistics rule's certified floor, and
-  picks ``incremental`` for the complete scheduler on graphs too large for
-  pairwise evaluation;
+* it runs every complete-scheduler potential with a pair rule
+  (:attr:`~abdyn.potentials.Potential.pair_rule`) on ``incremental``; under
+  other schedulers it skips the pairs below the rule's certified floor;
 * it decides a node-form potential f(h(u), h(v)) (see
   :attr:`~abdyn.potentials.Potential.node_form`) from a table of h, computed
   at most once per node per decision. A decision over all pairs (a
@@ -143,6 +144,13 @@ class RunConfig:
             raise ConfigError(f"unknown engine {self.engine!r}")
         if self.engine != "auto" and not isinstance(self.potential, Potential):
             raise ConfigError(f"a rewrite protocol runs on engine auto, not {self.engine!r}")
+        if self.engine in ("incremental", "bulk"):
+            if not self.scheduler.is_complete:
+                raise ConfigError(f"{self.engine} engine requires the complete scheduler")
+            if self.potential.pair_rule is None:
+                raise ConfigError(f"potential {self.potential.name} provides no pair statistics")
+            if self.engine == "bulk" and self.potential.pair_rule[1] != 1:
+                raise ConfigError("bulk execution does not support merged potentials")
         if self.record_rounds not in ("all", "changes", "auto"):
             raise ConfigError(f"unknown record_rounds {self.record_rounds!r}")
 
@@ -286,14 +294,16 @@ class NaiveStepper:
     """Pairwise evaluation of whatever the scheduler emits. With
     ``certified`` (the ``auto`` route) :func:`decide_pairs` uses the
     potential's certificates, and a pair-statistics rule has its floor
-    certified first; ``self.prune`` says whether any pair can be skipped."""
+    checked first (:class:`~abdyn.fastpath.Decisions` below the floor);
+    ``self.prune`` says whether any pair can be skipped."""
 
     def __init__(self, g: DynGraph, potential: Potential, scheduler: Scheduler,
                  certified: bool):
         self.certified = certified
         self.prune = certified and potential.pair_stats is not None
         if self.prune:
-            potential.pair_stats.certify()
+            from .fastpath import Decisions
+            Decisions(potential.pair_stats, potential.pair_stats.cn_floor)
         self.g = g
         self.potential = potential
         self.scheduler = scheduler
@@ -359,15 +369,6 @@ class ActiveSetStepper(NaiveStepper):
         return delta, 1
 
 
-def _active_route_applies(cfg: RunConfig, npairs: int) -> bool:
-    """Whether :class:`ActiveSetStepper` can serve ``cfg``: observers need
-    every round materialised, and the pair limit bounds the confirming sweep."""
-    return (isinstance(cfg.scheduler, UniformRandomScheduler)
-            and cfg.potential.node_form is not None
-            and not cfg.observers
-            and npairs <= NAIVE_PAIR_LIMIT)
-
-
 def _make_stepper(cfg: RunConfig, g: DynGraph):
     mode = cfg.engine
     sched = cfg.scheduler
@@ -376,13 +377,15 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
         from . import social
         return social.RewriteStepper(g, pot, sched)
     npairs = pair_count(g.n)
-    merged_capable = pot.merged_base is not None and pot.merged_base.pair_stats is not None
     if mode == "auto":
-        if _active_route_applies(cfg, npairs):
+        # observers need every round materialised, and the pair limit bounds
+        # the active route's confirming sweep
+        if (isinstance(sched, UniformRandomScheduler) and pot.node_form is not None
+                and not cfg.observers and npairs <= NAIVE_PAIR_LIMIT):
             return ActiveSetStepper(g, pot, sched)
         if not sched.is_complete:
             mode = "naive"
-        elif merged_capable or (pot.pair_stats is not None and npairs > NAIVE_PAIR_LIMIT):
+        elif pot.pair_rule is not None:
             mode = "incremental"
         elif npairs > NAIVE_PAIR_LIMIT:
             raise ConfigError(
@@ -393,8 +396,6 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
     if mode == "naive":
         # a forced naive run is the unpruned reference
         return NaiveStepper(g, pot, sched, certified=cfg.engine == "auto")
-    if not sched.is_complete:
-        raise ConfigError(f"{mode} engine requires the complete scheduler")
     from . import fastpath
     if mode == "incremental":
         return fastpath.IncrementalStepper(g, pot)

@@ -23,15 +23,14 @@ stay exactly equivalent to pairwise evaluation of every pair:
   at scales where the unpruned reference, ``engine="naive"``, cannot
   enumerate the pairs.
 
-Both verify the floor certificate itself at startup by exhaustively checking
-``decide`` on every count below the floor, with a common-neighbor-edge
-supplier that refuses to be called. The same supplier tabulates ``decide``
-over (edge state, count) at and above the floor (:class:`Decisions`): a round
-looks its pairs up in one array operation and calls ``decide`` only on the
-pairs whose entry reads the common neighbor edges. The rule keeps one
-definition, its own ``decide``. The incremental route hands each substep's
-toggles to the graph as sorted edge codes (:meth:`DynGraph.toggle_codes`),
-and builds the round's delta from them.
+Both tabulate ``decide`` over (edge state, count) from count 0 up with a
+common-neighbor-edge supplier that refuses to be called (:class:`Decisions`);
+the rows below the floor are the certificate check. A round looks its pairs
+up in one array operation and calls ``decide`` only on the pairs whose entry
+reads the common neighbor edges, so the rule keeps one definition, its own
+``decide``. The incremental route hands each substep's toggles to the graph
+as sorted edge codes (:meth:`DynGraph.toggle_codes`), and builds the round's
+delta from them.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .graph import DynGraph, EdgeDelta, graph_fingerprint, pair_codes
 from .potentials import PairStatsRule, Potential
 from .schedulers import pair_count
@@ -49,35 +48,23 @@ from .schedulers import pair_count
 BULK_ROWS = 2048
 
 
-def _resolve_stats(potential: Potential) -> tuple[PairStatsRule, int]:
-    """Return (stats, substeps). A merged potential executes two base rounds."""
-    if potential.pair_stats is not None:
-        return potential.pair_stats, 1
-    if potential.merged_base is not None and potential.merged_base.pair_stats is not None:
-        return potential.merged_base.pair_stats, 2
-    raise ConfigError(f"potential {potential.name} provides no pair statistics")
-
-
 def _exact_ce(g: DynGraph, u: int, v: int):
     """The lazy common neighbor edge count that ``decide`` receives."""
     return lambda: g.common_neighbor_edges(u, v)
 
 
-class _Refused(Exception):
-    """Raised by the common neighbor edge supplier of a tabulation call."""
-
-
 class Decisions:
     """A pair-statistics rule's ``decide``, tabulated over (edge state,
-    common neighbor count) from the floor up.
+    common neighbor count) from count 0 up.
 
     Each entry comes from the rule's own ``decide``, called with a common
     neighbor edge supplier that records the call and refuses. An entry whose
     call used the supplier, even if ``decide`` caught the refusal, or raised,
     is marked ``slow``: its pairs are decided one by one by ``decide`` with
     their exact count, so an error is raised on the pair that causes it.
-    Below the certified floor no entry toggles. The table grows when a count
-    passes its end.
+    Below the floor a toggling or slow entry raises ``ContractError`` (the
+    certificate is false), and an error of ``decide``'s own propagates. The
+    table grows when a count passes its end.
     """
 
     __slots__ = ("decide", "floor", "flips", "slow")
@@ -102,17 +89,23 @@ class Decisions:
 
         def refuse() -> int:
             asked.append(True)
-            raise _Refused
+            raise ContractError("common neighbor edges are not tabulated")
 
-        for cn in range(max(old, self.floor), size):
+        for cn in range(old, size):
             for edge in (0, 1):
                 asked.clear()
                 try:
                     flips[edge, cn] = self.decide(edge, cn, refuse) != edge
-                except Exception:   # the pair-by-pair call raises it again
+                except Exception:   # from the floor up, the pair-by-pair call raises it again
+                    if cn < self.floor and not asked:
+                        raise
                     slow[edge, cn] = True
                 if asked:
                     slow[edge, cn] = True
+            if cn < self.floor and (flips[:, cn].any() or slow[:, cn].any()):
+                what = ("changes state" if flips[:, cn].any() else
+                        "below the floor consulted common neighbor edges")
+                raise ContractError(f"cn_floor certificate violated at cn={cn}: decision {what}")
         self.flips, self.slow = flips, slow
 
     def toggling(self, g: DynGraph, us: np.ndarray, vs: np.ndarray, edges: np.ndarray,
@@ -235,8 +228,7 @@ class IncrementalStepper:
 
     def __init__(self, g: DynGraph, potential: Potential):
         self.g = g
-        self.stats, self.substeps = _resolve_stats(potential)
-        self.stats.certify()
+        self.stats, self.substeps = potential.pair_rule
         self.floor = self.stats.cn_floor
         ids = _at_floor(g._adj, self.floor)
         self.a_hh, upper = _high_side(g._adj, ids, g.n)
@@ -325,12 +317,8 @@ class BulkStepper:
 
     def __init__(self, g: DynGraph, potential: Potential):
         self.g = g
-        stats, substeps = _resolve_stats(potential)
-        if substeps != 1:
-            raise ConfigError("bulk execution does not support merged potentials")
-        self.stats = stats
-        stats.certify()
-        self.decisions = Decisions(stats, stats.cn_floor + 1)
+        self.stats = potential.pair_stats
+        self.decisions = Decisions(self.stats, self.stats.cn_floor + 1)
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
         g = self.g

@@ -105,6 +105,8 @@ def read_social_profile(path: str):
                     enemies.add(norm_pair(int(parts[1]), int(parts[2])))
                     continue
                 node = int(parts[0])
+                if node in niceness:
+                    raise InputError(f"{path}:{lineno}: node {node} listed twice")
                 niceness[node] = float(parts[1])
                 extroversion[node] = int(parts[2])
             except ValueError:

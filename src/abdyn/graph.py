@@ -188,6 +188,12 @@ class DynGraph:
         return f"DynGraph(n={self.n}, m={self.m})"
 
 
+def _unordered(u: int, v: int) -> ContractError:
+    """A delta pair not ordered u < v: with its reverse it would pass the duplicate test."""
+    return ContractError(f"delta contains self-loop ({u},{v})" if u == v else
+                         f"delta pair ({u},{v}) is not ordered u < v")
+
+
 @dataclass(frozen=True)
 class EdgeDelta:
     """One synchronous round's edge update, as disjoint add/remove lists."""
@@ -231,14 +237,16 @@ class EdgeDelta:
         adj = g._adj
         n = len(adj)
         for u, v in adds:
-            if u == v:
-                raise ContractError(f"delta contains self-loop ({u},{v})")
+            if u >= v:
+                raise _unordered(u, v)
             if not (0 <= u < n and 0 <= v < n):
                 g._check(u)
                 g._check(v)
             if v in adj[u]:
                 raise ContractError(f"delta adds existing edge ({u},{v})")
         for u, v in rems:
+            if u >= v:
+                raise _unordered(u, v)
             if not (0 <= u < n and 0 <= v < n):
                 g._check(u)
                 g._check(v)

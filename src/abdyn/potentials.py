@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .graph import DynGraph, EdgeDelta, ball_nodes, induced_ball
 
 ProperFunction = Callable[[float, float], float]
@@ -45,9 +45,11 @@ class PairStatsRule:
     neighbor edge count (evaluated lazily since it is rarely needed).
 
     ``cn_floor`` is a pruning certificate: whenever the common neighbor count
-    of a pair is below it, ``decide`` is guaranteed to return the current
-    state, so the pair can be skipped without evaluation. It must be at least
-    1: the fast routes only ever visit pairs with a common neighbor.
+    of a pair is below it, ``decide`` keeps the current state without
+    reading the common neighbor edges, so the pair can be skipped without
+    evaluation; every route that skips pairs checks it first, count by count
+    (:class:`abdyn.fastpath.Decisions`). It must be at least 1: the fast
+    routes only ever visit pairs with a common neighbor.
     """
 
     decide: Callable[[int, int, Callable[[], int]], int]
@@ -56,25 +58,6 @@ class PairStatsRule:
     def __post_init__(self):
         if self.cn_floor < 1:
             raise ConfigError(f"cn_floor must be at least 1, got {self.cn_floor}")
-
-    def certify(self) -> None:
-        """Check the floor exhaustively: below it, ``decide`` keeps both edge
-        states without consulting the common neighbor edges, also when it
-        would catch the refusal of the supplier it is given."""
-        asked = []
-
-        def _no_ce() -> int:
-            asked.append(True)
-            raise ContractError("decision below the floor consulted common neighbor edges")
-
-        for cn in range(self.cn_floor):
-            if self.decide(0, cn, _no_ce) != 0 or self.decide(1, cn, _no_ce) != 1:
-                raise ContractError(
-                    f"cn_floor certificate violated at cn={cn}: decision changes state")
-            if asked:
-                raise ContractError(
-                    f"cn_floor certificate violated at cn={cn}: decision below the floor "
-                    f"consulted common neighbor edges")
 
 
 @dataclass(frozen=True)
@@ -100,6 +83,17 @@ class Potential:
     def __post_init__(self):
         if self.alpha > self.beta:
             raise ConfigError(f"alpha={self.alpha} exceeds beta={self.beta}")
+
+    @property
+    def pair_rule(self) -> Optional[tuple[PairStatsRule, int]]:
+        """(rule, substeps): the pair-statistics rule a round runs and how
+        many of its rounds make one round of this potential (2 for a
+        :func:`two_step_merge`); None when the potential has none."""
+        if self.pair_stats is not None:
+            return self.pair_stats, 1
+        if self.merged_base is not None and self.merged_base.pair_stats is not None:
+            return self.merged_base.pair_stats, 2
+        return None
 
     def value(self, g: DynGraph, u: int, v: int) -> float:
         return self.evaluator(g, u, v)

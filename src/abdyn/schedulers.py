@@ -34,9 +34,8 @@ def rank_pair(i: int, j: int) -> int:
 
 def unrank_pair(k: int) -> tuple[int, int]:
     """The pair (i, j), i < j, of rank k; inverse of :func:`rank_pair`."""
+    # isqrt(8k + 1) is 2j - 1 or 2j for k = j(j - 1)/2 + i with i < j
     j = (1 + math.isqrt(8 * k + 1)) // 2
-    if j * (j - 1) // 2 > k:
-        j -= 1
     return k - j * (j - 1) // 2, j
 
 
@@ -219,10 +218,14 @@ class ScriptedScheduler(Scheduler):
             raise ConfigError("script must contain at least one round")
         self.script = [tuple(norm_pair(*p) for p in rounds) for rounds in script]
         for i, rounds in enumerate(self.script):
+            seen = set()
             for u, v in rounds:
                 if u == v or not (0 <= u < n and 0 <= v < n):
                     raise ConfigError(
                         f"script round {i} holds invalid pair ({u},{v}) for n={n}")
+                if (u, v) in seen:
+                    raise ConfigError(f"script round {i} holds pair ({u},{v}) twice")
+                seen.add((u, v))
         self.repeat = repeat
         self.n = n
         self.claims_fair = claim_fair

@@ -46,6 +46,7 @@ class SocialProfile:
                 raise ConfigError("a node cannot be its own enemy")
             if not (0 <= u < len(self.niceness) and 0 <= v < len(self.niceness)):
                 raise ConfigError(f"enemy pair ({u},{v}) out of range")
+        object.__setattr__(self, "enemies", frozenset(norm_pair(*p) for p in self.enemies))
 
     @property
     def n(self) -> int:
@@ -128,14 +129,13 @@ def star_protocol(seed: int) -> GeneralProtocol:
     neighbor, the comparison escalates to those neighbors; the winner there
     collects both former partners plus the loser itself, and the mutual
     (u, v) edge is dropped, leaving the winner the root of a small star.
+    The coins come from the ``rng`` a run seeds with the protocol's ``seed``.
     """
-    coin_rng = random.Random(seed)
-
-    def coin_winner(a: int, b: int) -> int | None:
+    def coin_winner(a: int, b: int, rng: random.Random) -> int | None:
         """Lower id tosses first; unequal tosses pick the node showing heads."""
         a, b = norm_pair(a, b)
-        ca = coin_rng.random() < 0.5
-        cb = coin_rng.random() < 0.5
+        ca = rng.random() < 0.5
+        cb = rng.random() < 0.5
         if ca == cb:
             return None
         return a if ca else b
@@ -167,7 +167,7 @@ def star_protocol(seed: int) -> GeneralProtocol:
             move_all(winner, loser)
             leaves = [loser]
         elif du != 1:
-            winner = coin_winner(u, v)
+            winner = coin_winner(u, v, rng)
             if winner is None:
                 return tie()
             loser = v if winner == u else u
@@ -189,7 +189,7 @@ def star_protocol(seed: int) -> GeneralProtocol:
                 if dx != dy:
                     winner, loser = (x, y) if dx > dy else (y, x)
                 else:
-                    winner = coin_winner(x, y)
+                    winner = coin_winner(x, y, rng)
                     if winner is None:
                         return tie()
                     loser = y if winner == x else x
@@ -199,7 +199,7 @@ def star_protocol(seed: int) -> GeneralProtocol:
                 leaves = sorted({loser, u, v} - {winner})
         return EdgeDelta.build(additions, removals), {"tie": False, "leaves": leaves}
 
-    return GeneralProtocol(name="star", rewrite=rewrite)
+    return GeneralProtocol(name="star", rewrite=rewrite, seed=seed)
 
 
 def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,

@@ -350,3 +350,62 @@ output.trace = {trace_path}
         return
     assert "verdict: cycle at round 0 (period 2)" in captured.out
     assert len(read_trace(str(trace_path))["rounds"]) == records
+
+
+_MIN_DEGREE = "potential.name = min_degree\npotential.alpha = 2\npotential.beta = 12\n"
+_RULE110 = "potential.name = {}\npotential.alpha = 100\npotential.beta = 100\n"
+_CYCLE = "graph.generator = cycle\ngraph.n = 4\n"
+
+
+@pytest.mark.parametrize("files, argv, code, err", [
+    ({"cfg": "graph.generator = gnp\ngraph.n = 12\ngraph.p = 0.3\ngraph.seed = 2\n"
+             + _MIN_DEGREE}, ["run", "{cfg}"], 0, ""),
+    ({"cfg": "graph.generator = path\ngraph.n = 6\n" + _MIN_DEGREE}, ["run", "{cfg}"], 0, ""),
+    ({"cfg": "graph.generator = star\ngraph.n = 6\n" + _MIN_DEGREE}, ["run", "{cfg}"], 0, ""),
+    ({"cfg": "graph.generator = complete\ngraph.n = 6\n" + _MIN_DEGREE},
+     ["run", "{cfg}"], 0, ""),
+    ({"cfg": "graph.generator = rule110-assembly\ngraph.tape = 0110\nrun.rounds = 2\n"
+             + _RULE110.format("rule110")}, ["run", "{cfg}"], 3, ""),
+    ({"script": "0-1 1-2\n2-3\n",
+      "cfg": _CYCLE + "scheduler.name = scripted\nscheduler.script = {script}\n" + _MIN_DEGREE},
+     ["run", "{cfg}"], 0, ""),
+    ({"script": "0-1 1-0\n",
+      "cfg": _CYCLE + "scheduler.name = scripted\nscheduler.script = {script}\n" + _MIN_DEGREE},
+     ["run", "{cfg}"], 64, "script round 0 holds pair (0,1) twice"),
+    ({"profile": "0 2.0 1\n1 0.5 2\n2 1.5 1\n3 3.0 0\nenemy 0 3\n",
+      "cfg": _CYCLE + "potential.name = degree_like_niceness\npotential.profile = {profile}\n"
+             "potential.alpha = 2\npotential.beta = 8\nscheduler.name = social\n"},
+     ["run", "{cfg}"], 0, ""),
+    ({"profile": "0 2.0 1\n1 0.5 2\n0 1.5 1\n", "edges": "0 1\n"},
+     ["social", "--graph", "{edges}", "--profile", "{profile}", "--alpha", "2", "--beta", "8"],
+     64, "profile:3: node 0 listed twice"),
+    ({"cfg": _CYCLE + "a line without an equals sign\n"}, ["run", "{cfg}"], 64,
+     "cfg:3: expected 'key = value'"),
+    ({"cfg": _CYCLE + "run.engine = incremental\n" + _MIN_DEGREE}, ["run", "{cfg}"], 64,
+     "potential min_degree provides no pair statistics"),
+    ({"cfg": _CYCLE + "run.engine = bulk\n" + _RULE110.format("rule110_merged")},
+     ["run", "{cfg}"], 64, "bulk execution does not support merged potentials"),
+    ({"cfg": _CYCLE + "run.engine = incremental\nscheduler.name = round_robin\n"
+             + _RULE110.format("rule110")}, ["run", "{cfg}"], 64,
+     "incremental engine requires the complete scheduler"),
+    ({"edges": "0 1\n1 2\n2 3\n3 4\n1 5\n"},
+     ["star", "--graph", "{edges}", "--seed", "1", "--out", "{out}"], 0, ""),
+], ids=["gnp", "path", "star", "complete", "rule110-assembly", "scripted", "script-twice",
+        "social", "profile-twice", "no-equals", "incremental-without-pair-rule",
+        "bulk-merged", "incremental-round-robin", "star-graph"])
+def test_cli_inputs_exit_codes(tmp_path, capsys, files, argv, code, err):
+    """Inputs that no other test feeds the command line: generators,
+    schedulers, malformed files and forced routes."""
+    paths = {name: str(tmp_path / name) for name in [*files, "trace", "out"]}
+    for name, text in files.items():
+        if name == "cfg":
+            text += "output.trace = {trace}\n"
+        (tmp_path / name).write_text(text.format(**paths))
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert err in capsys.readouterr().err
+    if code == 64:
+        assert err
+    elif "cfg" in files:
+        assert read_trace(paths["trace"])["verdict"]["round"] >= 0
+    else:
+        assert read_edgelist(paths["out"]).m == 5

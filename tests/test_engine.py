@@ -259,6 +259,25 @@ def test_stochastic_sweep_window(n, window):
     assert len(trace.rounds) == window
 
 
+@pytest.mark.parametrize("engine, potential, scheduler, message", [
+    ("incremental", min_degree_potential(1, 3), CompleteScheduler(),
+     "potential min_degree provides no pair statistics"),
+    ("bulk", community_potential(1, 3), CompleteScheduler(),
+     "potential community provides no pair statistics"),
+    ("bulk", two_step_merge(rule110_potential(10)), CompleteScheduler(),
+     "bulk execution does not support merged potentials"),
+    ("incremental", rule110_potential(10), FairRoundRobinScheduler(2),
+     "incremental engine requires the complete scheduler"),
+    ("bulk", rule110_potential(10), UniformRandomScheduler(1),
+     "bulk engine requires the complete scheduler"),
+])
+def test_forced_routes_are_refused_when_the_config_is_built(engine, potential, scheduler,
+                                                            message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        RunConfig(graph=DynGraph(4), potential=potential, scheduler=scheduler,
+                  max_rounds=1, engine=engine)
+
+
 # ---------------------------------------------------------------------------
 # engine equivalences
 
@@ -271,9 +290,22 @@ def test_prune_matches_unpruned_naive(seed):
     t_plain = run(RunConfig(graph=g.copy(), engine="naive", **base))
     t_prune = run(RunConfig(graph=g.copy(), engine="auto", **base))
     assert t_prune.metadata["prune"] and not t_plain.metadata["prune"]
-    assert t_prune.metadata["engine"] == "NaiveStepper"
+    assert t_prune.metadata["engine"] == "IncrementalStepper"
     assert [r.fingerprint for r in t_plain.rounds] == \
         [r.fingerprint for r in t_prune.rounds]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_auto_runs_pair_rules_incrementally_on_small_graphs(seed):
+    # the route does not depend on the size: 8 nodes, and a low floor at
+    # which every one of these runs changes the graph
+    g = random_graph(8, 0.6, seed)
+    base = dict(potential=_table_potential(1, seed), scheduler=CompleteScheduler(),
+                max_rounds=6, stop_mode="budget", record_rounds="all")
+    auto = run(RunConfig(graph=g, **base))
+    naive = run(RunConfig(graph=g, engine="naive", **base))
+    assert auto.metadata["engine"] == "IncrementalStepper" and auto.change_count
+    assert auto.rounds == naive.rounds and auto.verdict == naive.verdict
 
 
 def _fair_script(n, seed, chunk):

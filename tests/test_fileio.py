@@ -58,6 +58,14 @@ def test_social_profile_dense_ids(tmp_path):
         read_social_profile(str(path))
 
 
+def test_social_profile_node_listed_twice(tmp_path):
+    path = tmp_path / "prof.txt"
+    path.write_text("0 1 1\n1 2 0\n0 3 1\n")
+    with pytest.raises(InputError) as info:
+        read_social_profile(str(path))
+    assert str(info.value) == f"{path}:3: node 0 listed twice"
+
+
 @pytest.mark.parametrize("verdict", [Verdict("stabilized", 3), Verdict("cycle", 1, 2),
                                      Verdict("budget", 5), Verdict("target", 0)])
 def test_write_trace_roundtrip(tmp_path, verdict):

@@ -136,6 +136,10 @@ def test_delta_contract_violations():
     ([(0, 2)], [(0, 2)], ContractError, "delta adds and removes the same pairs: [(0, 2)]"),
     ([(1, 2), (0, 1)], [], ContractError, "delta adds existing edge (0,1)"),
     ([], [(0, 1), (1, 2)], ContractError, "delta removes missing edge (1,2)"),
+    # a pair and its reverse are one edge, which would be toggled twice
+    ([(0, 2), (2, 0)], [], ContractError, "delta pair (2,0) is not ordered u < v"),
+    ([], [(0, 1), (1, 0)], ContractError, "delta pair (1,0) is not ordered u < v"),
+    ([(2, 1)], [], ContractError, "delta pair (2,1) is not ordered u < v"),
 ])
 def test_delta_validate_messages(additions, removals, error, message):
     g = DynGraph.from_edges(3, [(0, 1)])

@@ -15,7 +15,7 @@ from abdyn.errors import ContractError
 from abdyn.fastpath import BulkStepper, Decisions, IncrementalStepper
 from abdyn.graph import DynGraph, EdgeDelta, graph_fingerprint
 from abdyn.potentials import PairStatsRule, Potential, two_step_merge
-from abdyn.schedulers import CompleteScheduler
+from abdyn.schedulers import CompleteScheduler, FairRoundRobinScheduler
 
 from conftest import random_graph
 
@@ -114,6 +114,20 @@ def test_routes_agree_round_by_round(g, rule):
     assert graph_fingerprint(stepper.g) == graph_fingerprint(naive.final_graph)
 
 
+@settings(max_examples=60)
+@given(graphs(), table_rules(), st.integers(1, 30))
+def test_pruned_pairwise_route_agrees_under_round_robin(g, rule, batch):
+    # off the complete scheduler auto decides pairwise and skips the pairs
+    # below the floor
+    base = dict(graph=g, potential=_potential(rule), max_rounds=3 * ROUNDS,
+                stop_mode="budget", record_rounds="all", record_deltas=True)
+    naive, auto = (run(RunConfig(scheduler=FairRoundRobinScheduler(batch), engine=engine, **base))
+                   for engine in ("naive", "auto"))
+    assert auto.metadata["engine"] == "NaiveStepper" and auto.metadata["prune"]
+    assert auto.deltas == naive.deltas and auto.rounds == naive.rounds
+    assert auto.verdict == naive.verdict
+
+
 @settings(max_examples=40)
 @given(graphs(max_n=9), table_rules())
 def test_merged_round_equals_two_plain_rounds(g, rule):
@@ -126,8 +140,8 @@ def test_merged_round_equals_two_plain_rounds(g, rule):
 
 @given(table_rules(valid=False))
 def test_floor_violating_tables_are_rejected(rule):
-    with pytest.raises(ContractError):
-        rule.certify()
+    with pytest.raises(ContractError, match="cn_floor certificate violated"):
+        Decisions(rule, rule.cn_floor)
     g = random_graph(8, 0.5, 0)
     for engine in ("auto", "incremental", "bulk"):
         with pytest.raises(ContractError):

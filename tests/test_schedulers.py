@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from abdyn.errors import ConfigError
@@ -59,6 +61,15 @@ def test_pair_ranks_order_pairs_by_larger_then_smaller_node():
     pairs = sorted(all_pairs(9), key=lambda p: (p[1], p[0]))
     assert [unrank_pair(k) for k in range(len(pairs))] == pairs
     assert [rank_pair(*p) for p in pairs] == list(range(len(pairs)))
+    # the first and last rank of each larger node, and random ranks below 2**62
+    rng = random.Random(5)
+    for j in [2, 3, 1 << 20, (1 << 31) - 1, 3037000499] + [rng.randrange(2, 1 << 31)
+                                                            for _ in range(200)]:
+        for i in (0, j - 1, rng.randrange(j)):
+            assert unrank_pair(rank_pair(i, j)) == (i, j)
+    for k in (rng.randrange(1 << 62) for _ in range(2000)):
+        i, j = unrank_pair(k)
+        assert 0 <= i < j and rank_pair(i, j) == k
 
 
 def test_uniform_scheduler_draws_one_stream():
@@ -132,6 +143,12 @@ def test_scripted_scheduler_validation():
     assert sched.fairness_period == 3
     with pytest.raises(ConfigError, match=r"missing \(1,2\)"):
         ScriptedScheduler([[(0, 1)], [(0, 2)]], n=3, repeat=True, claim_fair=True)
+
+
+def test_scripted_scheduler_refuses_a_pair_twice_in_a_round():
+    # a pair and its reverse in one round would be scheduled once
+    with pytest.raises(ConfigError, match=r"^script round 1 holds pair \(0,1\) twice$"):
+        ScriptedScheduler([[(0, 2)], [(0, 1), (1, 0)]], n=3)
 
 
 def test_scripted_scheduler_replay_and_padding():

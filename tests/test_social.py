@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
@@ -40,6 +41,15 @@ def test_profile_validation():
         profile_of([1.0, 1.0], enemies=[(0, 5)])
     with pytest.raises(ConfigError, match="3 niceness values but 1 extroversion values"):
         SocialProfile(niceness=(1.0, 2.0, 3.0), extroversion=(1,), enemies=frozenset())
+
+
+def test_reversed_enemy_pairs_are_never_scheduled():
+    # on the path 0-1-2 the pair (0, 2) lies at distance 2, within reach
+    g = path_graph(3)
+    assert (0, 2) in set(SocialScheduler(profile_of([1.0] * 3), 1).interactions(0, g))
+    prof = profile_of([1.0] * 3, enemies=[(2, 0)])
+    assert prof.enemies == {(0, 2)}
+    assert (0, 2) not in set(SocialScheduler(prof, 1).interactions(0, g))
 
 
 def test_niceness_examples():
@@ -99,7 +109,7 @@ def test_enemy_pairs_never_gain_edges():
 
 def apply_interaction(g, u, v, seed=0):
     proto = star_protocol(seed)
-    delta, info = proto.rewrite(g, u, v, random.Random(0))
+    delta, info = proto.rewrite(g, u, v, random.Random(seed))
     g.apply_delta(delta)
     return delta, info
 
@@ -226,6 +236,21 @@ def test_star_run_budget_verdict():
     trace = run_general(g, star_protocol(0), UniformRandomScheduler(0),
                         budget=1, seed=0, stop_predicate=star_predicate)
     assert trace.verdict.kind == "budget"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reused_star_protocol_replays_its_run(seed):
+    # the coins come from the run's rng, so a protocol object holds no stream
+    g = random_connected(30, 0.1, seed)
+    proto = star_protocol(seed)
+    traces = [run_general(g, proto, UniformRandomScheduler(seed), budget=100_000,
+                          seed=seed, stop_predicate=star_predicate) for _ in range(2)]
+    traces.append(run(RunConfig(graph=g, potential=replace(proto, stop=star_predicate),
+                                scheduler=UniformRandomScheduler(seed), max_rounds=100_000,
+                                record_rounds="changes")))
+    assert proto.seed == seed
+    for trace in traces[1:]:
+        assert trace.rounds == traces[0].rounds and trace.verdict == traces[0].verdict
 
 
 def test_run_general_requires_singletons():
