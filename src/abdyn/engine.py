@@ -40,8 +40,9 @@ certificates, which changes no decision:
   empty. If the run changed the graph, one full sweep confirms the empty
   set first; a dirty sweep means the potential's certificate is false and
   raises ``ContractError``. The route consumes the scheduler's random
-  stream exactly as ``naive`` does, so both produce the same rounds up to
-  the fixed point.
+  stream exactly as ``naive`` does, in batches of quiet rounds, so both
+  produce the same rounds up to the fixed point. For a catalog f it works
+  on arrays (see :func:`_twin_array`) and serves graphs of any size.
 
 Cycle detection compares exact edge-set differences from the initial graph
 (plus the scheduler phase), so a cycle verdict is never a false positive;
@@ -61,7 +62,6 @@ after each changed round, or with ``budget``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -70,15 +70,27 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .graph import DynGraph, EdgeDelta, norm_pair
+from .graph import DynGraph, EdgeDelta, code_ends, pair_codes
 # unused here: perfbench/tracer.py wraps them by name until ROADMAP item 1 step B
 from .graph import edge_token, graph_fingerprint  # noqa: F401
 from .potentials import PROPER_FUNCTIONS, Potential, degree
-from .schedulers import (InteractionSet, Scheduler, UniformRandomScheduler, pair_count,
-                         rank_pair, unrank_pair)
+from .schedulers import (InteractionSet, Scheduler, UniformRandomScheduler, in_sorted,
+                         pair_count, rank_pair, unrank_pair)
 
-# Largest pair count that a run evaluates pair by pair in one round or sweep.
+# Largest pair count that a run decides pair by pair in one round or sweep:
+# it bounds the stochastic sweep, the pairwise complete rounds and the active
+# route of a potential whose node values have no numpy twin (see _twin_array).
 NAIVE_PAIR_LIMIT = 400_000
+# Every value and result of a twin on int64 node values lies within ±2**53,
+# so the arithmetic and its float64 comparisons with the thresholds are exact.
+_EXACT = 1 << 53
+# The numpy twin of each catalog function and the largest |h| it admits.
+_TWINS = {
+    PROPER_FUNCTIONS["sum"]: (np.add, _EXACT // 2),
+    PROPER_FUNCTIONS["min"]: (np.minimum, _EXACT),
+    PROPER_FUNCTIONS["max"]: (np.maximum, _EXACT),
+    PROPER_FUNCTIONS["product"]: (np.multiply, math.isqrt(_EXACT)),
+}
 # Deterministic-scheduler states kept for cycle detection; older ones are
 # dropped, so a longer cycle is not detected.
 CYCLE_HISTORY = 4096
@@ -171,18 +183,22 @@ def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeD
     * a node-form potential f(h(u), h(v)) computes h at most once per node
       and evaluates f on the values. A complete interaction set is decided
       by :func:`_sorted_sweep` when f is a catalog function and the values
-      allow it.
+      allow it (see :func:`_twin_array`).
     """
     evaluate = potential.evaluator
     if prune and potential.node_form is not None:
         f, h = potential.node_form
         # the degrees of all nodes cost one pass in C; any other h is
         # computed for the scheduled nodes only
-        table = list(map(len, g._adj)) if h is degree else _NodeTable(g, potential)
-        if isinstance(pairs, InteractionSet) and pairs.complete:
-            values = table if h is degree else [table[u] for u in range(g.n)]
-            if _sortable(f, values):
-                return _sorted_sweep(g, potential, values)
+        complete = isinstance(pairs, InteractionSet) and pairs.complete
+        if complete or h is degree:
+            table = _node_values(g, potential)
+        else:
+            table = _NodeTable(g, potential)
+        if complete:
+            x = _twin_array(potential, table)
+            if x is not None:
+                return _sorted_sweep(g, potential, x)
 
         def evaluate(_g, u, v):
             return f(table[u], table[v])
@@ -234,6 +250,14 @@ class _NodeTable(dict):
         return value
 
 
+def _node_values(g: DynGraph, potential: Potential) -> list:
+    """h of every node of a node-form potential, in node order."""
+    if potential.node_form[1] is degree:
+        return list(map(len, g._adj))
+    table = _NodeTable(g, potential)
+    return [table[u] for u in range(g.n)]
+
+
 def _sortable(f, values: list) -> bool:
     """Whether :func:`_sorted_sweep` decides exactly as f pair by pair.
 
@@ -253,38 +277,82 @@ def _sortable(f, values: list) -> bool:
     return f is not PROPER_FUNCTIONS["product"] or all(x >= 0 for x in values)
 
 
-def _sorted_sweep(g: DynGraph, potential: Potential, table: list) -> EdgeDelta:
-    """Decide all pairs of a node-form potential from its node values with
-    O(n log n) calls of f and O(m + |delta|) further steps.
+def _twin_array(potential: Potential, values: list) -> Optional[np.ndarray]:
+    """The node values as an array on which the numpy twin of f (see
+    ``_TWINS``) decides every pair exactly as f does, or None when they are
+    not :func:`_sortable`.
 
-    Since f is non-decreasing, the nodes v with f(h(u), h(v)) < alpha form a
-    prefix, and those with f(h(u), h(v)) >= beta a suffix, of the nodes
-    sorted by h. Two bisections per node find where they end and start.
-    The removals at u are its neighbours with a value below the prefix's
-    end. The walk over the suffix meets, beside the additions at u, only
-    u's neighbours, u itself and additions counted from their other end.
+    Floats become float64 and ints int64 while every value lies within the
+    twin's guard, if both thresholds are floats or ints within ±2**53.
+    Otherwise the values stay Python numbers in an object array, on which
+    the twin calls Python arithmetic. This is the one statement of the
+    guard: a single value fits an array of another dtype exactly when
+    ``_twin_array`` of it alone has that dtype.
     """
     f = potential.node_form[0]
-    alpha, beta = potential.alpha, potential.beta
+    if not _sortable(f, values):
+        return None
+    if all(isinstance(t, float) or isinstance(t, int) and abs(t) <= _EXACT
+           for t in (potential.alpha, potential.beta)):
+        if values and type(values[0]) is float:
+            return np.array(values, dtype=np.float64)
+        if max(map(abs, values), default=0) <= _TWINS[f][1]:
+            return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
+
+
+def _edge_arrays(g: DynGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints (u, v), u < v, of every edge as two int64 arrays."""
     adj = g._adj
+    degs = np.fromiter(map(len, adj), dtype=np.int64, count=g.n)
+    us = np.repeat(np.arange(g.n), degs)
+    vs = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(degs.sum()))
+    keep = us < vs
+    return us[keep], vs[keep]
+
+
+def _sorted_sweep(g: DynGraph, potential: Potential, x: np.ndarray) -> EdgeDelta:
+    """Decide all pairs of a node-form potential from its node values x
+    (see :func:`_twin_array`) with O(n log n + m) twin evaluations and
+    O(m + |delta|) further steps.
+
+    The edges are decided one by one. Since f is non-decreasing, the nodes v
+    with f(x[u], x[v]) >= beta form a suffix of the nodes sorted by x; a
+    bisection of log2(n) rounds, each over all nodes, finds where every
+    suffix starts. The walk over the suffixes meets, beside the additions,
+    only edges (counted from both ends) and each u itself.
+    """
+    twin = _TWINS[potential.node_form[0]][0]
     n = g.n
-    order = sorted(range(n), key=table.__getitem__)
-    ranked = [table[w] for w in order]
-    additions = []
-    removals = []
-    for u in range(n):
-        x = table[u]
-        nbrs = adj[u]
-        low = bisect_left(ranked, True, key=lambda y: f(x, y) >= alpha)
-        if low == n:
-            removals.extend((u, v) for v in nbrs if v > u)
-        elif low:
-            bound = ranked[low]
-            removals.extend((u, v) for v in nbrs if v > u and table[v] < bound)
-        if beta != alpha:
-            low = bisect_left(ranked, True, lo=low, key=lambda y: f(x, y) >= beta)
-        additions.extend((u, v) for v in order[low:] if v > u and v not in nbrs)
-    return EdgeDelta.build(additions, removals)
+    us, vs = _edge_arrays(g)
+    removed = twin(x[us], x[vs]) < potential.alpha
+    removals = tuple(sorted(zip(us[removed].tolist(), vs[removed].tolist())))
+    if not n:
+        return EdgeDelta(removals=removals)
+    # f is largest at the largest value, so no pair reaches beta unless that
+    # one does; indexing keeps x's dtype, so object values use Python arithmetic
+    top = x[[int(x.argmax())]]
+    if not twin(top, top)[0] >= potential.beta:
+        return EdgeDelta(removals=removals)
+    order = np.argsort(x, kind="stable")
+    ranked = x[order]
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, n, dtype=np.int64)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        reach = twin(x, ranked[np.minimum(mid, n - 1)]) >= potential.beta
+        undecided = lo < hi
+        hi = np.where(undecided & reach, mid, hi)
+        lo = np.where(undecided & ~reach, mid + 1, lo)
+    # the suffixes one after another: u's starts at position lo[u] of order
+    length = n - lo
+    au = np.repeat(np.arange(n), length)
+    av = order[np.arange(int(length.sum())) + np.repeat(lo + length - np.cumsum(length), length)]
+    keep = au < av
+    add_codes = pair_codes(au[keep], av[keep])
+    add_codes = np.sort(add_codes[~in_sorted(np.sort(pair_codes(us, vs)), add_codes)])
+    au, av = code_ends(add_codes)
+    return EdgeDelta(additions=tuple(zip(au.tolist(), av.tolist())), removals=removals)
 
 
 # ---------------------------------------------------------------------------
@@ -323,50 +391,106 @@ class NaiveStepper:
 class ActiveSetStepper(NaiveStepper):
     """Uniform one-pair rounds on a node-form potential.
 
-    ``active`` holds the ranks (see :func:`~abdyn.schedulers.rank_pair`) of
-    exactly the pairs whose decision would change the graph. Only a toggle at
-    u or v can change the decision of (u, v), so after each change the pairs
-    at its two endpoints are decided again and nothing else is. A drawn rank
-    outside the set is a quiet round that needs no evaluation.
+    ``active`` is the sorted int64 array of the ranks (see
+    :func:`~abdyn.schedulers.rank_pair`) of exactly the pairs whose decision
+    would change the graph. Only a toggle at u or v can change the decision
+    of (u, v), so after each change the pairs at its two endpoints are
+    decided again and nothing else is. A drawn rank outside the set is a
+    quiet round that needs no evaluation, and the scheduler draws past such
+    rounds in batches (:meth:`~abdyn.schedulers.UniformRandomScheduler.skip_until`).
+
+    ``values`` holds the node values as :func:`_twin_array` builds them, or
+    None when they have no twin. It is carried forward: a change refreshes
+    h(u) and h(v) only, and the pairs at u and v are decided from it by the
+    twin. Without it they are decided pair by pair.
     """
 
-    def __init__(self, g: DynGraph, potential: Potential, scheduler: UniformRandomScheduler):
+    def __init__(self, g: DynGraph, potential: Potential, scheduler: UniformRandomScheduler,
+                 values: Optional[np.ndarray]):
         super().__init__(g, potential, scheduler, certified=True)
         self._pending: Optional[int] = None
-        self.active = self._changing(InteractionSet(complete_n=g.n))
-
-    def _changing(self, pairs) -> set[int]:
-        """Ranks of those of ``pairs`` whose decision would change the graph."""
-        delta = decide_pairs(self.g, self.potential, pairs, True)
-        return {rank_pair(u, v) for u, v in delta.additions + delta.removals}
+        self.values = values
+        delta = decide_pairs(g, potential, InteractionSet(complete_n=g.n), True)
+        self.active = np.array(sorted(rank_pair(u, v) for u, v in
+                                      delta.additions + delta.removals), dtype=np.int64)
 
     def skip_quiet(self, limit: int) -> int:
         """Draw up to ``limit`` rounds; return how many drew a pair outside
         the active set before one drew a pair inside it, which the next
         ``advance`` decides."""
-        draw = self.scheduler.draw
-        active = self.active
-        for quiet in range(limit):
-            k = draw()
-            if k in active:
-                self._pending = k
-                return quiet
-        return limit
+        quiet, self._pending = self.scheduler.skip_until(self.active, limit)
+        return quiet
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
         """Decide and apply the active pair that ``skip_quiet`` drew."""
         u, v = unrank_pair(self._pending)
         self._pending = None
-        delta = decide_pairs(self.g, self.potential, ((u, v),), True)
+        g = self.g
+        delta = decide_pairs(g, self.potential, ((u, v),), True)
         if delta.empty:
             raise ContractError(
                 f"potential {self.potential.name} has a false node_form: the decision "
                 f"of pair ({u},{v}) moved although no edge at u or v was toggled")
-        self.g.apply_delta(delta)
-        touched = {norm_pair(x, y) for x in (u, v) for y in range(self.g.n) if y != x}
-        self.active.difference_update(rank_pair(x, y) for x, y in touched)
-        self.active |= self._changing(touched)
+        g.apply_delta(delta)
+        if self.values is not None:
+            self._carry_values((u, v))
+        # the pairs at u, then those at v but not u, each row ascending by rank
+        nodes = np.arange(g.n)
+        rows = [(u, nodes[nodes != u]), (v, nodes[(nodes != u) & (nodes != v)])]
+        ranks = [rank_pair(np.minimum(w, x), np.maximum(w, x)) for x, w in rows]
+        stale = in_sorted(ranks[0], self.active) | in_sorted(ranks[1], self.active)
+        active = self.active[~stale]
+        for found in self._changing(rows, ranks):
+            active = _merged(active, found)
+        self.active = active
         return delta, 1
+
+    def _carry_values(self, nodes) -> None:
+        """Recompute h at ``nodes``, the endpoints of a toggle, in ``values``;
+        rebuild the array when a new value does not fit it as it is."""
+        table = _NodeTable(self.g, self.potential)
+        for node in nodes:
+            one = _twin_array(self.potential, [table[node]])
+            if (one is not None and self.values.dtype != object
+                    and one.dtype == self.values.dtype):
+                self.values[node] = one[0]
+            else:
+                updated = self.values.tolist()
+                updated[node] = table[node]
+                self.values = _twin_array(self.potential, updated)
+                if self.values is None:
+                    return
+
+    def _changing(self, rows, ranks) -> list[np.ndarray]:
+        """The ascending ranks of those pairs of ``rows`` (a node and its
+        partners, whose ranks are ``ranks``) that would change the graph."""
+        g, pot = self.g, self.potential
+        x = self.values
+        if x is None:
+            pairs = [(min(a, b), max(a, b)) for a, w in rows for b in w.tolist()]
+            delta = decide_pairs(g, pot, pairs, True)
+            changed = sorted(rank_pair(a, b) for a, b in delta.additions + delta.removals)
+            return [np.array(changed, dtype=np.int64)]
+        twin = _TWINS[pot.node_form[0]][0]
+        found = []
+        for (node, w), row in zip(rows, ranks):
+            value = twin(x[node], x[w])
+            edge = np.zeros(g.n, dtype=bool)
+            edge[list(g._adj[node])] = True
+            edge = edge[w]
+            found.append(row[np.where(edge, value < pot.alpha, value >= pot.beta)])
+        return found
+
+
+def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The union of two disjoint ascending int64 arrays, ascending."""
+    at = np.searchsorted(a, b) + np.arange(b.size)
+    out = np.empty(a.size + b.size, dtype=np.int64)
+    rest = np.ones(out.size, dtype=bool)
+    rest[at] = False
+    out[at] = b
+    out[rest] = a
+    return out
 
 
 def _make_stepper(cfg: RunConfig, g: DynGraph):
@@ -378,11 +502,14 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
         return social.RewriteStepper(g, pot, sched)
     npairs = pair_count(g.n)
     if mode == "auto":
-        # observers need every round materialised, and the pair limit bounds
-        # the active route's confirming sweep
+        # observers need every round materialised; the pair limit bounds an
+        # active route whose node values have no twin, since it then decides
+        # the init and the confirming sweep pair by pair
         if (isinstance(sched, UniformRandomScheduler) and pot.node_form is not None
-                and not cfg.observers and npairs <= NAIVE_PAIR_LIMIT):
-            return ActiveSetStepper(g, pot, sched)
+                and not cfg.observers):
+            values = _twin_array(pot, _node_values(g, pot))
+            if values is not None or npairs <= NAIVE_PAIR_LIMIT:
+                return ActiveSetStepper(g, pot, sched, values)
         if not sched.is_complete:
             mode = "naive"
         elif pot.pair_rule is not None:
@@ -447,7 +574,7 @@ def run(config: RunConfig) -> RunTrace:
     t = 0
     while verdict is None:
         if fast is not None:
-            if not fast.active:
+            if not fast.active.size:
                 # Without a change the set is still the exact all-pairs
                 # decision made at init; after one it rests on the
                 # potential's node_form certificate, which a sweep checks.

@@ -1,7 +1,8 @@
 """Text file formats: edge lists, interaction scripts, social profiles, traces.
 
 Edge list format: optional header line ``nodes N`` (needed to declare isolated
-nodes), then one ``u v`` pair of decimal ids per line. ``#`` starts a comment.
+nodes), then one ``u v`` pair of decimal ids per line, each edge once in
+either orientation. ``#`` starts a comment.
 
 Interaction script format: one round per line, space-separated ``u-v`` tokens;
 a blank line is an empty round.
@@ -34,6 +35,7 @@ def _malformed(path: str, lineno: int, line: str) -> InputError:
 def read_edgelist(path: str) -> DynGraph:
     n_declared = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     max_id = -1
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -50,6 +52,10 @@ def read_edgelist(path: str) -> DynGraph:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise _malformed(path, lineno, line) from None
+            edge = norm_pair(u, v)
+            if edge in seen:
+                raise InputError(f"{path}:{lineno}: edge ({edge[0]},{edge[1]}) listed twice")
+            seen.add(edge)
             edges.append((u, v))
             max_id = max(max_id, u, v)
     n = n_declared if n_declared is not None else max_id + 1

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import starmap
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import ConfigError
 from .graph import DynGraph, norm_pair
+
+# Most 32-bit words that one batch of UniformRandomScheduler.skip_until draws.
+BATCH_WORDS = 4096
 
 
 def pair_count(n: int) -> int:
@@ -29,7 +35,7 @@ def all_pairs(n: int) -> Iterator[tuple[int, int]]:
 
 def rank_pair(i: int, j: int) -> int:
     """Rank of the pair (i, j), i < j, among all pairs ordered by j then i."""
-    return j * (j - 1) // 2 + i
+    return (j * (j - 1) >> 1) + i
 
 
 def unrank_pair(k: int) -> tuple[int, int]:
@@ -37,6 +43,13 @@ def unrank_pair(k: int) -> tuple[int, int]:
     # isqrt(8k + 1) is 2j - 1 or 2j for k = j(j - 1)/2 + i with i < j
     j = (1 + math.isqrt(8 * k + 1)) // 2
     return k - j * (j - 1) // 2, j
+
+
+def in_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Bool mask of the ``values`` that occur in the sorted array ``keys``."""
+    if not keys.size:
+        return np.zeros(len(values), dtype=bool)
+    return keys.take(np.searchsorted(keys, values), mode="clip") == values
 
 
 class InteractionSet:
@@ -53,8 +66,16 @@ class InteractionSet:
             self._pairs = None
             self._n = complete_n
         else:
-            self._pairs = frozenset(norm_pair(*p) for p in pairs or ())
+            given = pairs if type(pairs) in (list, tuple) else list(pairs or ())
+            self._pairs = frozenset(starmap(norm_pair, given))
             self._n = None
+            if len(self._pairs) != len(given):
+                seen = set()
+                for pair in given:
+                    u, v = pair = norm_pair(*pair)
+                    if pair in seen:
+                        raise ConfigError(f"interaction set holds pair ({u},{v}) twice")
+                    seen.add(pair)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         if self._pairs is None:
@@ -157,9 +178,58 @@ class UniformRandomScheduler(Scheduler):
         self._pairs = pair_count(graph.n)
 
     def draw(self) -> int:
-        """Rank (see :func:`rank_pair`) of the next round's pair. Every round
-        of every caller consumes the stream through this method."""
+        """Rank (see :func:`rank_pair`) of the next round's pair: one
+        ``randrange`` call, the reference for :meth:`skip_until`."""
         return self._rng.randrange(self._pairs)
+
+    def skip_until(self, active: np.ndarray, limit: int) -> tuple[int, Optional[int]]:
+        """Draw the ranks of up to ``limit`` rounds, stopping at the first one
+        in the sorted int64 array ``active``. Return how many rounds drew a
+        rank outside it, and that rank (None if ``limit`` rounds missed).
+
+        The generator ends where as many :meth:`draw` calls would leave it.
+        ``randrange(N)`` with N < 2**32 takes the top ``N.bit_length()`` bits
+        of one 32-bit word and draws again while the value is N or more, so a
+        batch is one ``getrandbits`` call read as words; after a hit, or
+        once ``limit`` is reached, the generator is rewound and advanced by
+        the words used up to then. No drawn word outlives the call.
+        """
+        rng = self._rng
+        npairs = self._pairs
+        if npairs >= 1 << 32:
+            members = set(active.tolist())
+            for quiet in range(limit):
+                k = rng.randrange(npairs)
+                if k in members:
+                    return quiet, k
+            return limit, None
+        bits = npairs.bit_length()
+        # about the number of words that draw the first active rank
+        words = min(BATCH_WORDS, max(64, (1 << bits) // max(1, len(active))))
+        quiet = 0
+        while quiet < limit:
+            batch = min(words, limit - quiet)
+            state = rng.getstate()
+            drawn = np.frombuffer(rng.getrandbits(32 * batch).to_bytes(4 * batch, "little"),
+                                  dtype="<u4") >> (32 - bits)
+            # a batch of at most limit - quiet words cannot overshoot the limit
+            used = np.flatnonzero(drawn < npairs)
+            ranks = drawn[used].astype(np.int64)
+            hits = np.flatnonzero(in_sorted(active, ranks))
+            if hits.size:
+                j = int(hits[0])
+                quiet, found = quiet + j, int(ranks[j])
+            elif quiet + used.size == limit:
+                j, quiet, found = used.size - 1, limit, None
+            else:
+                quiet += used.size
+                words = min(2 * words, BATCH_WORDS)
+                continue
+            if used[j] + 1 < batch:
+                rng.setstate(state)
+                rng.getrandbits(32 * (int(used[j]) + 1))
+            return quiet, found
+        return limit, None
 
     def interactions(self, t: int, graph: DynGraph) -> InteractionSet:
         return InteractionSet([unrank_pair(self.draw())])

@@ -15,7 +15,7 @@ from abdyn.fastpath import IncrementalStepper
 from abdyn.graph import DynGraph, EdgeDelta, graph_fingerprint
 from abdyn.kcore import peel
 from abdyn.potentials import (PROPER_FUNCTIONS, PairStatsRule, Potential,
-                              community_potential, degree_like_potential,
+                              community_potential, degree, degree_like_potential,
                               min_degree_potential, proper_degree_potential,
                               rule110_potential, two_step_merge)
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
@@ -839,5 +839,9 @@ def test_active_route_selection(monkeypatch):
     assert engine_of(scheduler=CompleteScheduler()) == "NaiveStepper"
     assert engine_of(scheduler=FairRoundRobinScheduler(3)) == "NaiveStepper"
     assert engine_of(engine="naive") == "NaiveStepper"
+    # the pair limit binds only where the node values have no numpy twin
+    user_min = degree_like_potential(lambda x, y: min(x, y), degree, 2, 100, validate=False)
+    assert engine_of(potential=user_min) == "ActiveSetStepper"
     monkeypatch.setattr(engine_module, "NAIVE_PAIR_LIMIT", 10)
-    assert engine_of() == "NaiveStepper"
+    assert engine_of() == "ActiveSetStepper"
+    assert engine_of(potential=user_min) == "NaiveStepper"

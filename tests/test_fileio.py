@@ -35,6 +35,15 @@ def test_edgelist_bad_lines(tmp_path):
         read_edgelist(str(path))
 
 
+@pytest.mark.parametrize("second", ["0 1", "1 0"])
+def test_edgelist_edge_listed_twice(tmp_path, second):
+    path = tmp_path / "dup.edges"
+    path.write_text(f"nodes 4\n0 1\n# comment\n2 3\n{second}\n")
+    with pytest.raises(InputError) as info:
+        read_edgelist(str(path))
+    assert str(info.value) == f"{path}:5: edge (0,1) listed twice"
+
+
 def test_script_roundtrip(tmp_path):
     path = tmp_path / "sched.txt"
     path.write_text("0-1 3-2\n\n# a comment line is no round\n2-1\n")

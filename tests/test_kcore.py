@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from abdyn.engine import RunConfig, run
+from abdyn.engine import NAIVE_PAIR_LIMIT, RunConfig, run
+from abdyn.generators import gnp
 from abdyn.graph import DynGraph
 from abdyn.kcore import peel, verify_kcore_run
 from abdyn.potentials import min_degree_potential
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
-                              FairRoundRobinScheduler)
+                              FairRoundRobinScheduler, UniformRandomScheduler, pair_count)
 
 from conftest import random_graph, triangle
 
@@ -110,3 +111,17 @@ def test_changes_bound_and_edge_scheduler_speed():
         assert t2.verdict.kind == "stabilized"
         assert t2.verdict.round <= g.n
         assert verify_kcore_run(t2.final_graph, g, 3).ok
+
+
+@pytest.mark.slow
+def test_uniform_kcore_on_5000_nodes():
+    # 12,497,500 pairs, past the pairwise limit: the active route decides
+    # the catalog min from its twin; the run takes about 87 M rounds
+    g = gnp(5000, 0.002, seed=1)
+    assert pair_count(g.n) > NAIVE_PAIR_LIMIT
+    trace = run(RunConfig(graph=g, potential=min_degree_potential(5, 5000),
+                          scheduler=UniformRandomScheduler(1), max_rounds=10**9,
+                          record_rounds="changes"))
+    assert trace.metadata["engine"] == "ActiveSetStepper"
+    assert trace.verdict.kind == "stabilized"
+    assert verify_kcore_run(trace.final_graph, g, 5).ok

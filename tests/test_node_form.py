@@ -6,13 +6,16 @@ every scheduled pair. Both must produce the same rounds.
 """
 
 import dataclasses
+import math
 import random
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from abdyn import engine
 from abdyn.engine import RunConfig, decide_pairs, run
+from abdyn.graph import DynGraph
 from abdyn.potentials import (PROPER_FUNCTIONS, degree, degree_like_potential,
                               proper_degree_potential)
 from abdyn.schedulers import (CompleteScheduler, FairRoundRobinScheduler, InteractionSet,
@@ -29,26 +32,62 @@ def attribute_sum(attrs):
     return h
 
 
+def attribute_plus_degree(attrs):
+    """Static attribute of the node plus its degree."""
+    def h(g, u):
+        return attrs[u] + len(g.neighbors(u))
+    return h
+
+
+# Node values far past the guard, where int64 arithmetic on them would wrap
+# (sum near 2**63, product near 2**64) or not even hold them (min, max).
+_WIDE = {"sum": 2**62, "product": 2**32, "min": 2**64, "max": 2**64}
+
+
+def _guard_attributes(draw, fname, n, kind):
+    """Attributes a few steps either side of the largest |h| the numpy twin
+    of f admits (ints) or of 2**53 (floats), so that node values, f values
+    and thresholds fall on both sides of the ±2**53 guard; or, for
+    ``int_wide``, a few steps either side of ``_WIDE``."""
+    if kind == "int_wide":
+        bound = _WIDE[fname]
+    elif kind == "int_guard":
+        bound = engine._TWINS[PROPER_FUNCTIONS[fname]][1]
+    else:
+        bound = 2.0 ** 53
+    # product is sortable on nonnegative values only
+    signs = [1] if fname == "product" else [1, -1]
+    return draw(st.lists(st.builds(lambda s, d: s * (bound - d), st.sampled_from(signs),
+                                   st.integers(-3, n)), min_size=n, max_size=n))
+
+
 @st.composite
 def node_form_cases(draw):
-    """A graph with n <= 9 and a node-form potential whose thresholds are
-    values it takes on the graph's pairs, so runs remove and create."""
-    n = draw(st.integers(2, 9))
+    """A graph with n <= 60 and a node-form potential whose thresholds are
+    values it takes on the graph's pairs, so runs remove and create. Graphs
+    above 9 nodes make the uniform runs cross many draw batches."""
+    n = draw(st.one_of(st.integers(2, 9), st.integers(10, 60)))
     g = random_graph(n, draw(st.sampled_from([0.15, 0.4, 0.7])), draw(st.integers(0, 10**6)))
     fname = draw(st.sampled_from(sorted(PROPER_FUNCTIONS)))
     f = PROPER_FUNCTIONS[fname]
-    kind = draw(st.sampled_from(["degree", "int_attributes", "float_attributes"]))
+    kind = draw(st.sampled_from(["degree", "int_attributes", "float_attributes",
+                                 "int_guard", "float_guard", "int_wide"]))
     if kind == "degree":
         h = degree
     elif kind == "int_attributes":
         h = attribute_sum(draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n)))
-    else:
+    elif kind == "float_attributes":
         h = attribute_sum(draw(st.lists(st.floats(-2.5, 4.0, allow_nan=False, width=32),
                                         min_size=n, max_size=n)))
+    else:
+        h = attribute_plus_degree(_guard_attributes(draw, fname, n, kind))
     values = sorted({f(h(g, u), h(g, v)) for u, v in all_pairs(n)})
     i = draw(st.integers(0, len(values) - 1))
     alpha = values[i]
     beta = alpha if draw(st.booleans()) else draw(st.sampled_from(values[i:] + [values[-1] + 1]))
+    if kind in ("degree", "int_attributes", "int_guard", "int_wide") and draw(st.booleans()):
+        # float thresholds against int values: compared in float64 by the twin
+        alpha, beta = float(alpha), float(beta)
     if h is degree:
         pot = proper_degree_potential(f, alpha, beta, name=f"proper_{fname}")
     else:
@@ -125,3 +164,67 @@ def test_sorted_sweep_falls_back_on_values_that_do_not_sort():
         assert not engine._sortable(f, [h(g, u) for u in range(g.n)])
         assert decide_pairs(g, pot, InteractionSet(complete_n=g.n), True) == \
             decide_pairs(g, pot, list(all_pairs(g.n)), False)
+
+
+def test_twin_array_keeps_the_exact_dtype_up_to_the_guard():
+    sum_, min_, max_, product = (PROPER_FUNCTIONS[k] for k in ("sum", "min", "max", "product"))
+
+    def dtype(f, values, threshold=0):
+        pot = degree_like_potential(f, degree, threshold, threshold, validate=False)
+        x = engine._twin_array(pot, values)
+        return None if x is None else x.dtype
+
+    assert dtype(sum_, [2**52, -2**52]) == np.int64
+    assert dtype(sum_, [2**52 + 1, 0]) == object
+    assert dtype(sum_, [0, -2**52 - 1]) == object
+    assert dtype(product, [math.isqrt(2**53)] * 2) == np.int64
+    assert dtype(product, [math.isqrt(2**53) + 1, 0]) == object
+    assert dtype(product, [-1, 2]) is None
+    for f in (min_, max_):
+        assert dtype(f, [2**53, -2**53]) == np.int64
+        assert dtype(f, [2**53 + 1, 0]) == object
+    assert dtype(sum_, [1.5, 2.0**80]) == np.float64
+    assert dtype(sum_, [1, 2.0]) is None
+    # thresholds that an int64 or float64 comparison could round
+    assert dtype(sum_, [1, 2], 2**53) == np.int64
+    assert dtype(sum_, [1, 2], 2**53 + 1) == object
+    assert dtype(sum_, [1.0, 2.0], -2**53 - 1) == object
+    assert dtype(sum_, [1.0, 2.0], 0.5) == np.float64
+
+
+def test_sorted_sweep_adds_pairs_whose_wide_ints_would_wrap_in_int64():
+    # the largest f value is 2**63 (sum) or 2**64 (product): int64 wraps it
+    # to -2**63 or 0, below beta, although the pair of top values reaches it
+    g = DynGraph(3)
+    for f, top in ((PROPER_FUNCTIONS["sum"], 2**62), (PROPER_FUNCTIONS["product"], 2**32)):
+        attrs = [top, top, 1]
+        pot = degree_like_potential(f, lambda g, u: attrs[u], 0, f(top, top), validate=False)
+        assert engine._twin_array(pot, attrs).dtype == object
+        assert decide_pairs(g, pot, InteractionSet(complete_n=3), True).additions == ((0, 1),)
+
+
+def test_active_route_follows_values_across_the_guard(monkeypatch):
+    # sum of (2**52 - 3 + degree): a path's values fit int64, and the
+    # creations the threshold allows push degrees, so values pass 2**52
+    n = 14
+    g = DynGraph.from_edges(n, [(u, u + 1) for u in range(n - 1)])
+    h = attribute_plus_degree([2**52 - 3] * n)
+    beta = 2 * (2**52 - 3) + 3
+    pot = degree_like_potential(PROPER_FUNCTIONS["sum"], h, beta, beta, validate=False)
+    dtypes = []
+    advance = engine.ActiveSetStepper.advance
+
+    def recorded(stepper, t):
+        step = advance(stepper, t)
+        dtypes.append(None if stepper.values is None else stepper.values.dtype)
+        return step
+    monkeypatch.setattr(engine.ActiveSetStepper, "advance", recorded)
+    for seed in range(3):
+        ref, act = (run(RunConfig(graph=g, potential=pot, scheduler=UniformRandomScheduler(seed),
+                                  max_rounds=50_000, engine=mode, record_rounds="all"))
+                    for mode in ("naive", "auto"))
+        assert act.metadata["engine"] == "ActiveSetStepper" and act.change_count
+        assert act.verdict == ref.verdict
+        assert act.rounds == ref.rounds[:len(act.rounds)]
+        assert act.final_graph == ref.final_graph
+    assert dtypes[0] == np.int64 and object in dtypes

@@ -1,9 +1,16 @@
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abdyn import schedulers
+from abdyn.engine import RunConfig, run
 from abdyn.errors import ConfigError
 from abdyn.graph import DynGraph
+from abdyn.potentials import min_degree_potential
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                               FairRoundRobinScheduler, InteractionSet,
                               ScriptedScheduler, SocialScheduler,
@@ -15,13 +22,30 @@ from conftest import random_graph, triangle
 
 
 def test_interaction_set_invariants():
-    s = InteractionSet([(1, 0), (0, 1), (2, 0)])
+    s = InteractionSet([(1, 0), (2, 0)])
     assert len(s) == 2 and set(s) == {(0, 1), (0, 2)}
+    # a pair given twice, or with its reverse, is refused, not merged
+    for given in ([(1, 0), (0, 1), (2, 0)], [(0, 2), (0, 1), (0, 2)], iter([(3, 4), (4, 3)])):
+        with pytest.raises(ConfigError, match=r"interaction set holds pair \(\d,\d\) twice"):
+            InteractionSet(given)
+    with pytest.raises(ConfigError, match=r"pair \(0,1\) twice"):
+        InteractionSet([(1, 0), (0, 2), (0, 1)])
     with pytest.raises(ConfigError):
         InteractionSet([(0, 0)]).validate(3)
     with pytest.raises(ConfigError):
         InteractionSet([(0, 9)]).validate(3)
     InteractionSet(complete_n=100).validate(100)
+
+
+class _BothOrientations(UniformRandomScheduler):
+    def interactions(self, t, graph):
+        return InteractionSet([(0, 1), (2, 3), (1, 0)])
+
+
+def test_a_scheduler_emitting_a_pair_and_its_reverse_is_refused():
+    with pytest.raises(ConfigError, match=r"interaction set holds pair \(0,1\) twice"):
+        run(RunConfig(graph=random_graph(6, 0.5, 1), potential=min_degree_potential(2, 10),
+                      scheduler=_BothOrientations(1), max_rounds=5, engine="naive"))
 
 
 def test_complete_scheduler_counts():
@@ -80,6 +104,100 @@ def test_uniform_scheduler_draws_one_stream():
     b.reset(g)
     drawn = [unrank_pair(a.draw()) for _ in range(200)]
     assert drawn == [tuple(b.interactions(t, g))[0] for t in range(200)]
+
+
+# pair counts of 2, 3, 200 and 5,000 nodes, one just past 2**31, and one at
+# which randrange needs two words per draw
+PAIR_COUNTS = [1, 3, 19_900, 12_497_500, 2**31 + 7, 2**32 + 5]
+
+
+def _uniform(npairs, seed):
+    sched = UniformRandomScheduler(seed)
+    sched.reset(DynGraph(2))
+    sched._pairs = npairs       # the graph with this many pairs is never built
+    return sched
+
+
+def _upcoming(ref, npairs, count):
+    """The next ``count`` ranks that ``ref.randrange(npairs)`` returns, and
+    for each the index of the 32-bit word it was read from (None at two
+    words per draw), without advancing ``ref``."""
+    peek = random.Random()
+    peek.setstate(ref.getstate())
+    if npairs >= 1 << 32:
+        return [peek.randrange(npairs) for _ in range(count)], [None] * count
+    shift = 32 - npairs.bit_length()
+    ranks, words, w = [], [], 0
+    while len(ranks) < count:
+        k = peek.getrandbits(32) >> shift
+        if k < npairs:
+            ranks.append(k)
+            words.append(w)
+        w += 1
+    return ranks, words
+
+
+def _reference_skip(ref, npairs, active, limit):
+    members = set(active)
+    for quiet in range(limit):
+        k = ref.randrange(npairs)
+        if k in members:
+            return quiet, k
+    return limit, None
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(PAIR_COUNTS), st.integers(0, 2**32), st.sampled_from([64, None]),
+       st.data())
+def test_skip_until_leaves_the_stream_where_draw_would(npairs, seed, batch_words, data):
+    # 64-word batches put the first and last word of a batch at known
+    # indices: words 0, 63, 64, 127, 128, ... of each call
+    sched = _uniform(npairs, seed)
+    ref = random.Random(seed)
+    with mock.patch.object(schedulers, "BATCH_WORDS", batch_words or schedulers.BATCH_WORDS):
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.booleans()):
+                assert sched.draw() == ref.randrange(npairs)
+                continue
+            limit = data.draw(st.sampled_from([1, 2, 63, 64, 65, 129, 4096, 4097, 13_000]))
+            ranks, words = _upcoming(ref, npairs, limit)
+            edges = {0, 63, 64, 127, 128, 4095, 4096}
+            at_edge = [i for i, w in enumerate(words) if w in edges]
+            targets = data.draw(st.lists(st.sampled_from(at_edge or [limit - 1]), max_size=2))
+            targets += data.draw(st.lists(st.integers(0, limit - 1), max_size=2))
+            others = data.draw(st.lists(st.integers(0, npairs - 1), max_size=4))
+            active = sorted({ranks[i] for i in targets} | set(others))
+            got = sched.skip_until(np.array(active, dtype=np.int64), limit)
+            assert got == _reference_skip(ref, npairs, active, limit)
+    assert [sched.draw() for _ in range(3)] == [ref.randrange(npairs) for _ in range(3)]
+
+
+@pytest.mark.parametrize("npairs", [19_900, 2**31 + 7])
+@pytest.mark.parametrize("word", [0, 63, 64, 127, 128])
+def test_skip_until_hits_the_edge_words_of_a_batch(npairs, word):
+    for seed in range(100):
+        ref = random.Random(seed)
+        ranks, words = _upcoming(ref, npairs, 200)
+        if word in words and ranks.count(ranks[words.index(word)]) == 1:
+            break
+    hit = words.index(word)
+    sched = _uniform(npairs, seed)
+    with mock.patch.object(schedulers, "BATCH_WORDS", 64):
+        assert sched.skip_until(np.array([ranks[hit]]), 200) == (hit, ranks[hit])
+        # a limit that ends on the word: the last draw taken is that word's
+        sched = _uniform(npairs, seed)
+        assert sched.skip_until(np.array([], dtype=np.int64), hit + 1) == (hit + 1, None)
+    assert sched.draw() == ranks[hit + 1]
+
+
+def test_skip_until_past_several_full_batches():
+    sched = _uniform(19_900, 7)
+    ref = random.Random(7)
+    limit = 3 * schedulers.BATCH_WORDS + 5
+    assert sched.skip_until(np.array([], dtype=np.int64), limit) == (limit, None)
+    for _ in range(limit):
+        ref.randrange(19_900)
+    assert sched.draw() == ref.randrange(19_900)
 
 
 def test_uniform_scheduler_frequencies():
