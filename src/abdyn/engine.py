@@ -20,8 +20,8 @@ Stabilization verdicts depend on the scheduler contract:
 Routes (``RunConfig.engine``): ``naive`` evaluates whatever the scheduler
 emits through ``potential.evaluator`` and is the unpruned reference;
 ``incremental`` and ``bulk`` (see :mod:`abdyn.fastpath`) serve the complete
-scheduler on potentials with a pair rule (``bulk`` on unmerged ones only);
-``RunConfig`` refuses any other forced route. ``auto`` uses the potential's
+scheduler on potentials with a pair rule, merged ones included; ``RunConfig``
+refuses any other forced route. ``auto`` uses the potential's
 certificates, which changes no decision:
 
 * it runs every complete-scheduler potential with a pair rule
@@ -78,8 +78,8 @@ from .schedulers import (InteractionSet, Scheduler, UniformRandomScheduler, in_s
                          pair_count, rank_pair, unrank_pair)
 
 # Largest pair count that a run decides pair by pair in one round or sweep:
-# it bounds the stochastic sweep, the pairwise complete rounds and the active
-# route of a potential whose node values have no numpy twin (see _twin_array).
+# it bounds the stochastic sweep, the complete rounds and the active route
+# wherever they would go pair by pair (see _over_pair_limit).
 NAIVE_PAIR_LIMIT = 400_000
 # Every value and result of a twin on int64 node values lies within ±2**53,
 # so the arithmetic and its float64 comparisons with the thresholds are exact.
@@ -161,8 +161,6 @@ class RunConfig:
                 raise ConfigError(f"{self.engine} engine requires the complete scheduler")
             if self.potential.pair_rule is None:
                 raise ConfigError(f"potential {self.potential.name} provides no pair statistics")
-            if self.engine == "bulk" and self.potential.pair_rule[1] != 1:
-                raise ConfigError("bulk execution does not support merged potentials")
         if self.record_rounds not in ("all", "changes", "auto"):
             raise ConfigError(f"unknown record_rounds {self.record_rounds!r}")
 
@@ -493,6 +491,16 @@ def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _over_pair_limit(g: DynGraph, potential: Potential, certified: bool) -> bool:
+    """Whether a decision over all pairs of g goes pair by pair over more
+    than ``NAIVE_PAIR_LIMIT`` pairs. A certified one is a :func:`_sorted_sweep`
+    at any size where the node values have a twin (see :func:`_twin_array`)."""
+    if pair_count(g.n) <= NAIVE_PAIR_LIMIT:
+        return False
+    return not (certified and potential.node_form is not None
+                and _twin_array(potential, _node_values(g, potential)) is not None)
+
+
 def _make_stepper(cfg: RunConfig, g: DynGraph):
     mode = cfg.engine
     sched = cfg.scheduler
@@ -500,21 +508,17 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
     if not isinstance(pot, Potential):
         from . import social
         return social.RewriteStepper(g, pot, sched)
-    npairs = pair_count(g.n)
     if mode == "auto":
-        # observers need every round materialised; the pair limit bounds an
-        # active route whose node values have no twin, since it then decides
-        # the init and the confirming sweep pair by pair
+        # observers need every round materialised; the active route decides
+        # all pairs at init and in its confirming sweep
         if (isinstance(sched, UniformRandomScheduler) and pot.node_form is not None
-                and not cfg.observers):
-            values = _twin_array(pot, _node_values(g, pot))
-            if values is not None or npairs <= NAIVE_PAIR_LIMIT:
-                return ActiveSetStepper(g, pot, sched, values)
+                and not cfg.observers and not _over_pair_limit(g, pot, certified=True)):
+            return ActiveSetStepper(g, pot, sched, _twin_array(pot, _node_values(g, pot)))
         if not sched.is_complete:
             mode = "naive"
         elif pot.pair_rule is not None:
             mode = "incremental"
-        elif npairs > NAIVE_PAIR_LIMIT:
+        elif _over_pair_limit(g, pot, certified=True):
             raise ConfigError(
                 "graph too large for pairwise evaluation under the complete "
                 "scheduler; the potential provides no pair statistics")
@@ -566,7 +570,8 @@ def run(config: RunConfig) -> RunTrace:
     stable = False      # a fixed point is proved
 
     window = 4 * pair_count(g.n) + 8       # quiet rounds before a stochastic sweep
-    sweep_allowed = pair_count(g.n) <= NAIVE_PAIR_LIMIT
+    sweeps = (settles and sched.fairness_period is None and not sched.deterministic
+              and not _over_pair_limit(g, rule, certified=config.engine == "auto"))
     verdict = Verdict("target", 0) if stop is not None and stop(g) else None
     fast = stepper if isinstance(stepper, ActiveSetStepper) else None
     quiet_delta = EdgeDelta()
@@ -622,8 +627,7 @@ def run(config: RunConfig) -> RunTrace:
             if sched.is_complete or sched.graph_driven or (
                     sched.fairness_period is not None and quiet_streak >= sched.fairness_period):
                 stable = True
-            elif sched.fairness_period is None and not sched.deterministic \
-                    and quiet_streak >= window and sweep_allowed:
+            elif sweeps and quiet_streak >= window:
                 stable = stepper.sweep_is_clean()
                 quiet_streak = 0
             if stable:

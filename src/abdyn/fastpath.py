@@ -16,21 +16,23 @@ stay exactly equivalent to pairwise evaluation of every pair:
   huge graph with few high nodes and few toggles costs little beyond one
   pass over the degrees.
 
-* :class:`BulkStepper` recomputes all common neighbor counts from scratch
-  each round with a chunked sparse matrix product and decides every pair at
-  or above the floor, as the incremental route does. It shares no state with
-  that route, which makes it the independent side of the equivalence checks
-  at scales where the unpruned reference, ``engine="naive"``, cannot
-  enumerate the pairs.
+* :class:`BulkStepper` recounts in every substep: one product over the
+  adjacency rows of the nodes at the floor on the live graph, no larger
+  than the incremental init product, so it needs no banding. It carries no
+  count between substeps and shares no state with the incremental route,
+  so it is the independent side of the equivalence checks at scales where
+  the unpruned reference, ``engine="naive"``, cannot enumerate the pairs.
 
-Both tabulate ``decide`` over (edge state, count) from count 0 up with a
+Both run a merged potential's two substeps (see
+:attr:`~abdyn.potentials.Potential.pair_rule`) and net their toggles, and
+tabulate ``decide`` over (edge state, count) from count 0 up with a
 common-neighbor-edge supplier that refuses to be called (:class:`Decisions`);
 the rows below the floor are the certificate check. A round looks its pairs
 up in one array operation and calls ``decide`` only on the pairs whose entry
 reads the common neighbor edges, so the rule keeps one definition, its own
 ``decide``. The incremental route hands each substep's toggles to the graph
-as sorted edge codes (:meth:`DynGraph.toggle_codes`), and builds the round's
-delta from them.
+as sorted edge codes (:meth:`DynGraph.toggle_codes`); the bulk route applies
+them through the validating :meth:`DynGraph.apply_delta`.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ from .errors import ContractError
 from .graph import DynGraph, EdgeDelta, graph_fingerprint, pair_codes
 from .potentials import PairStatsRule, Potential
 from .schedulers import pair_count
-
-# Adjacency rows per sparse product in BulkStepper.advance.
-BULK_ROWS = 2048
 
 
 def _exact_ce(g: DynGraph, u: int, v: int):
@@ -309,38 +308,35 @@ class IncrementalStepper:
 
 
 class BulkStepper:
-    """Complete-scheduler round via a chunked sparse matrix product that
-    decides only the pairs whose common neighbor count reaches the certified
-    floor."""
+    """Exact complete-scheduler rounds of a pair-statistics potential by a
+    fresh recount per substep. Only nodes of degree at least the floor on the
+    live graph have pairs that can reach it; those pairs are counted, decided
+    through :class:`Decisions` and applied by :meth:`DynGraph.apply_delta`."""
 
     prune = True
 
     def __init__(self, g: DynGraph, potential: Potential):
         self.g = g
-        self.stats = potential.pair_stats
-        self.decisions = Decisions(self.stats, self.stats.cn_floor + 1)
+        stats, self.substeps = potential.pair_rule
+        self.floor = stats.cn_floor
+        self.decisions = Decisions(stats, self.floor + 1)
 
-    def advance(self, t: int) -> tuple[EdgeDelta, int]:
+    def _substep(self) -> Toggles:
+        from scipy import sparse
+
         g = self.g
-        n = g.n
-        a_mat = _adjacency_rows(g._adj, range(n), n)
+        ids = _at_floor(g._adj, self.floor)
+        a_high = _adjacency_rows(g._adj, ids.tolist(), g.n)
+        counts = sparse.triu(a_high @ a_high.T, 1, format="coo")
+        hot = np.flatnonzero(counts.data >= self.floor)
+        if not len(hot):
+            return _NO_TOGGLES
+        us, vs = ids[counts.row[hot]], ids[counts.col[hot]]
+        edges = np.asarray(a_high[counts.row[hot], vs]).ravel()
+        flipped = self.decisions.toggling(g, us, vs, edges, counts.data[hot])
+        toggles = Toggles.ordered(pair_codes(us[flipped], vs[flipped]), edges[flipped] == 0)
+        g.apply_delta(EdgeDelta.from_codes(toggles.codes, toggles.born))
+        return toggles
 
-        found = [_NO_TOGGLES]
-        for start in range(0, n, BULK_ROWS):
-            band = a_mat[start:min(start + BULK_ROWS, n)]
-            block = (band @ a_mat).tocoo()
-            rows = block.row.astype(np.int64)
-            cols = block.col.astype(np.int64)
-            keep = np.flatnonzero((block.data >= self.stats.cn_floor) & (cols > rows + start))
-            if not len(keep):
-                continue
-            rows, cols = rows[keep], cols[keep]
-            edges = np.asarray(band[rows, cols]).ravel()
-            us = rows + start
-            flipped = self.decisions.toggling(g, us, cols, edges, block.data[keep])
-            found.append(Toggles(pair_codes(us[flipped], cols[flipped]), edges[flipped] == 0))
-        toggles = Toggles.ordered(np.concatenate([x.codes for x in found]),
-                                  np.concatenate([x.born for x in found]))
-        delta = EdgeDelta.from_codes(toggles.codes, toggles.born)
-        g.apply_delta(delta)
-        return delta, pair_count(n)
+    # the substeps of a round, netted as on the incremental route
+    advance = IncrementalStepper.advance

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional
 
-from .errors import ConfigError
-from .graph import DynGraph, EdgeDelta, ball_nodes, induced_ball
+from .errors import ConfigError, ContractError
+from .graph import DynGraph, ball_nodes, induced_ball
 
 ProperFunction = Callable[[float, float], float]
 # Degree-like node functions receive (graph, node); they must depend only on
@@ -335,26 +336,23 @@ def two_step_merge(base: Potential) -> Potential:
             f"pair statistics {base.pair_stats is not None}, "
             f"alpha={base.alpha}, beta={base.beta}")
 
+    name = f"{base.name}_merged"
+
     def _eval(g: DynGraph, u: int, v: int) -> float:
         frag, nodes = induced_ball(g, u, v, 3)
         fu, fv = nodes.index(u), nodes.index(v)
         # fragment distances match the live graph up to the ball radius
         core = sorted(ball_nodes(frag, fu, fv, 2))
-        additions = []
-        removals = []
-        for i, x in enumerate(core):
-            for y in core[i + 1:]:
-                edge = y in frag._adj[x]
-                nxt = base.next_state(base.evaluator(frag, x, y), edge)
-                if nxt and not edge:
-                    additions.append((x, y))
-                elif edge and not nxt:
-                    removals.append((x, y))
-        frag.apply_delta(EdgeDelta.build(additions, removals))
+        from .engine import decide_pairs    # the engine imports this module
+        try:
+            frag.apply_delta(decide_pairs(frag, base, combinations(core, 2), False))
+        except ContractError as exc:
+            # the error names the fragment's ids; name the live pair
+            raise ContractError(f"potential {name} failed on pair ({u},{v}): {exc}") from exc
         return base.evaluator(frag, fu, fv)
 
     return Potential(
-        name=f"{base.name}_merged",
+        name=name,
         alpha=base.alpha,
         beta=base.beta,
         radius=3,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .engine import RunConfig, RunTrace, run
 from .errors import ContractError, InputError
-from .graph import DynGraph, edge_codes, norm_pair
+from .graph import DynGraph, code_ends, edge_codes, norm_pair
 from .potentials import Potential, rule110_potential, two_step_merge
 from .schedulers import CompleteScheduler
 
@@ -334,7 +334,8 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
 
     if diff is None:
         changed = np.setxor1d(edge_codes(g), assembly.initial_codes, assume_unique=True)
-        diff = [(code >> 32, code & 0xFFFFFFFF) for code in changed.tolist()]
+        us, vs = code_ends(changed)
+        diff = zip(us.tolist(), vs.tolist())
     for pair in diff:
         if pair not in gmap.dynamic:
             report.violations.append(StructureViolation(

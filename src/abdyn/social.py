@@ -203,9 +203,9 @@ def star_protocol(seed: int) -> GeneralProtocol:
 
 
 def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
-                budget: int, seed: int = 0,
+                budget: int, seed: Optional[int] = None,
                 stop_predicate: Optional[Callable[[DynGraph], bool]] = None,
-                progress_check: bool = False) -> RunTrace:
+                progress_check: Optional[bool] = None) -> RunTrace:
     """Run a general rewrite protocol under a singleton-interaction scheduler.
 
     Stops with verdict ``target`` when ``stop_predicate`` holds, or ``budget``
@@ -213,9 +213,11 @@ def run_general(g0: DynGraph, protocol: GeneralProtocol, scheduler: Scheduler,
     confinement contract. With ``progress_check`` every round is classified
     as component-merge, leaf-settling or tie and the classification is
     verified; the per-round tags are stored in the trace metadata. Only the
-    rounds that change the graph are recorded.
+    rounds that change the graph are recorded. An argument left at None keeps
+    the protocol's own ``seed``, ``stop`` or ``progress_check``.
     """
-    rule = replace(protocol, stop=stop_predicate, seed=seed, progress_check=progress_check)
+    given = {"seed": seed, "stop": stop_predicate, "progress_check": progress_check}
+    rule = replace(protocol, **{k: x for k, x in given.items() if x is not None})
     return run(RunConfig(graph=g0, potential=rule, scheduler=scheduler, max_rounds=budget,
                          record_rounds="changes"))
 

@@ -224,7 +224,6 @@ def test_criterion_6_merged_equivalence(runner_w3):
             "8 tapes x 4 steps; all-zero: merged stabilized, plain cycles with period 2")
 
 
-@pytest.mark.slow
 def test_criterion_7_prune_soundness(runner_w3):
     pots = [rule110_potential(10)]
     assert all(p.pair_stats.cn_floor > 0 for p in pots)
@@ -249,8 +248,14 @@ def test_criterion_7_prune_soundness(runner_w3):
     fp_a = [(r.t, r.added, r.removed, r.fingerprint) for r in incremental.rounds]
     fp_b = [(r.t, r.added, r.removed, r.fingerprint) for r in bulk.rounds]
     assert fp_a == fp_b
+    merged = [[(r.t, r.added, r.removed, r.fingerprint) for r in
+               runner_w3.run((0, 1, 1), steps=2, merged=True, check=False,
+                             engine=engine).trace.rounds]
+              for engine in ("incremental", "bulk")]
+    assert merged[0] == merged[1] and len(merged[0]) == 2
     _report(7, "prune soundness", True,
-            "50 random graphs + one width-3 assembly, identical round fingerprints")
+            "50 random graphs + one width-3 assembly, plain and merged, "
+            "identical round fingerprints")
 
 
 def test_criterion_8_spanning_star():

@@ -384,7 +384,7 @@ _CYCLE = "graph.generator = cycle\ngraph.n = 4\n"
     ({"cfg": _CYCLE + "run.engine = incremental\n" + _MIN_DEGREE}, ["run", "{cfg}"], 64,
      "potential min_degree provides no pair statistics"),
     ({"cfg": _CYCLE + "run.engine = bulk\n" + _RULE110.format("rule110_merged")},
-     ["run", "{cfg}"], 64, "bulk execution does not support merged potentials"),
+     ["run", "{cfg}"], 0, ""),
     ({"cfg": _CYCLE + "run.engine = incremental\nscheduler.name = round_robin\n"
              + _RULE110.format("rule110")}, ["run", "{cfg}"], 64,
      "incremental engine requires the complete scheduler"),

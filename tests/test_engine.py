@@ -77,6 +77,13 @@ def test_failing_potential_aborts_with_diagnostics():
                     evaluator=lambda g, u, v: 1 / 0)
     with pytest.raises(ContractError, match=r"pair \(0,1\)"):
         decide_pairs(triangle(), bad, InteractionSet([(0, 1)]), False)
+    # a base that fails inside a merged rule's fragment, whose ids 0..2 are
+    # not the graph's 3..5: the error names the merged rule and the live pair
+    base = Potential(name="bad", alpha=1, beta=1, evaluator=lambda g, u, v: 1 / 0,
+                     pair_stats=PairStatsRule(decide=lambda edge, cn, ce_fn: edge, cn_floor=1))
+    g = DynGraph.from_edges(6, [(3, 4), (4, 5)])
+    with pytest.raises(ContractError, match=r"^potential bad_merged failed on pair \(3,5\)"):
+        decide_pairs(g, two_step_merge(base), InteractionSet([(3, 5)]), False)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +271,8 @@ def test_stochastic_sweep_window(n, window):
      "potential min_degree provides no pair statistics"),
     ("bulk", community_potential(1, 3), CompleteScheduler(),
      "potential community provides no pair statistics"),
-    ("bulk", two_step_merge(rule110_potential(10)), CompleteScheduler(),
-     "bulk execution does not support merged potentials"),
+    # accepted: a forced bulk runs wherever a forced incremental does
+    ("bulk", two_step_merge(rule110_potential(10)), CompleteScheduler(), None),
     ("incremental", rule110_potential(10), FairRoundRobinScheduler(2),
      "incremental engine requires the complete scheduler"),
     ("bulk", rule110_potential(10), UniformRandomScheduler(1),
@@ -273,9 +280,14 @@ def test_stochastic_sweep_window(n, window):
 ])
 def test_forced_routes_are_refused_when_the_config_is_built(engine, potential, scheduler,
                                                             message):
+    cfg = dict(graph=random_graph(48, 0.9, 0), potential=potential, scheduler=scheduler,
+               max_rounds=2, engine=engine, stop_mode="budget")
+    if message is None:
+        trace = run(RunConfig(**cfg))
+        assert trace.metadata["engine"] == "BulkStepper" and trace.change_count
+        return
     with pytest.raises(ConfigError, match=f"^{message}$"):
-        RunConfig(graph=DynGraph(4), potential=potential, scheduler=scheduler,
-                  max_rounds=1, engine=engine)
+        RunConfig(**cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +543,8 @@ def _fold_check(seen):
     return observe
 
 
-@pytest.mark.parametrize("route", ["naive", "incremental", "bulk", "merged", "auto-pruned",
-                                   "rewrite"])
+@pytest.mark.parametrize("route", ["naive", "incremental", "bulk", "merged", "merged-bulk",
+                                   "auto-pruned", "rewrite"])
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("cached", [False, True])
 def test_maintained_fingerprint_equals_the_fold_every_round(route, seed, cached):
@@ -545,6 +557,7 @@ def test_maintained_fingerprint_equals_the_fold_every_round(route, seed, cached)
         "incremental": ("incremental", table, CompleteScheduler()),
         "bulk": ("bulk", table, CompleteScheduler()),
         "merged": ("incremental", two_step_merge(table), CompleteScheduler()),
+        "merged-bulk": ("bulk", two_step_merge(table), CompleteScheduler()),
         "auto-pruned": ("auto", table, FairRoundRobinScheduler(17)),
         "rewrite": ("auto", star_protocol(seed), UniformRandomScheduler(seed)),
     }[route]
@@ -593,14 +606,15 @@ def test_graph_reused_across_runs_keeps_its_fingerprint(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_incremental_merged_matches_generic_merged(seed):
-    pot = two_step_merge(rule110_potential(10))
-    g = random_graph(14, 0.8, seed)
+    # a low floor: on 14 nodes no pair reaches rule 110's floor of 40
+    pot = two_step_merge(_table_potential(2 + seed, seed))
+    g = random_graph(14, 0.5, seed)
     base = dict(potential=pot, scheduler=CompleteScheduler(), max_rounds=3,
                 stop_mode="budget", record_rounds="all")
-    t_gen = run(RunConfig(graph=g.copy(), engine="naive", **base))
-    t_inc = run(RunConfig(graph=g.copy(), engine="incremental", **base))
-    assert [r.fingerprint for r in t_gen.rounds] == \
-        [r.fingerprint for r in t_inc.rounds]
+    traces = [run(RunConfig(graph=g.copy(), engine=engine, **base))
+              for engine in ("naive", "incremental", "bulk")]
+    assert traces[0].change_count
+    assert traces[0].rounds == traces[1].rounds == traces[2].rounds
 
 
 # ---------------------------------------------------------------------------
@@ -845,3 +859,23 @@ def test_active_route_selection(monkeypatch):
     monkeypatch.setattr(engine_module, "NAIVE_PAIR_LIMIT", 10)
     assert engine_of() == "ActiveSetStepper"
     assert engine_of(potential=user_min) == "NaiveStepper"
+
+
+def test_the_pair_limit_binds_only_pairwise_sweeps(monkeypatch):
+    # with observers a uniform run is not on the active route; past the
+    # limit it still sweeps where the sweep is a sorted one, and never where
+    # the pairs are decided one by one
+    g = random_graph(12, 0.3, 2)
+    user_min = degree_like_potential(lambda x, y: min(x, y), degree, 2, 100, validate=False)
+
+    def verdict(potential, engine="auto"):
+        return run(RunConfig(graph=g, potential=potential, scheduler=UniformRandomScheduler(1),
+                             max_rounds=5000, engine=engine,
+                             observers=(lambda t, h, delta, diff: None,))).verdict.kind
+
+    monkeypatch.setattr(engine_module, "NAIVE_PAIR_LIMIT", 10)
+    assert verdict(min_degree_potential(2, 100)) == "stabilized"
+    assert verdict(min_degree_potential(2, 100), engine="naive") == "budget"
+    assert verdict(user_min) == "budget"
+    monkeypatch.undo()
+    assert verdict(user_min) == verdict(min_degree_potential(2, 100), "naive") == "stabilized"

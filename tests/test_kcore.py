@@ -3,10 +3,11 @@ import random
 import pytest
 
 from abdyn.engine import NAIVE_PAIR_LIMIT, RunConfig, run
+from abdyn.errors import ConfigError
 from abdyn.generators import gnp
 from abdyn.graph import DynGraph
 from abdyn.kcore import peel, verify_kcore_run
-from abdyn.potentials import min_degree_potential
+from abdyn.potentials import community_potential, min_degree_potential
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                               FairRoundRobinScheduler, UniformRandomScheduler, pair_count)
 
@@ -111,6 +112,20 @@ def test_changes_bound_and_edge_scheduler_speed():
         assert t2.verdict.kind == "stabilized"
         assert t2.verdict.round <= g.n
         assert verify_kcore_run(t2.final_graph, g, 3).ok
+
+
+def test_complete_kcore_past_the_pair_limit():
+    # 499,500 pairs: the rounds are sorted sweeps of the twin, not pairwise
+    # decisions, so the limit does not bind; a rule with no twin and no pair
+    # statistics is still refused
+    g = gnp(1000, 0.005, seed=1)
+    assert pair_count(g.n) > NAIVE_PAIR_LIMIT
+    trace = _kcore_run(g.copy(), 3, CompleteScheduler())
+    assert trace.verdict.kind == "stabilized"
+    assert verify_kcore_run(trace.final_graph, g, 3).ok
+    with pytest.raises(ConfigError, match="graph too large for pairwise evaluation"):
+        run(RunConfig(graph=g, potential=community_potential(3, 1000),
+                      scheduler=CompleteScheduler(), max_rounds=10))
 
 
 @pytest.mark.slow

@@ -134,7 +134,7 @@ def test_merged_round_equals_two_plain_rounds(g, rule):
     pot = _potential(rule)
     plain = _states(g, pot, "naive", 4)
     merged = two_step_merge(pot)
-    for engine in ("naive", "incremental"):
+    for engine in ("naive", "incremental", "bulk"):
         assert _states(g, merged, engine, 2) == plain[1::2], engine
 
 
@@ -210,9 +210,10 @@ def test_substep_without_a_hot_pair(merged):
     assert len(stepper._substep()) == 0
     assert stepper.advance(0)[0] == EdgeDelta() and stepper.g == g
     stepper.verify_counts()
-    if not merged:
-        assert BulkStepper(g.copy(), pot).advance(0)[0] == EdgeDelta()
-    for engine in ("naive", "incremental") + (() if merged else ("bulk", "auto")):
+    bulk = BulkStepper(g.copy(), pot)
+    assert len(bulk._substep()) == 0
+    assert bulk.advance(0)[0] == EdgeDelta() and bulk.g == g
+    for engine in ROUTES:
         trace = _run(g, pot, engine, 3)
         assert trace.verdict.kind == "stabilized" and not trace.change_count, engine
 

@@ -253,6 +253,22 @@ def test_reused_star_protocol_replays_its_run(seed):
         assert trace.rounds == traces[0].rounds and trace.verdict == traces[0].verdict
 
 
+@pytest.mark.parametrize("seed", [1, 3, 4, 5])
+def test_run_general_keeps_the_fields_the_caller_leaves_out(seed):
+    # the protocol's own seed, goal and progress check, not 0, None and False;
+    # seed 0 gives another run on each of these graphs
+    g = random_connected(40, 0.05, seed)
+    own = replace(star_protocol(seed), stop=star_predicate, progress_check=True)
+    kept = run_general(g, own, UniformRandomScheduler(seed), budget=100_000)
+    given = [run_general(g, star_protocol(seed), UniformRandomScheduler(seed),
+                         budget=100_000, seed=s, stop_predicate=star_predicate,
+                         progress_check=True) for s in (seed, 0)]
+    assert kept.verdict.kind == "target"
+    assert kept.rounds == given[0].rounds and kept.verdict == given[0].verdict
+    assert kept.metadata["tags"] == given[0].metadata["tags"]
+    assert kept.rounds != given[1].rounds
+
+
 def test_run_general_requires_singletons():
     g = random_graph(5, 0.4, 0)
     with pytest.raises(ConfigError):
