@@ -28,11 +28,12 @@ certificates, which changes no decision:
   (:attr:`~abdyn.potentials.Potential.pair_rule`) on ``incremental``; under
   other schedulers it skips the pairs below the rule's certified floor;
 * it decides a node-form potential f(h(u), h(v)) (see
-  :attr:`~abdyn.potentials.Potential.node_form`) from a table of h, computed
-  at most once per node per decision. A decision over all pairs (a
-  complete-scheduler round, or the init and the confirming sweep below)
-  takes O(n log n + m + |delta|) calls of a catalog f: the nodes that u
-  would join form a suffix of the nodes sorted by h;
+  :attr:`~abdyn.potentials.Potential.node_form`) from the graph's table of h
+  (:meth:`~abdyn.graph.DynGraph.node_table`), computed at most once per node
+  per graph state. A decision over all pairs (a complete-scheduler round, or
+  the init and the confirming sweep below) takes O(n log n + m + |delta|)
+  calls of a catalog f: the nodes that u would join form a suffix of the
+  nodes sorted by h;
 * it serves uniform one-pair rounds on node-form potentials without
   observers through :class:`ActiveSetStepper`, which keeps the exact set of
   pairs whose decision would change, so a round that draws a pair outside
@@ -65,7 +66,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Sized
 
 import numpy as np
 
@@ -178,21 +179,24 @@ def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeD
     * a pair-statistics rule (see :class:`~abdyn.potentials.PairStatsRule`)
       skips the pairs whose common neighbor count lies below its certified
       floor; they keep their state;
-    * a node-form potential f(h(u), h(v)) computes h at most once per node
-      and evaluates f on the values. A complete interaction set is decided
-      by :func:`_sorted_sweep` when f is a catalog function and the values
-      allow it (see :func:`_twin_array`).
+    * a node-form potential f(h(u), h(v)) reads h from the graph's table,
+      computed at most once per node per graph state, and evaluates f on the
+      values. A complete interaction set is decided by :func:`_sorted_sweep`
+      when f is a catalog function and the values allow it (see
+      :func:`_twin_array`).
     """
     evaluate = potential.evaluator
     if prune and potential.node_form is not None:
         f, h = potential.node_form
-        # the degrees of all nodes cost one pass in C; any other h is
-        # computed for the scheduled nodes only
+        # the degrees of all nodes cost one pass in C; any other h is read
+        # from the graph's table, filled for the scheduled nodes only
         complete = isinstance(pairs, InteractionSet) and pairs.complete
         if complete or h is degree:
             table = _node_values(g, potential)
         else:
-            table = _NodeTable(g, potential)
+            if not isinstance(pairs, Sized):
+                pairs = list(pairs)     # read twice: a generator would run dry
+            table = _node_table(g, potential, chain.from_iterable(pairs))
         if complete:
             x = _twin_array(potential, table)
             if x is not None:
@@ -225,35 +229,30 @@ def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeD
     return EdgeDelta.build(additions, removals)
 
 
-class _NodeTable(dict):
-    """h of each node, computed on first lookup; lives for one decision, so
-    it reads the pre-round graph."""
-
-    __slots__ = ("g", "potential")
-
-    def __init__(self, g: DynGraph, potential: Potential):
-        super().__init__()
-        self.g = g
-        self.potential = potential
-
-    def __missing__(self, u: int):
+def _node_table(g: DynGraph, potential: Potential, nodes) -> dict:
+    """The graph's table of h (see :meth:`~abdyn.graph.DynGraph.node_table`)
+    for a node-form potential, filled for every node in ``nodes``. An
+    exception in h becomes a ContractError naming the node and stores no
+    entry."""
+    h = potential.node_form[1]
+    table = g.node_table(h)
+    for u in sorted(set(nodes).difference(table)):
         try:
-            value = self.potential.node_form[1](self.g, u)
+            table[u] = h(g, u)
         except ContractError:
             raise
         except Exception as exc:
             raise ContractError(
-                f"potential {self.potential.name} failed on node {u}: {exc}") from exc
-        self[u] = value
-        return value
+                f"potential {potential.name} failed on node {u}: {exc}") from exc
+    return table
 
 
 def _node_values(g: DynGraph, potential: Potential) -> list:
     """h of every node of a node-form potential, in node order."""
     if potential.node_form[1] is degree:
         return list(map(len, g._adj))
-    table = _NodeTable(g, potential)
-    return [table[u] for u in range(g.n)]
+    nodes = range(g.n)
+    return list(map(_node_table(g, potential, nodes).__getitem__, nodes))
 
 
 def _sortable(f, values: list) -> bool:
@@ -446,7 +445,7 @@ class ActiveSetStepper(NaiveStepper):
     def _carry_values(self, nodes) -> None:
         """Recompute h at ``nodes``, the endpoints of a toggle, in ``values``;
         rebuild the array when a new value does not fit it as it is."""
-        table = _NodeTable(self.g, self.potential)
+        table = _node_table(self.g, self.potential, nodes)
         for node in nodes:
             one = _twin_array(self.potential, [table[node]])
             if (one is not None and self.values.dtype != object

@@ -4,17 +4,25 @@ Node ids are dense integers 0..n-1 and the node set is fixed for the lifetime
 of a graph; only edges change. Adjacency is kept in hash sets so that common
 neighbor counting is a single C-level intersection. Once its fingerprint has
 been asked for, a graph keeps it up to date under every edit (Zobrist
-hashing: each toggle XORs one edge token).
+hashing: each toggle XORs one edge token). It also holds, per node
+function h, a table of the values h(graph, u) found so far (see
+:meth:`DynGraph.node_table`), which every edit drops.
+
+Only the edit methods of this class (``add_edge``, ``remove_edge``,
+``apply_delta`` and ``toggle_codes``) write the adjacency ``_adj``; other
+modules read it directly for speed, and nothing else may write it, or the
+fingerprint and the node tables go stale.
 
 Thread safety: read-only queries may run concurrently; mutation requires
-exclusive access.
+exclusive access. A read may fill a node table; filling is idempotent, since
+a value depends only on the current edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -29,7 +37,7 @@ def norm_pair(u: int, v: int) -> tuple[int, int]:
 class DynGraph:
     """Simple undirected graph on a fixed node set."""
 
-    __slots__ = ("_adj", "_m", "_fp")
+    __slots__ = ("_adj", "_m", "_fp", "_tables")
 
     def __init__(self, n: int):
         if n < 0:
@@ -37,6 +45,8 @@ class DynGraph:
         self._adj: list[set[int]] = [set() for _ in range(n)]
         self._m = 0
         self._fp: Optional[int] = None      # the fingerprint, once asked for
+        # {h: {node: h(self, node)}} for the current edges; None after an edit
+        self._tables: Optional[dict] = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DynGraph":
@@ -62,14 +72,30 @@ class DynGraph:
             self._fp = graph_fingerprint(self)
         return self._fp
 
+    def node_table(self, h: Callable) -> dict:
+        """The values of the node function h known for the current edges, as
+        a dict from node u to h(self, u) that callers fill on demand. h must
+        read only the graph and static data; the next edit drops every
+        table. The tables hold no reference to the graph."""
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = {}
+        table = tables.get(h)
+        if table is None:
+            table = tables[h] = {}
+        return table
+
     def _check(self, u: int) -> None:
         if not 0 <= u < len(self._adj):
             raise InputError(f"node id {u} out of range 0..{len(self._adj) - 1}")
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check(u)
-        self._check(v)
-        return v in self._adj[u]
+        adj = self._adj
+        n = len(adj)
+        if not (0 <= u < n and 0 <= v < n):
+            self._check(u)
+            self._check(v)
+        return v in adj[u]
 
     def add_edge(self, u: int, v: int) -> None:
         self._check(u)
@@ -80,6 +106,7 @@ class DynGraph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._m += 1
+            self._tables = None
             if self._fp is not None:
                 self._fp ^= edge_token(u, v)
 
@@ -90,6 +117,7 @@ class DynGraph:
             self._adj[u].discard(v)
             self._adj[v].discard(u)
             self._m -= 1
+            self._tables = None
             if self._fp is not None:
                 self._fp ^= edge_token(u, v)
 
@@ -144,6 +172,8 @@ class DynGraph:
             self._adj[u].add(v)
             self._adj[v].add(u)
         self._m += len(delta.additions) - len(delta.removals)
+        if delta.additions or delta.removals:
+            self._tables = None
         if self._fp is not None:
             fp = self._fp
             for u, v in chain(delta.additions, delta.removals):
@@ -166,6 +196,8 @@ class DynGraph:
                 adj[u].discard(v)
                 adj[v].discard(u)
         self._m += 2 * int(np.count_nonzero(born)) - len(codes)
+        if len(codes):
+            self._tables = None
         if self._fp is not None:
             self._fp ^= int(np.bitwise_xor.reduce(_splitmix64_array(codes)))
 
@@ -174,6 +206,7 @@ class DynGraph:
         g._adj = [set(s) for s in self._adj]
         g._m = self._m
         g._fp = self._fp
+        g._tables = None
         return g
 
     def __eq__(self, other: object) -> bool:

@@ -12,9 +12,10 @@ of that ball.
 
 The degree and degree-like rules also certify their ``node_form`` (f, h):
 the value of (u, v) is f(h(u), h(v)) and h reads only the node's closed
-neighbourhood. The evaluator is built from that pair, and the engine's
-``auto`` route decides such a rule from one h per node instead of calling
-the evaluator pair by pair.
+neighbourhood. The evaluator is built from that pair. :meth:`Potential.value`
+and the engine's ``auto`` route read h from a table on the graph, filled
+once per node per graph state, instead of calling the evaluator pair by
+pair; the evaluator itself stays the uncached reference.
 
 All potentials here are integer-valued on integer inputs; tests pin exact
 equality so no tolerance questions arise in threshold comparisons.
@@ -97,7 +98,22 @@ class Potential:
         return None
 
     def value(self, g: DynGraph, u: int, v: int) -> float:
-        return self.evaluator(g, u, v)
+        """The value of (u, v) on g. A node-form potential reads h from the
+        graph's table (:meth:`~abdyn.graph.DynGraph.node_table`), filling
+        the missing entries, so h runs once per node per graph state;
+        degrees are read directly. ``evaluator`` shares no table."""
+        if self.node_form is None:
+            return self.evaluator(g, u, v)
+        f, h = self.node_form
+        if h is degree:
+            adj = g._adj
+            return f(len(adj[u]), len(adj[v]))
+        table = g.node_table(h)
+        if u not in table:
+            table[u] = h(g, u)
+        if v not in table:
+            table[v] = h(g, v)
+        return f(table[u], table[v])
 
     def next_state(self, value: float, edge: bool) -> bool:
         if value < self.alpha:

@@ -258,11 +258,14 @@ class FairRoundRobinScheduler(Scheduler):
         self.fairness_period = max(1, math.ceil(len(self._order) / self.batch_size))
 
     def interactions(self, t: int, graph: DynGraph) -> InteractionSet:
-        total = len(self._order)
+        order = self._order
+        total = len(order)
         if total == 0:
             return InteractionSet([])
         start = (t * self.batch_size) % total
-        picked = [self._order[(start + k) % total] for k in range(min(self.batch_size, total))]
+        end = start + min(self.batch_size, total)
+        # one slice, or two where the batch wraps past the end of the order
+        picked = order[start:end] if end <= total else order[start:] + order[:end - total]
         return InteractionSet(picked)
 
     def phase(self, t: int) -> int:

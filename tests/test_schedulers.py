@@ -236,6 +236,21 @@ def test_round_robin_periods():
         assert window == set(all_pairs(4))
 
 
+@pytest.mark.parametrize("batch", [3, 10, 13])
+def test_round_robin_batches_follow_the_cyclic_order(batch, monkeypatch):
+    # 10 pairs: a batch below, equal to and above the pair count; batch 3
+    # wraps past the end of the order in rounds 3, 6 and 9
+    g = DynGraph(5)
+    sched = FairRoundRobinScheduler(batch)
+    sched.reset(g)
+    order = list(all_pairs(5))
+    monkeypatch.setattr(schedulers, "InteractionSet", list)
+    for t in range(12):
+        start = t * batch % len(order)
+        want = [order[(start + k) % len(order)] for k in range(min(batch, len(order)))]
+        assert sched.interactions(t, g) == want, t
+
+
 @pytest.mark.parametrize("n,batch", [(4, 1), (5, 3), (6, 7)])
 def test_declared_fairness_window_holds(n, batch):
     g = DynGraph(n)
