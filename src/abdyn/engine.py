@@ -42,8 +42,9 @@ certificates, which changes no decision:
   set first; a dirty sweep means the potential's certificate is false and
   raises ``ContractError``. The route consumes the scheduler's random
   stream exactly as ``naive`` does, in batches of quiet rounds, so both
-  produce the same rounds up to the fixed point. For a catalog f it works
-  on arrays (see :func:`_twin_array`) and serves graphs of any size.
+  produce the same rounds up to the fixed point. For a catalog f on
+  machine ints or floats it works on arrays (see :func:`_twin_array`);
+  other values are decided pair by pair, exactly, at any size.
 
 Cycle detection compares exact edge-set differences from the initial graph
 (plus the scheduler phase), so a cycle verdict is never a false positive;
@@ -78,10 +79,6 @@ from .potentials import PROPER_FUNCTIONS, Potential, degree
 from .schedulers import (InteractionSet, Scheduler, UniformRandomScheduler, in_sorted,
                          pair_count, rank_pair, unrank_pair)
 
-# Largest pair count that a run decides pair by pair in one round or sweep:
-# it bounds the stochastic sweep, the complete rounds and the active route
-# wherever they would go pair by pair (see _over_pair_limit).
-NAIVE_PAIR_LIMIT = 400_000
 # Every value and result of a twin on int64 node values lies within ±2**53,
 # so the arithmetic and its float64 comparisons with the thresholds are exact.
 _EXACT = 1 << 53
@@ -276,26 +273,25 @@ def _sortable(f, values: list) -> bool:
 
 def _twin_array(potential: Potential, values: list) -> Optional[np.ndarray]:
     """The node values as an array on which the numpy twin of f (see
-    ``_TWINS``) decides every pair exactly as f does, or None when they are
-    not :func:`_sortable`.
+    ``_TWINS``) decides every pair exactly as f does, or None.
 
-    Floats become float64 and ints int64 while every value lies within the
-    twin's guard, if both thresholds are floats or ints within ±2**53.
-    Otherwise the values stay Python numbers in an object array, on which
-    the twin calls Python arithmetic. This is the one statement of the
+    :func:`_sortable` floats become float64 and ints int64 while every value
+    lies within the twin's guard, if both thresholds are floats or ints
+    within ±2**53. Any other values are None: they are decided pair by pair
+    from the node table, which is exact. This is the one statement of the
     guard: a single value fits an array of another dtype exactly when
     ``_twin_array`` of it alone has that dtype.
     """
     f = potential.node_form[0]
-    if not _sortable(f, values):
+    if not _sortable(f, values) or not all(
+            isinstance(t, float) or isinstance(t, int) and abs(t) <= _EXACT
+            for t in (potential.alpha, potential.beta)):
         return None
-    if all(isinstance(t, float) or isinstance(t, int) and abs(t) <= _EXACT
-           for t in (potential.alpha, potential.beta)):
-        if values and type(values[0]) is float:
-            return np.array(values, dtype=np.float64)
-        if max(map(abs, values), default=0) <= _TWINS[f][1]:
-            return np.array(values, dtype=np.int64)
-    return np.array(values, dtype=object)
+    if values and type(values[0]) is float:
+        return np.array(values, dtype=np.float64)
+    if max(map(abs, values), default=0) <= _TWINS[f][1]:
+        return np.array(values, dtype=np.int64)
+    return None
 
 
 def _edge_arrays(g: DynGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -326,10 +322,9 @@ def _sorted_sweep(g: DynGraph, potential: Potential, x: np.ndarray) -> EdgeDelta
     removals = tuple(sorted(zip(us[removed].tolist(), vs[removed].tolist())))
     if not n:
         return EdgeDelta(removals=removals)
-    # f is largest at the largest value, so no pair reaches beta unless that
-    # one does; indexing keeps x's dtype, so object values use Python arithmetic
-    top = x[[int(x.argmax())]]
-    if not twin(top, top)[0] >= potential.beta:
+    # f is largest at the largest value, so no pair reaches beta unless that one does
+    top = x.max()
+    if not twin(top, top) >= potential.beta:
         return EdgeDelta(removals=removals)
     order = np.argsort(x, kind="stable")
     ranked = x[order]
@@ -399,14 +394,14 @@ class ActiveSetStepper(NaiveStepper):
     ``values`` holds the node values as :func:`_twin_array` builds them, or
     None when they have no twin. It is carried forward: a change refreshes
     h(u) and h(v) only, and the pairs at u and v are decided from it by the
-    twin. Without it they are decided pair by pair.
+    twin. Once a refreshed value does not fit it, it is dropped for the rest
+    of the run. Without it the pairs are decided pair by pair, exactly.
     """
 
-    def __init__(self, g: DynGraph, potential: Potential, scheduler: UniformRandomScheduler,
-                 values: Optional[np.ndarray]):
+    def __init__(self, g: DynGraph, potential: Potential, scheduler: UniformRandomScheduler):
         super().__init__(g, potential, scheduler, certified=True)
         self._pending: Optional[int] = None
-        self.values = values
+        self.values = _twin_array(potential, _node_values(g, potential))
         delta = decide_pairs(g, potential, InteractionSet(complete_n=g.n), True)
         self.active = np.array(sorted(rank_pair(u, v) for u, v in
                                       delta.additions + delta.removals), dtype=np.int64)
@@ -444,19 +439,14 @@ class ActiveSetStepper(NaiveStepper):
 
     def _carry_values(self, nodes) -> None:
         """Recompute h at ``nodes``, the endpoints of a toggle, in ``values``;
-        rebuild the array when a new value does not fit it as it is."""
+        set ``values`` to None when a new value does not fit its dtype."""
         table = _node_table(self.g, self.potential, nodes)
         for node in nodes:
             one = _twin_array(self.potential, [table[node]])
-            if (one is not None and self.values.dtype != object
-                    and one.dtype == self.values.dtype):
-                self.values[node] = one[0]
-            else:
-                updated = self.values.tolist()
-                updated[node] = table[node]
-                self.values = _twin_array(self.potential, updated)
-                if self.values is None:
-                    return
+            if one is None or one.dtype != self.values.dtype:
+                self.values = None
+                return
+            self.values[node] = one[0]
 
     def _changing(self, rows, ranks) -> list[np.ndarray]:
         """The ascending ranks of those pairs of ``rows`` (a node and its
@@ -490,16 +480,6 @@ def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _over_pair_limit(g: DynGraph, potential: Potential, certified: bool) -> bool:
-    """Whether a decision over all pairs of g goes pair by pair over more
-    than ``NAIVE_PAIR_LIMIT`` pairs. A certified one is a :func:`_sorted_sweep`
-    at any size where the node values have a twin (see :func:`_twin_array`)."""
-    if pair_count(g.n) <= NAIVE_PAIR_LIMIT:
-        return False
-    return not (certified and potential.node_form is not None
-                and _twin_array(potential, _node_values(g, potential)) is not None)
-
-
 def _make_stepper(cfg: RunConfig, g: DynGraph):
     mode = cfg.engine
     sched = cfg.scheduler
@@ -508,21 +488,13 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
         from . import social
         return social.RewriteStepper(g, pot, sched)
     if mode == "auto":
-        # observers need every round materialised; the active route decides
-        # all pairs at init and in its confirming sweep
+        # the route follows the scheduler, the potential's certificates and
+        # the observers, never the graph's size; observers need every round
+        # materialised, which the active route skips
         if (isinstance(sched, UniformRandomScheduler) and pot.node_form is not None
-                and not cfg.observers and not _over_pair_limit(g, pot, certified=True)):
-            return ActiveSetStepper(g, pot, sched, _twin_array(pot, _node_values(g, pot)))
-        if not sched.is_complete:
-            mode = "naive"
-        elif pot.pair_rule is not None:
-            mode = "incremental"
-        elif _over_pair_limit(g, pot, certified=True):
-            raise ConfigError(
-                "graph too large for pairwise evaluation under the complete "
-                "scheduler; the potential provides no pair statistics")
-        else:
-            mode = "naive"
+                and not cfg.observers):
+            return ActiveSetStepper(g, pot, sched)
+        mode = "incremental" if sched.is_complete and pot.pair_rule is not None else "naive"
     if mode == "naive":
         # a forced naive run is the unpruned reference
         return NaiveStepper(g, pot, sched, certified=cfg.engine == "auto")
@@ -569,8 +541,7 @@ def run(config: RunConfig) -> RunTrace:
     stable = False      # a fixed point is proved
 
     window = 4 * pair_count(g.n) + 8       # quiet rounds before a stochastic sweep
-    sweeps = (settles and sched.fairness_period is None and not sched.deterministic
-              and not _over_pair_limit(g, rule, certified=config.engine == "auto"))
+    sweeps = settles and sched.fairness_period is None and not sched.deterministic
     verdict = Verdict("target", 0) if stop is not None and stop(g) else None
     fast = stepper if isinstance(stepper, ActiveSetStepper) else None
     quiet_delta = EdgeDelta()

@@ -839,7 +839,7 @@ def test_active_route_rejects_a_false_locality_certificate():
     assert naive.verdict.kind == "stabilized" and naive.final_graph.m == 10
 
 
-def test_active_route_selection(monkeypatch):
+def test_active_route_selection():
     g = random_graph(12, 0.3, 2)
     pot = min_degree_potential(2, 100)
 
@@ -853,29 +853,23 @@ def test_active_route_selection(monkeypatch):
     assert engine_of(scheduler=CompleteScheduler()) == "NaiveStepper"
     assert engine_of(scheduler=FairRoundRobinScheduler(3)) == "NaiveStepper"
     assert engine_of(engine="naive") == "NaiveStepper"
-    # the pair limit binds only where the node values have no numpy twin
+    # a node-form rule without a numpy twin is decided pair by pair there
     user_min = degree_like_potential(lambda x, y: min(x, y), degree, 2, 100, validate=False)
     assert engine_of(potential=user_min) == "ActiveSetStepper"
-    monkeypatch.setattr(engine_module, "NAIVE_PAIR_LIMIT", 10)
-    assert engine_of() == "ActiveSetStepper"
-    assert engine_of(potential=user_min) == "NaiveStepper"
 
 
-def test_the_pair_limit_binds_only_pairwise_sweeps(monkeypatch):
-    # with observers a uniform run is not on the active route; past the
-    # limit it still sweeps where the sweep is a sorted one, and never where
-    # the pairs are decided one by one
+def test_uniform_runs_with_observers_sweep_on_every_route():
+    # with an observer a uniform run is not on the active route; it sweeps
+    # after its quiet streak under auto and under forced naive alike
     g = random_graph(12, 0.3, 2)
     user_min = degree_like_potential(lambda x, y: min(x, y), degree, 2, 100, validate=False)
 
-    def verdict(potential, engine="auto"):
+    def verdict(potential, engine):
         return run(RunConfig(graph=g, potential=potential, scheduler=UniformRandomScheduler(1),
                              max_rounds=5000, engine=engine,
-                             observers=(lambda t, h, delta, diff: None,))).verdict.kind
+                             observers=(lambda t, h, delta, diff: None,))).verdict
 
-    monkeypatch.setattr(engine_module, "NAIVE_PAIR_LIMIT", 10)
-    assert verdict(min_degree_potential(2, 100)) == "stabilized"
-    assert verdict(min_degree_potential(2, 100), engine="naive") == "budget"
-    assert verdict(user_min) == "budget"
-    monkeypatch.undo()
-    assert verdict(user_min) == verdict(min_degree_potential(2, 100), "naive") == "stabilized"
+    for pot in (min_degree_potential(2, 100), user_min):
+        auto = verdict(pot, "auto")
+        assert auto.kind == "stabilized"
+        assert auto == verdict(pot, "naive")

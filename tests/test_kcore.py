@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from abdyn.engine import NAIVE_PAIR_LIMIT, RunConfig, run
-from abdyn.errors import ConfigError
+from abdyn.engine import RunConfig, run
 from abdyn.generators import gnp
 from abdyn.graph import DynGraph
 from abdyn.kcore import peel, verify_kcore_run
-from abdyn.potentials import community_potential, min_degree_potential
+from abdyn.potentials import (community_potential, degree, degree_like_potential,
+                              min_degree_potential)
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                               FairRoundRobinScheduler, UniformRandomScheduler, pair_count)
 
@@ -114,26 +114,42 @@ def test_changes_bound_and_edge_scheduler_speed():
         assert verify_kcore_run(t2.final_graph, g, 3).ok
 
 
-def test_complete_kcore_past_the_pair_limit():
-    # 499,500 pairs: the rounds are sorted sweeps of the twin, not pairwise
-    # decisions, so the limit does not bind; a rule with no twin and no pair
-    # statistics is still refused
+def test_complete_runs_on_half_a_million_pairs():
+    # 499,500 pairs: the k-core rounds are sorted sweeps of the twin; a rule
+    # with no twin and no pair statistics runs pair by pair under auto, with
+    # the rounds of the naive reference
     g = gnp(1000, 0.005, seed=1)
-    assert pair_count(g.n) > NAIVE_PAIR_LIMIT
+    assert pair_count(g.n) == 499_500
     trace = _kcore_run(g.copy(), 3, CompleteScheduler())
     assert trace.verdict.kind == "stabilized"
     assert verify_kcore_run(trace.final_graph, g, 3).ok
-    with pytest.raises(ConfigError, match="graph too large for pairwise evaluation"):
-        run(RunConfig(graph=g, potential=community_potential(3, 1000),
-                      scheduler=CompleteScheduler(), max_rounds=10))
+    auto, naive = (run(RunConfig(graph=g, potential=community_potential(3, 1000),
+                                 scheduler=CompleteScheduler(), max_rounds=10, engine=mode))
+                   for mode in ("auto", "naive"))
+    assert auto.metadata["engine"] == naive.metadata["engine"] == "NaiveStepper"
+    assert auto.verdict == naive.verdict
+    assert auto.rounds == naive.rounds and auto.final_graph == naive.final_graph
+
+
+def test_uniform_user_rule_proves_its_fixed_point_on_400k_pairs():
+    # 404,550 pairs and a min with no numpy twin: the active route decides
+    # it pair by pair and stops at the fixed point instead of the budget
+    g = gnp(900, 0.004, seed=1)
+    assert pair_count(g.n) == 404_550
+    pot = degree_like_potential(lambda x, y: min(x, y), degree, 2, 10**6, validate=False)
+    trace = run(RunConfig(graph=g, potential=pot, scheduler=UniformRandomScheduler(1),
+                          max_rounds=3_000_000, record_rounds="changes"))
+    assert trace.metadata["engine"] == "ActiveSetStepper"
+    assert trace.verdict.kind == "stabilized"
+    assert verify_kcore_run(trace.final_graph, g, 2).ok
 
 
 @pytest.mark.slow
 def test_uniform_kcore_on_5000_nodes():
-    # 12,497,500 pairs, past the pairwise limit: the active route decides
-    # the catalog min from its twin; the run takes about 87 M rounds
+    # 12,497,500 pairs: the active route decides the catalog min from its
+    # twin; the run takes about 87 M rounds
     g = gnp(5000, 0.002, seed=1)
-    assert pair_count(g.n) > NAIVE_PAIR_LIMIT
+    assert pair_count(g.n) == 12_497_500
     trace = run(RunConfig(graph=g, potential=min_degree_potential(5, 5000),
                           scheduler=UniformRandomScheduler(1), max_rounds=10**9,
                           record_rounds="changes"))
