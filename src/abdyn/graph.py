@@ -8,10 +8,11 @@ hashing: each toggle XORs one edge token). It also holds, per node
 function h, a table of the values h(graph, u) found so far (see
 :meth:`DynGraph.node_table`), which every edit drops.
 
-Only the edit methods of this class (``add_edge``, ``remove_edge``,
-``apply_delta`` and ``toggle_codes``) write the adjacency ``_adj``; other
-modules read it directly for speed, and nothing else may write it, or the
-fingerprint and the node tables go stale.
+Only the constructors of this class (``DynGraph(n)``, ``from_codes``, and
+``from_edges``, which fills through ``from_codes``) and its edit methods
+(``add_edge``, ``remove_edge``, ``apply_delta`` and ``toggle_codes``) write
+the adjacency ``_adj``; other modules read it directly for speed, and
+nothing else may write it, or the fingerprint and the node tables go stale.
 
 Thread safety: read-only queries may run concurrently; mutation requires
 exclusive access. A read may fill a node table; filling is idempotent, since
@@ -40,9 +41,7 @@ class DynGraph:
     __slots__ = ("_adj", "_m", "_fp", "_tables")
 
     def __init__(self, n: int):
-        if n < 0:
-            raise InputError(f"node count must be nonnegative, got {n}")
-        self._adj: list[set[int]] = [set() for _ in range(n)]
+        self._adj: list[set[int]] = [set() for _ in range(_node_count(n))]
         self._m = 0
         self._fp: Optional[int] = None      # the fingerprint, once asked for
         # {h: {node: h(self, node)}} for the current edges; None after an edit
@@ -50,9 +49,75 @@ class DynGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DynGraph":
-        g = cls(n)
-        for u, v in edges:
-            g.add_edge(u, v)
+        """The graph on n nodes with the given edges. A pair may come in
+        either orientation and more than once. An entry that is not a pair
+        is refused; a self-loop or a node id out of range raises add_edge's
+        error for the first such pair."""
+        _node_count(n)
+        pairs = list(edges)
+        if any(len(p) != 2 for p in pairs):
+            raise InputError("every edge must be a pair of node ids")
+        try:
+            ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
+                               count=2 * len(pairs)).reshape(-1, 2)
+            valid = bool((ends >= 0).all() and (ends < n).all()
+                         and (ends[:, 0] != ends[:, 1]).all())
+        except OverflowError:       # an id past int64, out of range
+            valid = False
+        if not valid:
+            for u, v in pairs:
+                error = _pair_error(n, u, v)
+                if error is not None:
+                    raise error
+        codes = np.sort(pair_codes(ends.min(axis=1), ends.max(axis=1)))
+        fresh = np.ones(len(codes), dtype=bool)
+        fresh[1:] = codes[1:] != codes[:-1]
+        return cls.from_codes(n, codes[fresh])
+
+    @classmethod
+    def from_codes(cls, n: int, codes: np.ndarray) -> "DynGraph":
+        """The graph on n nodes whose edges have the codes (u << 32) | v in
+        ``codes`` (see :func:`pair_codes`): a one-dimensional uint64 array,
+        each code with u < v, sorted ascending and unique.
+
+        The first offending code is refused with an ``InputError``: a node
+        id out of range or a self-pair with add_edge's message, a code that
+        repeats the one before it with read_edgelist's, and a pair with
+        u > v, a code below the one before it or an array of another dtype
+        or shape with a message of its own. Every adjacency entry of node v
+        is one shared int object."""
+        _node_count(n)
+        if not isinstance(codes, np.ndarray) or codes.dtype != np.uint64 or codes.ndim != 1:
+            raise InputError(f"edge codes must be a one-dimensional uint64 array, got "
+                             f"{getattr(codes, 'dtype', type(codes).__name__)} of shape "
+                             f"{np.shape(codes)}")
+        _check_codes(n, codes)
+        # Fill from one block of FOLD_BLOCK source nodes at a time, both
+        # ways: the block's entries sorted by the node they belong to (a CSR
+        # layout), so that each node takes them in one update. Small blocks
+        # keep the temporaries small; whole-array ones, freed among the new
+        # sets, stayed resident (10 MB on a width-4 rule-110 assembly).
+        # Node ids come from one object array, so every entry of node v is
+        # the same int object.
+        adj = [set() for _ in range(n)]
+        ids = np.arange(n).astype(object)
+        bounds = np.searchsorted(codes, np.arange(0, n + FOLD_BLOCK, FOLD_BLOCK,
+                                                  dtype=np.uint64) << _SHIFT).tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            us, vs = code_ends(codes[a:b])
+            node = np.concatenate((us, vs)).astype(np.intp)
+            order = np.argsort(node, kind="stable")
+            node = node[order]
+            nbrs = ids[np.concatenate((vs, us)).astype(np.intp)[order]].tolist()
+            heads = np.flatnonzero(np.diff(node, prepend=-1))
+            for u, i, j in zip(node[heads].tolist(), heads.tolist(),
+                               [*heads[1:].tolist(), len(nbrs)]):
+                adj[u].update(nbrs[i:j])
+        g = cls.__new__(cls)
+        g._adj = adj
+        g._m = len(codes)
+        g._fp = None
+        g._tables = None
         return g
 
     @property
@@ -87,7 +152,7 @@ class DynGraph:
 
     def _check(self, u: int) -> None:
         if not 0 <= u < len(self._adj):
-            raise InputError(f"node id {u} out of range 0..{len(self._adj) - 1}")
+            raise _range_error(u, len(self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         adj = self._adj
@@ -98,10 +163,9 @@ class DynGraph:
         return v in adj[u]
 
     def add_edge(self, u: int, v: int) -> None:
-        self._check(u)
-        self._check(v)
-        if u == v:
-            raise InputError(f"self-loop at node {u} not allowed")
+        error = _pair_error(len(self._adj), u, v)
+        if error is not None:
+            raise error
         if v not in self._adj[u]:
             self._adj[u].add(v)
             self._adj[v].add(u)
@@ -219,6 +283,49 @@ class DynGraph:
 
     def __repr__(self) -> str:
         return f"DynGraph(n={self.n}, m={self.m})"
+
+
+def _node_count(n: int) -> int:
+    if n < 0:
+        raise InputError(f"node count must be nonnegative, got {n}")
+    return n
+
+
+def _range_error(u: int, n: int) -> InputError:
+    return InputError(f"node id {u} out of range 0..{n - 1}")
+
+
+def _pair_error(n: int, u: int, v: int) -> Optional[InputError]:
+    """add_edge's refusal of the pair (u, v) on n nodes, or None."""
+    if not 0 <= u < n:
+        return _range_error(u, n)
+    if not 0 <= v < n:
+        return _range_error(v, n)
+    if u == v:
+        return InputError(f"self-loop at node {u} not allowed")
+    return None
+
+
+def _check_codes(n: int, codes: np.ndarray) -> None:
+    """Refuse the first code in ``codes`` that from_codes does not take."""
+    us, vs = code_ends(codes)
+    bad = (vs >= n) | (us >= vs)
+    bad[1:] |= codes[1:] <= codes[:-1]
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    code = int(codes[i])
+    u, v = code >> 32, code & 0xFFFFFFFF
+    error = _pair_error(n, u, v)
+    if error is not None:
+        raise error
+    if u > v:
+        raise InputError(f"edge code {code} holds the pair ({u},{v}) with u > v")
+    prev = int(codes[i - 1])
+    if code == prev:
+        raise InputError(f"edge ({u},{v}) listed twice")
+    raise InputError(f"edge codes not sorted ascending: ({u},{v}) at index {i} "
+                     f"follows ({prev >> 32},{prev & 0xFFFFFFFF})")
 
 
 def _unordered(u: int, v: int) -> ContractError:

@@ -26,6 +26,10 @@ the gadget map and extraction folds the copies back together.
 Node ids are assigned deterministically: per ring cell, per subcell (drivers
 then followers): the two anchors, the 60 auxiliaries, then the blinker
 internals; after the four subcells, the cell's connection pin internals.
+
+The builder emits the edges of every gadget as edge codes with numpy and
+sorts them once; that array is the assembly's ``initial_codes`` and the
+input of ``DynGraph.from_codes``, which builds the graph.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from .engine import RunConfig, RunTrace, run
 from .errors import ContractError, InputError
-from .graph import DynGraph, code_ends, edge_codes, norm_pair
+from .graph import DynGraph, code_ends, edge_codes, norm_pair, pair_codes
 from .potentials import Potential, rule110_potential, two_step_merge
 from .schedulers import CompleteScheduler
 
@@ -154,26 +158,27 @@ class GadgetMap:
 class CellAssembly:
     graph: DynGraph
     gmap: GadgetMap
-    initial_codes: np.ndarray      # graph.edge_codes of the built edge set
+    initial_codes: np.ndarray      # the sorted edge codes the graph was built from
 
 
-def _add_clique(g: DynGraph, nodes, skip=None) -> None:
-    """Join every two of ``nodes`` except the pair ``skip``, given in list
-    order."""
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            if (u, v) != skip:
-                g.add_edge(u, v)
+def _clique_codes(rows: np.ndarray, skip_specials: bool = False) -> np.ndarray:
+    """Edge codes, unsorted, of a clique on each row of node ids in ``rows``;
+    ``skip_specials`` leaves out the pair of the first two columns."""
+    iu, ju = np.triu_indices(rows.shape[1], 1)
+    if skip_specials:
+        iu, ju = iu[1:], ju[1:]     # (0, 1) comes first
+    a, b = rows[:, iu], rows[:, ju]
+    return pair_codes(np.minimum(a, b), np.maximum(a, b)).ravel()
 
 
 def build_assembly(tape) -> CellAssembly:
-    """Construct the initial gadget graph for a cyclic tape."""
+    """Construct the initial gadget graph for a cyclic tape: the gadget map
+    node by node, then the edges as one sorted array of edge codes, from
+    which the graph is built."""
     logical = validate_tape(tape)
     width = len(logical)
     ring = logical * 2 if width == 3 else logical
     rw = len(ring)
-    n = rw * CELL_BLOCK
-    g = DynGraph(n)
 
     subcells: dict[tuple[int, str], SubCell] = {}
     driver_blinkers = set()
@@ -187,36 +192,31 @@ def build_assembly(tape) -> CellAssembly:
             sb = base + k * SUBCELL_BLOCK
             anchors = (sb, sb + 1)
             aux = tuple(sb + 2 + i for i in range(AUX_PER_SUBCELL))
-            sc = SubCell(cell=cell, kind=kind, anchors=anchors, aux=aux)
-            subcells[(cell, kind)] = sc
-            anchor_owner[norm_pair(*anchors)] = (cell, kind)
-            is_driver = kind in DRIVERS
-
-            internal_base = sb + 2 + AUX_PER_SUBCELL
+            subcells[(cell, kind)] = SubCell(cell=cell, kind=kind, anchors=anchors, aux=aux)
+            anchor_owner[anchors] = (cell, kind)
+            blinkers = driver_blinkers if kind in DRIVERS else follower_blinkers
             for anchor_idx in (0, 1):
-                x = anchors[anchor_idx]
                 for aux_idx in range(AUX_PER_SUBCELL):
-                    y = aux[aux_idx]
-                    b = anchor_idx * AUX_PER_SUBCELL + aux_idx
-                    for h in (0, 1):    # the two pin gadgets of the blinker
-                        first = internal_base + (2 * b + h) * BLINKER_HALF
-                        half = list(range(first, first + BLINKER_HALF))
-                        _add_clique(g, [x, y] + half, skip=(x, y))
-                    spair = norm_pair(x, y)
+                    spair = (anchors[anchor_idx], aux[aux_idx])
                     blinker_owner[spair] = (cell, kind, anchor_idx, aux_idx)
-                    if is_driver:
-                        driver_blinkers.add(spair)
-                        g.add_edge(x, y)
-                    else:
-                        follower_blinkers.add(spair)
+                    blinkers.add(spair)
 
-            if ring[cell]:
-                g.add_edge(*anchors)
+    # blinker gadgets: blinker b of a subcell joins anchor b // 60 and aux
+    # b % 60 through two pin gadgets, whose internals follow the aux
+    starts = (np.arange(rw)[:, None] * CELL_BLOCK
+              + np.arange(len(KINDS)) * SUBCELL_BLOCK).reshape(-1, 1)    # one row per subcell
+    b = np.arange(2 * AUX_PER_SUBCELL)
+    first = (starts[:, :, None] + 2 + AUX_PER_SUBCELL
+             + (2 * b[:, None] + np.arange(2)) * BLINKER_HALF)      # (subcell, blinker, pin)
+    blinker_pins = np.empty(first.shape + (2 + BLINKER_HALF,), dtype=np.int64)
+    blinker_pins[..., 0] = (starts + b // AUX_PER_SUBCELL)[:, :, None]
+    blinker_pins[..., 1] = (starts + 2 + b % AUX_PER_SUBCELL)[:, :, None]
+    blinker_pins[..., 2:] = first[..., None] + np.arange(BLINKER_HALF)
 
     # connection pin gadgets; each connection carries 4 pins,
     # one per anchor pairing of its two subcells
+    pin_specials = []
     for cell in range(rw):
-        base = cell * CELL_BLOCK + 4 * SUBCELL_BLOCK
         nxt = (cell + 1) % rw
         links = [
             ((cell, "d1"), (cell, "f1")),
@@ -228,15 +228,26 @@ def build_assembly(tape) -> CellAssembly:
             ((cell, "d1"), (nxt, "f1")),
             ((cell, "d2"), (nxt, "f2")),
         ]
-        for conn_idx, (akey, bkey) in enumerate(links):
+        for akey, bkey in links:
             x_sc = subcells[akey]
             y_sc = subcells[bkey]
-            for pin_idx, (xi, yi) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-                x = x_sc.anchors[xi]
-                y = y_sc.anchors[yi]
-                internals = [base + conn_idx * 4 * PIN_INTERNALS + pin_idx * PIN_INTERNALS + s
-                             for s in range(PIN_INTERNALS)]
-                _add_clique(g, [x, y] + internals)
+            for xi, yi in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                pin_specials.append((x_sc.anchors[xi], y_sc.anchors[yi]))
+    pin_first = (np.arange(rw)[:, None] * CELL_BLOCK + 4 * SUBCELL_BLOCK
+                 + np.arange(CONNECTIONS_PER_CELL * 4) * PIN_INTERNALS).reshape(-1, 1)
+    connection_pins = np.concatenate((np.array(pin_specials), pin_first + np.arange(PIN_INTERNALS)),
+                                     axis=1)
+
+    # the driver blinker edges exist at integer rounds, round 0 among them, and
+    # the anchor pairs of the set cells hold their bits
+    dynamic_edges = np.array([*driver_blinkers,
+                              *(sc.anchors for sc in subcells.values() if ring[sc.cell])])
+    codes = np.concatenate((
+        _clique_codes(blinker_pins.reshape(-1, 2 + BLINKER_HALF), skip_specials=True),
+        _clique_codes(connection_pins),
+        pair_codes(dynamic_edges[:, 0], dynamic_edges[:, 1]),
+    ))
+    codes.sort()
 
     gmap = GadgetMap(
         width=width,
@@ -248,7 +259,8 @@ def build_assembly(tape) -> CellAssembly:
         blinker_owner=blinker_owner,
         anchor_owner=anchor_owner,
     )
-    return CellAssembly(graph=g, gmap=gmap, initial_codes=edge_codes(g))
+    return CellAssembly(graph=DynGraph.from_codes(rw * CELL_BLOCK, codes), gmap=gmap,
+                        initial_codes=codes)
 
 
 # ---------------------------------------------------------------------------

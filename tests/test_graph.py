@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abdyn import graph as graph_module
 from abdyn.errors import ContractError, InputError
@@ -282,3 +284,124 @@ def test_delta_from_codes_equals_build():
                            [(v, u) for (u, v), b in zip(pairs, born) if not b])
     assert EdgeDelta.from_codes(codes, np.array(born)) == want
     assert EdgeDelta.from_codes(codes[:0], np.array(born)[:0]) == EdgeDelta()
+
+
+# ---------------------------------------------------------------------------
+# Bulk constructors
+
+def codes_of(pairs):
+    return np.array([(u << 32) | v for u, v in pairs], dtype=np.uint64)
+
+
+def per_edge(n, pairs):
+    """The oracle: the graph built one add_edge at a time."""
+    g = DynGraph(n)
+    for u, v in pairs:
+        g.add_edge(u, v)
+    return g
+
+
+@pytest.mark.parametrize("n, codes, message", [
+    (3, codes_of([(1, 1)]), r"^self-loop at node 1 not allowed$"),
+    (3, codes_of([(0, 1), (0, 5)]), r"^node id 5 out of range 0\.\.2$"),
+    (3, codes_of([(4, 7)]), r"^node id 4 out of range 0\.\.2$"),
+    (0, codes_of([(0, 1)]), r"^node id 0 out of range 0\.\.-1$"),
+    (3, codes_of([(0, 1), (0, 1), (1, 2)]), r"^edge \(0,1\) listed twice$"),
+    (3, codes_of([(0, 2), (0, 1)]), r"^edge codes not sorted ascending: \(0,1\) at index 1 "
+                                    r"follows \(0,2\)$"),
+    (3, codes_of([(2, 1)]), r"^edge code 8589934593 holds the pair \(2,1\) with u > v$"),
+    # the first offending code wins, whatever is wrong further on
+    (3, codes_of([(0, 1), (0, 1), (0, 9)]), r"listed twice"),
+    (3, codes_of([(0, 9), (0, 1), (0, 1)]), r"node id 9"),
+    (3, codes_of([(0, 2), (1, 1)]), r"self-loop at node 1"),
+    (3, np.array([1], dtype=np.int64), r"^edge codes must be a one-dimensional uint64 array, "
+                                       r"got int64 of shape \(1,\)$"),
+    (3, codes_of([(0, 1)]).reshape(1, 1), r"one-dimensional uint64 array, got uint64 of shape"),
+    (3, [1], r"one-dimensional uint64 array, got list of shape \(1,\)"),
+    (-1, codes_of([]), r"^node count must be nonnegative, got -1$"),
+])
+def test_from_codes_refusals(n, codes, message):
+    with pytest.raises(InputError, match=message):
+        DynGraph.from_codes(n, codes)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_from_codes_without_edges(n):
+    g = DynGraph.from_codes(n, codes_of([]))
+    assert g == DynGraph(n) and g.n == n and g.m == 0
+    assert g._fp is None and g._tables is None
+    assert g.fingerprint == graph_fingerprint(DynGraph(n))
+
+
+def test_from_codes_entries_are_shared_plain_ints():
+    rng = random.Random(5)
+    n = 3000      # ids past the interpreter's small-int cache, over several fill blocks
+    pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(20_000)})
+    g = DynGraph.from_codes(n, codes_of(pairs))
+    entries = [v for nbrs in g._adj for v in nbrs]
+    assert all(type(v) is int for v in entries)
+    assert len({id(v) for v in entries}) == len(set(entries))
+    assert g == per_edge(n, pairs) and g.m == len(pairs)
+
+
+@st.composite
+def graphs_and_edits(draw):
+    n = draw(st.integers(0, 40))
+    if n < 2:
+        return n, [], []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=120))
+    edits = draw(st.lists(st.tuples(st.sampled_from(("add", "remove", "toggle")),
+                                    st.lists(pair, max_size=6)), max_size=6))
+    return n, pairs, edits
+
+
+@given(graphs_and_edits())
+def test_from_codes_equals_the_per_edge_build(case):
+    n, pairs, edits = case
+    canon = sorted({(min(p), max(p)) for p in pairs})
+    g = DynGraph.from_codes(n, codes_of(canon))
+    for other in (per_edge(n, pairs), DynGraph.from_edges(n, pairs)):
+        assert g._adj == other._adj and g.m == other.m
+        assert g.fingerprint == graph_fingerprint(other)
+    for kind, batch in edits:
+        if kind == "add":
+            for u, v in batch:
+                g.add_edge(u, v)
+        elif kind == "remove":
+            for u, v in batch:
+                g.remove_edge(u, v)
+        else:
+            toggled = sorted({(min(p), max(p)) for p in batch})
+            born = np.array([not g.has_edge(u, v) for u, v in toggled], dtype=bool)
+            g.toggle_codes(codes_of(toggled), born)
+        assert g.fingerprint == token_fold(g)
+        assert g.m == len(g.edge_set())
+
+
+def test_from_edges_takes_repeats_and_either_orientation():
+    g = DynGraph.from_edges(4, [(0, 1), (1, 0), (0, 1), (3, 2), (2, 3)])
+    assert g.edge_set() == {(0, 1), (2, 3)} and g.m == 2
+    assert DynGraph.from_edges(4, iter([(2, 1)])).edge_set() == {(1, 2)}
+
+
+@pytest.mark.parametrize("n, pairs, message", [
+    (3, [(0, 1), (2, 2), (0, 7)], r"^self-loop at node 2 not allowed$"),
+    (3, [(0, 1), (0, 7), (2, 2)], r"^node id 7 out of range 0\.\.2$"),
+    (3, [(9, 4)], r"^node id 9 out of range"),
+    (3, [(1, -1)], r"^node id -1 out of range"),
+    (3, [(0, 1), (2, 2 ** 70)], rf"^node id {2 ** 70} out of range"),
+    (-2, [(0, 1)], r"^node count must be nonnegative, got -2$"),
+])
+def test_from_edges_refuses_like_add_edge(n, pairs, message):
+    with pytest.raises(InputError, match=message):
+        DynGraph.from_edges(n, pairs)
+    if n >= 0:
+        with pytest.raises(InputError, match=message):
+            per_edge(n, pairs)
+
+
+@pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0, 1), (2,)], [(0, 1, 2), (1,)]])
+def test_from_edges_refuses_what_is_not_a_pair(pairs):
+    with pytest.raises(InputError, match="^every edge must be a pair of node ids$"):
+        DynGraph.from_edges(3, pairs)

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from abdyn import graph as graph_module
 from abdyn import rule110
 from abdyn.errors import ContractError, InputError
 from abdyn.fastpath import IncrementalStepper
-from abdyn.graph import DynGraph, edge_codes, graph_fingerprint
+from abdyn.graph import DynGraph, edge_codes, graph_fingerprint, norm_pair
 from abdyn.potentials import rule110_potential
-from abdyn.rule110 import (CELL_BLOCK, KINDS, SUBCELL_BLOCK, AssemblyRunner,
-                           build_assembly, check_structure, extract_values,
-                           reference_run, reference_step, subcell_bits)
+from abdyn.rule110 import (AUX_PER_SUBCELL, BLINKER_HALF, CELL_BLOCK, DRIVERS, KINDS,
+                           PIN_INTERNALS, SUBCELL_BLOCK, AssemblyRunner, CellAssembly,
+                           GadgetMap, SubCell, build_assembly, check_structure,
+                           extract_values, reference_run, reference_step, subcell_bits,
+                           validate_tape)
 
 RULE_TABLE = {  # patterns 111..000 mapped to the bits of 0b01101110
     (1, 1, 1): 0, (1, 1, 0): 1, (1, 0, 1): 1, (1, 0, 0): 0,
@@ -42,6 +46,118 @@ def test_tape_validation():
         build_assembly([0, 1])
     with pytest.raises(InputError):
         build_assembly([0, 1, 2])
+
+
+def _oracle_clique(g, nodes, skip=None):
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            if (u, v) != skip:
+                g.add_edge(u, v)
+
+
+def oracle_assembly(tape) -> CellAssembly:
+    """The assembly built one add_edge at a time, node numbering and gadget
+    map as documented in ``abdyn.rule110``; its codes are folded from the
+    built graph."""
+    logical = validate_tape(tape)
+    width = len(logical)
+    ring = logical * 2 if width == 3 else logical
+    rw = len(ring)
+    g = DynGraph(rw * CELL_BLOCK)
+    subcells, blinker_owner, anchor_owner = {}, {}, {}
+    driver_blinkers, follower_blinkers = set(), set()
+    for cell in range(rw):
+        for k, kind in enumerate(KINDS):
+            sb = cell * CELL_BLOCK + k * SUBCELL_BLOCK
+            anchors = (sb, sb + 1)
+            aux = tuple(sb + 2 + i for i in range(AUX_PER_SUBCELL))
+            subcells[(cell, kind)] = SubCell(cell=cell, kind=kind, anchors=anchors, aux=aux)
+            anchor_owner[norm_pair(*anchors)] = (cell, kind)
+            internal_base = sb + 2 + AUX_PER_SUBCELL
+            for anchor_idx in (0, 1):
+                x = anchors[anchor_idx]
+                for aux_idx in range(AUX_PER_SUBCELL):
+                    y = aux[aux_idx]
+                    b = anchor_idx * AUX_PER_SUBCELL + aux_idx
+                    for h in (0, 1):
+                        first = internal_base + (2 * b + h) * BLINKER_HALF
+                        _oracle_clique(g, [x, y] + list(range(first, first + BLINKER_HALF)),
+                                       skip=(x, y))
+                    spair = norm_pair(x, y)
+                    blinker_owner[spair] = (cell, kind, anchor_idx, aux_idx)
+                    if kind in DRIVERS:
+                        driver_blinkers.add(spair)
+                        g.add_edge(x, y)
+                    else:
+                        follower_blinkers.add(spair)
+            if ring[cell]:
+                g.add_edge(*anchors)
+    for cell in range(rw):
+        base = cell * CELL_BLOCK + 4 * SUBCELL_BLOCK
+        nxt = (cell + 1) % rw
+        links = [((cell, "d1"), (cell, "f1")), ((cell, "d1"), (cell, "f2")),
+                 ((cell, "d2"), (cell, "f1")), ((cell, "d2"), (cell, "f2")),
+                 ((cell, "d1"), (nxt, "d1")), ((cell, "d2"), (nxt, "d2")),
+                 ((cell, "d1"), (nxt, "f1")), ((cell, "d2"), (nxt, "f2"))]
+        for conn_idx, (akey, bkey) in enumerate(links):
+            for pin_idx, (xi, yi) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                first = base + conn_idx * 4 * PIN_INTERNALS + pin_idx * PIN_INTERNALS
+                _oracle_clique(g, [subcells[akey].anchors[xi], subcells[bkey].anchors[yi]]
+                               + list(range(first, first + PIN_INTERNALS)))
+    gmap = GadgetMap(width=width, ring_width=rw, subcells=subcells,
+                     driver_blinkers=frozenset(driver_blinkers),
+                     follower_blinkers=frozenset(follower_blinkers),
+                     dynamic=frozenset(anchor_owner) | frozenset(blinker_owner),
+                     blinker_owner=blinker_owner, anchor_owner=anchor_owner)
+    return CellAssembly(graph=g, gmap=gmap, initial_codes=edge_codes(g))
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+def test_build_equals_the_per_edge_oracle(width):
+    want = oracle_assembly((0,) * width)
+    got = build_assembly((0,) * width)
+    assert got.graph == want.graph and got.graph.m == want.graph.m
+    assert np.array_equal(got.initial_codes, edge_codes(got.graph))
+    assert np.array_equal(got.initial_codes, want.initial_codes)
+    for f in dataclasses.fields(GadgetMap):
+        assert getattr(got.gmap, f.name) == getattr(want.gmap, f.name), f.name
+    assert list(got.gmap.subcells) == list(want.gmap.subcells)
+    assert got.graph.fingerprint == graph_fingerprint(want.graph)
+
+
+def _sweep_tapes(width):
+    if width <= 4:
+        return list(itertools.product((0, 1), repeat=width))
+    rng = random.Random(width)
+    return [tuple(rng.randrange(2) for _ in range(width)) for _ in range(8)]
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+def test_a_tape_adds_exactly_its_anchor_pairs(width):
+    # the all-zero build equals the oracle (above); any other tape differs
+    # from it in the anchor pairs of its set cells and nowhere else
+    zero = build_assembly((0,) * width)
+    zero_codes, gmap = zero.initial_codes, zero.gmap
+    del zero
+    for tape in _sweep_tapes(width):
+        asm = build_assembly(tape)
+        ring = tape * (gmap.ring_width // width)
+        anchors = sorted((sc.anchors[0] << 32) | sc.anchors[1]
+                         for (cell, _), sc in gmap.subcells.items() if ring[cell])
+        changed = np.setxor1d(asm.initial_codes, zero_codes, assume_unique=True)
+        assert changed.tolist() == anchors, tape
+        assert asm.graph.m == len(asm.initial_codes), tape
+        assert asm.gmap == gmap, tape
+        assert extract_values(asm) == list(tape), tape
+        del asm     # one tape's assembly alive at a time
+
+
+def test_build_makes_no_add_edge_call(monkeypatch):
+    def refuse(self, u, v):
+        raise AssertionError(f"build_assembly added the edge ({u},{v}) by itself")
+    monkeypatch.setattr(DynGraph, "add_edge", refuse)
+    asm = build_assembly((0, 1, 1, 0))
+    assert asm.graph.m == len(asm.initial_codes)
 
 
 @pytest.fixture(scope="module")
