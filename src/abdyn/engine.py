@@ -72,7 +72,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Sized
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .graph import DynGraph, EdgeDelta, code_ends, pair_codes
+from .graph import DynGraph, EdgeDelta, code_ends, code_pairs, edge_codes, pair_codes
 # unused here: perfbench/tracer.py wraps them by name until ROADMAP item 1 step B
 from .graph import edge_token, graph_fingerprint  # noqa: F401
 from .potentials import PROPER_FUNCTIONS, Potential, degree
@@ -294,16 +294,6 @@ def _twin_array(potential: Potential, values: list) -> Optional[np.ndarray]:
     return None
 
 
-def _edge_arrays(g: DynGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoints (u, v), u < v, of every edge as two int64 arrays."""
-    adj = g._adj
-    degs = np.fromiter(map(len, adj), dtype=np.int64, count=g.n)
-    us = np.repeat(np.arange(g.n), degs)
-    vs = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(degs.sum()))
-    keep = us < vs
-    return us[keep], vs[keep]
-
-
 def _sorted_sweep(g: DynGraph, potential: Potential, x: np.ndarray) -> EdgeDelta:
     """Decide all pairs of a node-form potential from its node values x
     (see :func:`_twin_array`) with O(n log n + m) twin evaluations and
@@ -317,9 +307,10 @@ def _sorted_sweep(g: DynGraph, potential: Potential, x: np.ndarray) -> EdgeDelta
     """
     twin = _TWINS[potential.node_form[0]][0]
     n = g.n
-    us, vs = _edge_arrays(g)
+    codes = edge_codes(g)
+    us, vs = code_ends(codes)
     removed = twin(x[us], x[vs]) < potential.alpha
-    removals = tuple(sorted(zip(us[removed].tolist(), vs[removed].tolist())))
+    removals = tuple(code_pairs(codes[removed]))
     if not n:
         return EdgeDelta(removals=removals)
     # f is largest at the largest value, so no pair reaches beta unless that one does
@@ -342,9 +333,8 @@ def _sorted_sweep(g: DynGraph, potential: Potential, x: np.ndarray) -> EdgeDelta
     av = order[np.arange(int(length.sum())) + np.repeat(lo + length - np.cumsum(length), length)]
     keep = au < av
     add_codes = pair_codes(au[keep], av[keep])
-    add_codes = np.sort(add_codes[~in_sorted(np.sort(pair_codes(us, vs)), add_codes)])
-    au, av = code_ends(add_codes)
-    return EdgeDelta(additions=tuple(zip(au.tolist(), av.tolist())), removals=removals)
+    add_codes = np.sort(add_codes[~in_sorted(codes, add_codes)])
+    return EdgeDelta(additions=tuple(code_pairs(add_codes)), removals=removals)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,16 @@ stay exactly equivalent to pairwise evaluation of every pair:
   the unpruned reference, ``engine="naive"``, cannot enumerate the pairs.
 
 Both run a merged potential's two substeps (see
-:attr:`~abdyn.potentials.Potential.pair_rule`) and net their toggles, and
-tabulate ``decide`` over (edge state, count) from count 0 up with a
-common-neighbor-edge supplier that refuses to be called (:class:`Decisions`);
-the rows below the floor are the certificate check. A round looks its pairs
-up in one array operation and calls ``decide`` only on the pairs whose entry
-reads the common neighbor edges, so the rule keeps one definition, its own
-``decide``. The incremental route hands each substep's toggles to the graph
-as sorted edge codes (:meth:`DynGraph.toggle_codes`); the bulk route applies
-them through the validating :meth:`DynGraph.apply_delta`.
+:attr:`~abdyn.potentials.Potential.pair_rule`) and net their deltas
+(:meth:`~abdyn.graph.EdgeDelta.then`), and tabulate ``decide`` over (edge
+state, count) from count 0 up with a common-neighbor-edge supplier that
+refuses to be called (:class:`Decisions`); the rows below the floor are the
+certificate check. A round looks its pairs up in one array operation and
+calls ``decide`` only on the pairs whose entry reads the common neighbor
+edges, so the rule keeps one definition, its own ``decide``. Each substep
+applies its toggles as one :class:`~abdyn.graph.EdgeDelta` through the
+validating :meth:`DynGraph.apply_delta`, so an edit made behind a stepper's
+back raises ``ContractError`` instead of corrupting the graph.
 """
 
 from __future__ import annotations
@@ -122,37 +123,13 @@ class Decisions:
         return np.flatnonzero(flips)
 
 
-class Toggles:
-    """One substep's toggles: the ascending codes of the toggled edges (see
-    :func:`~abdyn.graph.pair_codes`) and whether each was born or removed."""
-
-    __slots__ = ("codes", "born")
-
-    def __init__(self, codes: np.ndarray, born: np.ndarray):
-        self.codes = codes
-        self.born = born
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    @classmethod
-    def ordered(cls, codes: np.ndarray, born: np.ndarray) -> "Toggles":
-        order = np.argsort(codes)
-        return cls(codes[order], born[order])
-
-    def then(self, later: "Toggles") -> "Toggles":
-        """The net toggles of this substep followed by ``later``: a pair
-        toggled in both is back in its state and drops out."""
-        both = Toggles.ordered(np.concatenate([self.codes, later.codes]),
-                               np.concatenate([self.born, later.born]))
-        twice = both.codes[1:] == both.codes[:-1]
-        keep = np.ones(len(both), dtype=bool)
-        keep[1:] &= ~twice
-        keep[:-1] &= ~twice
-        return Toggles(both.codes[keep], both.born[keep])
-
-
-_NO_TOGGLES = Toggles(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool))
+def _apply(g: DynGraph, codes: np.ndarray, born: np.ndarray) -> EdgeDelta:
+    """Apply to g, as one validated delta, the toggles of the edges with the
+    given codes: born where ``born`` holds, removed elsewhere."""
+    order = np.argsort(codes)
+    delta = EdgeDelta.from_codes(codes[order], born[order])
+    g.apply_delta(delta)
+    return delta
 
 
 def _adjacency_rows(adj, rows, n: int):
@@ -237,7 +214,7 @@ class IncrementalStepper:
 
     # -- round execution ---------------------------------------------------
 
-    def _substep(self) -> Toggles:
+    def _substep(self) -> EdgeDelta:
         from scipy import sparse
 
         ids = self.cn.ids
@@ -245,18 +222,21 @@ class IncrementalStepper:
         hot = np.flatnonzero(upper.data >= self.floor)
         if not len(hot):
             # fancy indexing a sparse matrix with empty arrays gives a matrix
-            return _NO_TOGGLES
+            return EdgeDelta()
         rows = np.searchsorted(upper.indptr, hot, side="right") - 1
         cols = upper.indices[hot]
         edges = np.asarray(self.a_hh[rows, cols]).ravel()
         flipped = self.decisions.toggling(self.g, ids[rows], ids[cols], edges,
                                           upper.data[hot])
         if not len(flipped):
-            return _NO_TOGGLES
+            return EdgeDelta()
 
         born = edges[flipped] == 0
-        sign = np.where(born, 1, -1).astype(np.int32)
         ti, tj = rows[flipped], cols[flipped]
+        # ti < tj and the ids ascend, so each code is (smaller << 32) | larger;
+        # the graph is written first, so a refused delta leaves the counts as they were
+        delta = _apply(self.g, pair_codes(ids[ti], ids[tj]), born)
+        sign = np.where(born, 1, -1).astype(np.int32)
         d = sparse.csr_matrix((np.concatenate([sign, sign]),
                                (np.concatenate([ti, tj]), np.concatenate([tj, ti]))),
                               shape=self.a_hh.shape)
@@ -265,17 +245,13 @@ class IncrementalStepper:
         ad = self.a_hh @ d
         self.cn.upper = upper + sparse.triu(ad + ad.T + d @ d, 1, format="csr")
         self.a_hh = self.a_hh + d
-
-        # ti < tj and the ids ascend, so each code is (smaller << 32) | larger
-        toggles = Toggles.ordered(pair_codes(ids[ti], ids[tj]), born)
-        self.g.toggle_codes(toggles.codes, toggles.born)
-        return toggles
+        return delta
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
-        net = self._substep()
+        delta = self._substep()
         for _ in range(1, self.substeps):
-            net = net.then(self._substep())
-        return EdgeDelta.from_codes(net.codes, net.born), pair_count(self.g.n)
+            delta = delta.then(self._substep())
+        return delta, pair_count(self.g.n)
 
     # -- test hook ----------------------------------------------------------
 
@@ -321,7 +297,7 @@ class BulkStepper:
         self.floor = stats.cn_floor
         self.decisions = Decisions(stats, self.floor + 1)
 
-    def _substep(self) -> Toggles:
+    def _substep(self) -> EdgeDelta:
         from scipy import sparse
 
         g = self.g
@@ -330,13 +306,11 @@ class BulkStepper:
         counts = sparse.triu(a_high @ a_high.T, 1, format="coo")
         hot = np.flatnonzero(counts.data >= self.floor)
         if not len(hot):
-            return _NO_TOGGLES
+            return EdgeDelta()
         us, vs = ids[counts.row[hot]], ids[counts.col[hot]]
         edges = np.asarray(a_high[counts.row[hot], vs]).ravel()
         flipped = self.decisions.toggling(g, us, vs, edges, counts.data[hot])
-        toggles = Toggles.ordered(pair_codes(us[flipped], vs[flipped]), edges[flipped] == 0)
-        g.apply_delta(EdgeDelta.from_codes(toggles.codes, toggles.born))
-        return toggles
+        return _apply(g, pair_codes(us[flipped], vs[flipped]), edges[flipped] == 0)
 
     # the substeps of a round, netted as on the incremental route
     advance = IncrementalStepper.advance

@@ -10,8 +10,8 @@ function h, a table of the values h(graph, u) found so far (see
 
 Only the constructors of this class (``DynGraph(n)``, ``from_codes``, and
 ``from_edges``, which fills through ``from_codes``) and its edit methods
-(``add_edge``, ``remove_edge``, ``apply_delta`` and ``toggle_codes``) write
-the adjacency ``_adj``; other modules read it directly for speed, and
+(``add_edge``, ``remove_edge``, and ``apply_delta`` for any multi-edge delta)
+write the adjacency ``_adj``; other modules read it directly for speed, and
 nothing else may write it, or the fingerprint and the node tables go stale.
 
 Thread safety: read-only queries may run concurrently; mutation requires
@@ -229,41 +229,28 @@ class DynGraph:
         """Toggle exactly the listed edges. The delta must be valid against
         the current graph; a violation indicates an engine bug."""
         delta.validate(self)
-        for u, v in delta.removals:
-            self._adj[u].discard(v)
-            self._adj[v].discard(u)
-        for u, v in delta.additions:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-        self._m += len(delta.additions) - len(delta.removals)
-        if delta.additions or delta.removals:
+        adds, rems = delta.additions, delta.removals
+        adj = self._adj
+        for u, v in rems:
+            adj[u].discard(v)
+            adj[v].discard(u)
+        for u, v in adds:
+            adj[u].add(v)
+            adj[v].add(u)
+        self._m += len(adds) - len(rems)
+        if adds or rems:
             self._tables = None
         if self._fp is not None:
             fp = self._fp
-            for u, v in chain(delta.additions, delta.removals):
-                fp ^= edge_token(u, v)
-            self._fp = fp
-
-    def toggle_codes(self, codes: np.ndarray, born: np.ndarray) -> None:
-        """Toggle the edges whose codes (see :func:`pair_codes`) are in the
-        uint64 array ``codes``: add those where the bool array ``born`` holds,
-        remove the others. Unlike :meth:`apply_delta` it does not validate:
-        the caller guarantees that exactly the born edges are absent, as a
-        stepper does from the adjacency it tracks."""
-        adj = self._adj
-        us, vs = code_ends(codes)
-        for u, v, new in zip(us.tolist(), vs.tolist(), born.tolist()):
-            if new:
-                adj[u].add(v)
-                adj[v].add(u)
+            if len(adds) + len(rems) < VECTOR_FP_PAIRS:
+                for u, v in chain(adds, rems):
+                    fp ^= edge_token(u, v)
             else:
-                adj[u].discard(v)
-                adj[v].discard(u)
-        self._m += 2 * int(np.count_nonzero(born)) - len(codes)
-        if len(codes):
-            self._tables = None
-        if self._fp is not None:
-            self._fp ^= int(np.bitwise_xor.reduce(_splitmix64_array(codes)))
+                ends = np.fromiter(chain.from_iterable(chain(adds, rems)), dtype=np.uint64,
+                                   count=2 * (len(adds) + len(rems)))
+                fp ^= int(np.bitwise_xor.reduce(_splitmix64_array(
+                    pair_codes(ends[0::2], ends[1::2]))))
+            self._fp = fp
 
     def copy(self) -> "DynGraph":
         g = DynGraph.__new__(DynGraph)
@@ -353,10 +340,15 @@ class EdgeDelta:
         """The delta of the edges whose codes are in the ascending uint64
         array ``codes``: additions where ``born`` holds, removals elsewhere.
         Ascending codes give the pairs in the order :meth:`build` sorts them."""
-        def pairs(part):
-            us, vs = code_ends(part)
-            return tuple(zip(us.tolist(), vs.tolist()))
-        return cls(additions=pairs(codes[born]), removals=pairs(codes[~born]))
+        return cls(additions=tuple(code_pairs(codes[born])),
+                   removals=tuple(code_pairs(codes[~born])))
+
+    def then(self, later: "EdgeDelta") -> "EdgeDelta":
+        """The net delta of this one followed by ``later``, sorted as by
+        :meth:`build`: a pair in both is back in its state and drops out."""
+        adds = set(chain(self.additions, later.additions))
+        rems = set(chain(self.removals, later.removals))
+        return EdgeDelta.build(adds - rems, rems - adds)
 
     @property
     def empty(self) -> bool:
@@ -410,6 +402,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 FOLD_BLOCK = 4096          # nodes per block when coding a whole graph
+# apply_delta folds the tokens of a delta of this many pairs or more as one array: on a
+# 2-core Xeon guest 16 pairs took 11 us one by one and 13 us as an array, 24 pairs 16 us and 14 us
+VECTOR_FP_PAIRS = 20
 
 
 def _splitmix64(x: int) -> int:
@@ -438,6 +433,12 @@ def pair_codes(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 def code_ends(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The smaller and the larger endpoint of each edge code."""
     return codes >> _SHIFT, codes & _LOW32
+
+
+def code_pairs(codes: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs (u, v) of the edge codes, in their order, as Python ints."""
+    us, vs = code_ends(codes)
+    return list(zip(us.tolist(), vs.tolist()))
 
 
 def edge_token(u: int, v: int) -> int:

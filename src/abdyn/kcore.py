@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
-from .graph import DynGraph
+from .graph import DynGraph, code_ends, code_pairs, edge_codes
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,19 @@ def verify_kcore_run(final: DynGraph, g0: DynGraph, alpha: int) -> KcoreReport:
     if final.n != g0.n:
         raise InputError(f"graph sizes differ: final n={final.n}, initial n={g0.n}")
     dec = peel(g0, alpha)
-    isolated = {u for u in range(final.n) if final.degree(u) == 0}
+    core = np.zeros(g0.n, dtype=bool)
+    core[list(dec.core)] = True
+    deg = np.fromiter(map(len, final._adj), dtype=np.int64, count=final.n)
     # an isolated core node is possible only in the degenerate core-of-isolates
     # sense; classify mismatches from both directions
-    mis_isolated = sorted(u for u in isolated - dec.crust if u in dec.core and alpha > 0)
-    mis_core = sorted(u for u in dec.crust if final.degree(u) > 0)
-    core_edges = {(u, v) for (u, v) in g0.edges() if u in dec.core and v in dec.core}
-    final_edges = final.edge_set()
-    missing = sorted(core_edges - final_edges)
-    extra = sorted(final_edges - core_edges)
+    mis_isolated = np.flatnonzero((deg == 0) & core).tolist() if alpha > 0 else []
+    mis_core = np.flatnonzero((deg > 0) & ~core).tolist()
+    codes = edge_codes(g0)
+    us, vs = code_ends(codes)
+    core_codes = codes[core[us] & core[vs]]
+    final_codes = edge_codes(final)
+    # setdiff1d keeps the order of its first, ascending argument
+    missing = code_pairs(np.setdiff1d(core_codes, final_codes, assume_unique=True))
+    extra = code_pairs(np.setdiff1d(final_codes, core_codes, assume_unique=True))
     ok = not (mis_isolated or mis_core or missing or extra)
     return KcoreReport(ok, mis_isolated, mis_core, missing, extra)

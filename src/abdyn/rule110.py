@@ -41,7 +41,7 @@ import numpy as np
 
 from .engine import RunConfig, RunTrace, run
 from .errors import ContractError, InputError
-from .graph import DynGraph, code_ends, edge_codes, norm_pair, pair_codes
+from .graph import DynGraph, code_pairs, edge_codes, norm_pair, pair_codes
 from .potentials import Potential, rule110_potential, two_step_merge
 from .schedulers import CompleteScheduler
 
@@ -345,9 +345,7 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
                     "blinker_parity", gmap.describe_pair(pair), want, not want))
 
     if diff is None:
-        changed = np.setxor1d(edge_codes(g), assembly.initial_codes, assume_unique=True)
-        us, vs = code_ends(changed)
-        diff = zip(us.tolist(), vs.tolist())
+        diff = code_pairs(np.setxor1d(edge_codes(g), assembly.initial_codes, assume_unique=True))
     for pair in diff:
         if pair not in gmap.dynamic:
             report.violations.append(StructureViolation(

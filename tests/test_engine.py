@@ -495,6 +495,22 @@ def test_incremental_drops_nodes_that_fall_below_the_floor():
     stepper.verify_counts()
 
 
+def test_incremental_refuses_a_graph_edited_behind_its_back():
+    # K6 on 0..5 plus node 6: the first substep removes all 15 edges of the K6
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6)] + [(0, 6), (1, 6)]
+    g = DynGraph.from_edges(7, edges)
+    drop = PairStatsRule(decide=lambda edge, cn, ce_fn: 0 if cn >= 3 else edge,
+                         cn_floor=3)
+    stepper = IncrementalStepper(g, Potential(name="drop", alpha=1, beta=1,
+                                              evaluator=lambda g, u, v: 0, pair_stats=drop))
+    g.fingerprint
+    g.remove_edge(2, 3)
+    with pytest.raises(ContractError, match=r"^delta removes missing edge \(2,3\)$"):
+        stepper.advance(0)
+    # refused before any write: the graph keeps its count and fingerprint
+    assert g.m == len(edges) - 1 and g.fingerprint == graph_fingerprint(g)
+
+
 def test_incremental_floor_crossings_match_naive():
     dropped = 0
     for seed in range(12):

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from abdyn import graph as graph_module
 from abdyn.errors import ContractError, InputError
-from abdyn.graph import (DynGraph, EdgeDelta, edge_codes, edge_token,
+from abdyn.graph import (VECTOR_FP_PAIRS, DynGraph, EdgeDelta, edge_codes, edge_token,
                          graph_fingerprint, induced_ball)
 
 from conftest import (brute_common_neighbor_edges, brute_common_neighbors,
@@ -218,7 +220,8 @@ def test_copy_independent():
 
 def _edits(g):
     """Edits of every kind on a random graph: a toggle through each entry
-    point, a no-op add and remove, a refused delta and a toggle by codes."""
+    point, a no-op add and remove, a refused delta, deltas built from edge
+    codes, and a delta long enough to fold its tokens as one array."""
     absent = next((u, v) for u in range(g.n) for v in range(u + 1, g.n)
                   if not g.has_edge(u, v))
     present = next(iter(g.edges()))
@@ -238,9 +241,13 @@ def _edits(g):
     pairs = sorted(edges + gaps)
     codes = np.array([(u << 32) | v for u, v in pairs], dtype=np.uint64)
     born = np.array([p in gaps for p in pairs])
-    yield lambda: g.toggle_codes(codes, born)
-    yield lambda: g.toggle_codes(codes, ~born)              # and back
-    yield lambda: g.toggle_codes(codes[:0], born[:0])
+    yield lambda: g.apply_delta(EdgeDelta.from_codes(codes, born))
+    yield lambda: g.apply_delta(EdgeDelta.from_codes(codes, ~born))     # and back
+    yield lambda: g.apply_delta(EdgeDelta.from_codes(codes[:0], born[:0]))
+    every = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    assert len(every) >= VECTOR_FP_PAIRS
+    yield lambda: g.apply_delta(EdgeDelta.build(                       # the complement
+        [p for p in every if not g.has_edge(*p)], [p for p in every if g.has_edge(*p)]))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -284,6 +291,34 @@ def test_delta_from_codes_equals_build():
                            [(v, u) for (u, v), b in zip(pairs, born) if not b])
     assert EdgeDelta.from_codes(codes, np.array(born)) == want
     assert EdgeDelta.from_codes(codes[:0], np.array(born)[:0]) == EdgeDelta()
+
+
+def test_delta_then_cancels_pairs_in_both_and_sorts():
+    first = EdgeDelta.build([(5, 1), (0, 3)], [(2, 4), (0, 1)])
+    later = EdgeDelta.build([(4, 2), (0, 2)], [(1, 5), (3, 6)])
+    assert first.then(later) == EdgeDelta(additions=((0, 2), (0, 3)),
+                                          removals=((0, 1), (3, 6)))
+    assert first.then(EdgeDelta()) == first == EdgeDelta().then(first)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_delta_then_equals_applying_both(seed):
+    rng = random.Random(seed)
+    g = random_graph(14, 0.4, seed)
+    every = [(u, v) for u in range(14) for v in range(u + 1, 14)]
+
+    def toggle(h, pairs):
+        return EdgeDelta.build([p for p in pairs if not h.has_edge(*p)],
+                               [p for p in pairs if h.has_edge(*p)])
+    start = g.copy()
+    first = toggle(g, rng.sample(every, 30))
+    g.apply_delta(first)
+    later = toggle(g, rng.sample(every, 30))
+    g.apply_delta(later)
+    net = first.then(later)
+    assert net == toggle(start, start.edge_set() ^ g.edge_set())
+    start.apply_delta(net)
+    assert start == g
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +386,10 @@ def graphs_and_edits(draw):
         return n, [], []
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     pairs = draw(st.lists(pair, max_size=120))
-    edits = draw(st.lists(st.tuples(st.sampled_from(("add", "remove", "toggle")),
-                                    st.lists(pair, max_size=6)), max_size=6))
+    # toggle batches fall on both sides of VECTOR_FP_PAIRS
+    batch = st.one_of(st.lists(pair, max_size=6), st.lists(pair, min_size=30, max_size=60))
+    edits = draw(st.lists(st.tuples(st.sampled_from(("add", "remove", "toggle")), batch),
+                          max_size=6))
     return n, pairs, edits
 
 
@@ -374,7 +411,7 @@ def test_from_codes_equals_the_per_edge_build(case):
         else:
             toggled = sorted({(min(p), max(p)) for p in batch})
             born = np.array([not g.has_edge(u, v) for u, v in toggled], dtype=bool)
-            g.toggle_codes(codes_of(toggled), born)
+            g.apply_delta(EdgeDelta.from_codes(codes_of(toggled), born))
         assert g.fingerprint == token_fold(g)
         assert g.m == len(g.edge_set())
 
@@ -405,3 +442,65 @@ def test_from_edges_refuses_like_add_edge(n, pairs, message):
 def test_from_edges_refuses_what_is_not_a_pair(pairs):
     with pytest.raises(InputError, match="^every edge must be a pair of node ids$"):
         DynGraph.from_edges(3, pairs)
+
+
+# ---------------------------------------------------------------------------
+# The one writer of the adjacency
+
+_SET_WRITES = {"add", "discard", "update", "remove", "clear", "pop"}
+
+
+def _adj_writes(path: Path) -> list[str]:
+    """file:line of every write to a graph's ``_adj`` in one source file: an
+    assignment to ``._adj`` or to an entry of it, or a set-mutating call on an
+    entry of ``._adj``; an entry of a name bound to ``._adj`` counts the same."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def is_adj(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_adj"
+    aliases = {t.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and is_adj(node.value)
+               for t in node.targets if isinstance(t, ast.Name)}
+
+    def entry_of_adj(node):
+        return isinstance(node, ast.Subscript) and (
+            is_adj(node.value) or isinstance(node.value, ast.Name) and node.value.id in aliases)
+
+    def targets(node):
+        for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            yield from t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t]
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            if any(is_adj(t) or entry_of_adj(t) for t in targets(node)):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _SET_WRITES and entry_of_adj(node.func.value)):
+            lines.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(set(lines))]
+
+
+def test_only_graph_py_writes_the_adjacency():
+    src = Path(graph_module.__file__).parent
+    assert _adj_writes(src / "graph.py")        # the scan sees the writer's own writes
+    hits = [hit for path in sorted(src.glob("*.py")) if path.name != "graph.py"
+            for hit in _adj_writes(path)]
+    assert hits == []
+
+
+def test_the_adjacency_scan_flags_each_kind_of_write(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("\n".join([
+        "def f(g, u, v, x):",
+        "    g._adj[u].add(v)",
+        "    adj = g._adj",
+        "    adj[v].discard(u)",
+        "    g._adj = []",
+        "    g._adj[u] = set()",
+        "    a, g._adj = 1, 2",
+        "    x[list(g._adj[u])] = 1",             # reads the adjacency only
+        "    adj[u].update(x); adj[u].clear()",
+        "    adj[u].pop(); adj[u].remove(v)",
+        "    return len(adj[u] & g._adj[v])",
+    ]))
+    assert _adj_writes(probe) == [f"probe.py:{k}" for k in (2, 4, 5, 6, 7, 9, 10)]

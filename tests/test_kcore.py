@@ -5,7 +5,7 @@ import pytest
 from abdyn.engine import RunConfig, run
 from abdyn.generators import gnp
 from abdyn.graph import DynGraph
-from abdyn.kcore import peel, verify_kcore_run
+from abdyn.kcore import KcoreReport, peel, verify_kcore_run
 from abdyn.potentials import (community_potential, degree, degree_like_potential,
                               min_degree_potential)
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
@@ -100,6 +100,45 @@ def test_verify_detects_mismatch():
         w = next(iter(tampered.neighbors(u)))
         tampered.remove_edge(u, w)
         assert not verify_kcore_run(tampered, g, 2).ok
+
+
+def set_verify_kcore_run(final: DynGraph, g0: DynGraph, alpha: int) -> KcoreReport:
+    """The oracle: verify_kcore_run computed with Python sets."""
+    dec = peel(g0, alpha)
+    isolated = {u for u in range(final.n) if final.degree(u) == 0}
+    mis_isolated = sorted(u for u in isolated - dec.crust if u in dec.core and alpha > 0)
+    mis_core = sorted(u for u in dec.crust if final.degree(u) > 0)
+    core_edges = {(u, v) for (u, v) in g0.edges() if u in dec.core and v in dec.core}
+    final_edges = final.edge_set()
+    missing = sorted(core_edges - final_edges)
+    extra = sorted(final_edges - core_edges)
+    ok = not (mis_isolated or mis_core or missing or extra)
+    return KcoreReport(ok, mis_isolated, mis_core, missing, extra)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_verify_matches_the_set_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 60)
+    g = random_graph(n, rng.uniform(0.02, 0.3), seed)
+    alpha = rng.randrange(0, 5)
+    final = _kcore_run(g.copy(), alpha, CompleteScheduler()).final_graph
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # tamper: toggle some pairs (missing core edges, extra edges, crust nodes
+    # with edges) and isolate a core node
+    for u, v in rng.sample(pairs, min(len(pairs), rng.randrange(0, 8))):
+        final.remove_edge(u, v) if final.has_edge(u, v) else final.add_edge(u, v)
+    core = sorted(peel(g, alpha).core)
+    if core and seed % 2:
+        u = rng.choice(core)
+        for w in list(final.neighbors(u)):
+            final.remove_edge(u, w)
+    report = verify_kcore_run(final, g, alpha)
+    assert report == set_verify_kcore_run(final, g, alpha)
+    for field in (report.misclassified_isolated, report.misclassified_core):
+        assert all(type(u) is int for u in field)
+    for field in (report.missing_edges, report.extra_edges):
+        assert all(type(p) is tuple and all(type(u) is int for u in p) for p in field)
 
 
 def test_changes_bound_and_edge_scheduler_speed():

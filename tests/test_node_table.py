@@ -66,8 +66,8 @@ def test_reads_match_cache_free_values_across_edits(seed, steps):
             adds, rems = _toggles(g, pairs)
             toggled = sorted(adds + rems)
             ends = np.array(toggled, dtype=np.int64).reshape(-1, 2)
-            g.toggle_codes(pair_codes(ends[:, 0], ends[:, 1]),
-                           np.array([p in adds for p in toggled], dtype=bool))
+            g.apply_delta(EdgeDelta.from_codes(pair_codes(ends[:, 0], ends[:, 1]),
+                                               np.array([p in adds for p in toggled])))
         elif op == "copy":
             g = g.copy()
         elif op == "value":
@@ -98,7 +98,7 @@ def test_tables_live_until_an_edit():
     g.add_edge(*next(iter(g.edges())))
     g.remove_edge(*next(p for p in all_pairs(N) if not g.has_edge(*p)))
     g.apply_delta(EdgeDelta())
-    g.toggle_codes(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool))
+    g.apply_delta(EdgeDelta.from_codes(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)))
     assert g.node_table(h) is table
     assert g.copy().node_table(h) == {}
     u, v = next(iter(g.edges()))

@@ -236,7 +236,7 @@ def test_merged_rounds_cancel_pairs_toggled_in_both_substeps():
         delta, _ = stepper.advance(0)
         assert delta == want, seed
         stepper.verify_counts()
-        first, second = (set(x.codes.tolist()) for x in substeps)
+        first, second = (set(x.additions + x.removals) for x in substeps)
         twice += len(first & second)
         once += len(first ^ second)
     assert twice >= 20 and once >= 20
