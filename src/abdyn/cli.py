@@ -45,7 +45,9 @@ DEFAULT_POTENTIAL = "min_degree"
 
 
 def parse_config(path: str) -> dict[str, str]:
+    """The ``key = value`` lines of a run config; a key set twice is refused."""
     cfg: dict[str, str] = {}
+    first: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -53,8 +55,12 @@ def parse_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {key} set twice (first at line {first[key]})")
+            first[key] = lineno
+            cfg[key] = value
     return cfg
 
 
@@ -114,8 +120,11 @@ def _scheduler_from_config(cfg: dict, graph: DynGraph, profile=None):
         if "scheduler.script" not in cfg:
             raise ConfigError("scripted scheduler needs config key scheduler.script")
         script = read_interaction_script(cfg["scheduler.script"])
-        fair = cfg.get("scheduler.fair", "false").lower() == "true"
-        return ScriptedScheduler(script, graph.n, repeat=True, claim_fair=fair)
+        fair = cfg.get("scheduler.fair", "false")
+        if fair.lower() not in ("true", "false"):
+            raise ConfigError(f"config key scheduler.fair needs true or false, got {fair!r}")
+        return ScriptedScheduler(script, graph.n, repeat=True,
+                                 claim_fair=fair.lower() == "true")
     if name == "social":
         if profile is None:
             raise ConfigError("social scheduler needs potential.profile")

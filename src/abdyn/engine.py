@@ -18,15 +18,13 @@ Stabilization verdicts depend on the scheduler contract:
   change.
 
 Routes (``RunConfig.engine``): ``naive`` evaluates whatever the scheduler
-emits through ``potential.evaluator`` and is the unpruned reference;
-``incremental`` and ``bulk`` (see :mod:`abdyn.fastpath`) serve the complete
-scheduler on potentials with a pair rule, merged ones included; ``RunConfig``
-refuses any other forced route. ``auto`` uses the potential's
-certificates, which changes no decision:
+emits through ``potential.evaluator`` and is the unpruned reference. ``auto``
+uses the potential's certificates, which changes no decision:
 
 * it runs every complete-scheduler potential with a pair rule
-  (:attr:`~abdyn.potentials.Potential.pair_rule`) on ``incremental``; under
-  other schedulers it skips the pairs below the rule's certified floor;
+  (:attr:`~abdyn.potentials.Potential.pair_rule`), merged ones included, on
+  :class:`~abdyn.fastpath.IncrementalStepper`; under other schedulers it
+  skips the pairs below the rule's certified floor;
 * it decides a node-form potential f(h(u), h(v)) (see
   :attr:`~abdyn.potentials.Potential.node_form`) from the graph's table of h
   (:meth:`~abdyn.graph.DynGraph.node_table`), computed at most once per node
@@ -139,7 +137,7 @@ class RunConfig:
     scheduler: Scheduler
     max_rounds: int
     stop_mode: str = "cycle"                # cycle | budget
-    engine: str = "auto"                    # auto | naive | incremental | bulk
+    engine: str = "auto"                    # auto | naive (the unpruned reference)
     copy_graph: bool = True
     record_rounds: str = "auto"             # all | changes | auto
     record_deltas: bool = False
@@ -148,19 +146,13 @@ class RunConfig:
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be at least 1, got {self.max_rounds}")
-        if self.stop_mode not in ("cycle", "budget"):
-            raise ConfigError(f"unknown stop_mode {self.stop_mode!r}")
-        if self.engine not in ("auto", "naive", "incremental", "bulk"):
-            raise ConfigError(f"unknown engine {self.engine!r}")
+        for key, allowed in (("stop_mode", ("cycle", "budget")), ("engine", ("auto", "naive")),
+                             ("record_rounds", ("all", "changes", "auto"))):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigError(f"unknown {key} {value!r}; allowed: {', '.join(allowed)}")
         if self.engine != "auto" and not isinstance(self.potential, Potential):
             raise ConfigError(f"a rewrite protocol runs on engine auto, not {self.engine!r}")
-        if self.engine in ("incremental", "bulk"):
-            if not self.scheduler.is_complete:
-                raise ConfigError(f"{self.engine} engine requires the complete scheduler")
-            if self.potential.pair_rule is None:
-                raise ConfigError(f"potential {self.potential.name} provides no pair statistics")
-        if self.record_rounds not in ("all", "changes", "auto"):
-            raise ConfigError(f"unknown record_rounds {self.record_rounds!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -471,27 +463,23 @@ def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _make_stepper(cfg: RunConfig, g: DynGraph):
-    mode = cfg.engine
     sched = cfg.scheduler
     pot = cfg.potential
     if not isinstance(pot, Potential):
         from . import social
         return social.RewriteStepper(g, pot, sched)
-    if mode == "auto":
-        # the route follows the scheduler, the potential's certificates and
-        # the observers, never the graph's size; observers need every round
-        # materialised, which the active route skips
-        if (isinstance(sched, UniformRandomScheduler) and pot.node_form is not None
-                and not cfg.observers):
-            return ActiveSetStepper(g, pot, sched)
-        mode = "incremental" if sched.is_complete and pot.pair_rule is not None else "naive"
-    if mode == "naive":
-        # a forced naive run is the unpruned reference
-        return NaiveStepper(g, pot, sched, certified=cfg.engine == "auto")
-    from . import fastpath
-    if mode == "incremental":
-        return fastpath.IncrementalStepper(g, pot)
-    return fastpath.BulkStepper(g, pot)
+    if cfg.engine == "naive":
+        return NaiveStepper(g, pot, sched, certified=False)
+    # the route follows the scheduler, the potential's certificates and the
+    # observers, never the graph's size; observers need every round
+    # materialised, which the active route skips
+    if (isinstance(sched, UniformRandomScheduler) and pot.node_form is not None
+            and not cfg.observers):
+        return ActiveSetStepper(g, pot, sched)
+    if sched.is_complete and pot.pair_rule is not None:
+        from .fastpath import IncrementalStepper
+        return IncrementalStepper(g, pot)
+    return NaiveStepper(g, pot, sched, certified=True)
 
 
 # ---------------------------------------------------------------------------

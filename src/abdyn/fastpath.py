@@ -1,39 +1,30 @@
-"""Complete-scheduler execution strategies for pair-statistics potentials.
+"""Complete-scheduler execution of pair-statistics potentials.
 
 Potentials that decide a pair purely from (edge state, common neighbor count,
 common neighbor edges) declare a :class:`~abdyn.potentials.PairStatsRule`
 with a ``cn_floor``: below that common neighbor count the decision provably
-keeps the current state. Both strategies here exploit that certificate and
-stay exactly equivalent to pairwise evaluation of every pair:
+keeps the current state. :class:`IncrementalStepper` exploits that
+certificate and stays exactly equivalent to pairwise evaluation of every
+pair. It keeps, across rounds, the exact common neighbor counts of all pairs
+of a fixed node set H: the nodes of degree at least the floor at init (only
+they can reach it, since CN <= min degree, and no node joins them later).
+The counts are the upper triangle of one sparse matrix, built with one
+product over the adjacency rows of H, and each substep updates it with
+sparse products of the substep's toggles alone. Per round it re-decides just
+the pairs at or above the floor, so a huge graph with few high nodes and few
+toggles costs little beyond one pass over the degrees.
 
-* :class:`IncrementalStepper` keeps, across rounds, the exact common
-  neighbor counts of all pairs of a fixed node set H: the nodes of degree at
-  least the floor at init (only they can reach it, since CN <= min degree,
-  and no node joins them later). The counts are the upper triangle of one
-  sparse matrix, built with one product over the adjacency rows of H, and
-  each substep updates it with sparse products of the substep's toggles
-  alone. Per round it re-decides just the pairs at or above the floor, so a
-  huge graph with few high nodes and few toggles costs little beyond one
-  pass over the degrees.
-
-* :class:`BulkStepper` recounts in every substep: one product over the
-  adjacency rows of the nodes at the floor on the live graph, no larger
-  than the incremental init product, so it needs no banding. It carries no
-  count between substeps and shares no state with the incremental route,
-  so it is the independent side of the equivalence checks at scales where
-  the unpruned reference, ``engine="naive"``, cannot enumerate the pairs.
-
-Both run a merged potential's two substeps (see
-:attr:`~abdyn.potentials.Potential.pair_rule`) and net their deltas
-(:meth:`~abdyn.graph.EdgeDelta.then`), and tabulate ``decide`` over (edge
+It runs a merged potential's two substeps (see
+:attr:`~abdyn.potentials.Potential.pair_rule`) and nets their deltas
+(:meth:`~abdyn.graph.EdgeDelta.then`), and tabulates ``decide`` over (edge
 state, count) from count 0 up with a common-neighbor-edge supplier that
 refuses to be called (:class:`Decisions`); the rows below the floor are the
 certificate check. A round looks its pairs up in one array operation and
 calls ``decide`` only on the pairs whose entry reads the common neighbor
 edges, so the rule keeps one definition, its own ``decide``. Each substep
 applies its toggles as one :class:`~abdyn.graph.EdgeDelta` through the
-validating :meth:`DynGraph.apply_delta`, so an edit made behind a stepper's
-back raises ``ContractError`` instead of corrupting the graph.
+validating :meth:`DynGraph.apply_delta`, so an edit made behind the
+stepper's back raises ``ContractError`` instead of corrupting the graph.
 """
 
 from __future__ import annotations
@@ -121,15 +112,6 @@ class Decisions:
             ce = _exact_ce(g, int(us[k]), int(vs[k]))
             flips[k] = self.decide(edge, int(counts[k]), ce) != edge
         return np.flatnonzero(flips)
-
-
-def _apply(g: DynGraph, codes: np.ndarray, born: np.ndarray) -> EdgeDelta:
-    """Apply to g, as one validated delta, the toggles of the edges with the
-    given codes: born where ``born`` holds, removed elsewhere."""
-    order = np.argsort(codes)
-    delta = EdgeDelta.from_codes(codes[order], born[order])
-    g.apply_delta(delta)
-    return delta
 
 
 def _adjacency_rows(adj, rows, n: int):
@@ -233,9 +215,12 @@ class IncrementalStepper:
 
         born = edges[flipped] == 0
         ti, tj = rows[flipped], cols[flipped]
-        # ti < tj and the ids ascend, so each code is (smaller << 32) | larger;
+        # ti < tj and the ids ascend, so each code is (smaller << 32) | larger
+        codes = pair_codes(ids[ti], ids[tj])
+        order = np.argsort(codes)
+        delta = EdgeDelta.from_codes(codes[order], born[order])
         # the graph is written first, so a refused delta leaves the counts as they were
-        delta = _apply(self.g, pair_codes(ids[ti], ids[tj]), born)
+        self.g.apply_delta(delta)
         sign = np.where(born, 1, -1).astype(np.int32)
         d = sparse.csr_matrix((np.concatenate([sign, sign]),
                                (np.concatenate([ti, tj]), np.concatenate([tj, ti]))),
@@ -282,35 +267,3 @@ class IncrementalStepper:
                     f"tracked {name} diverged at {wrong.nnz} entries (first: {pairs}); "
                     f"{have.nnz} stored for {want.nnz}")
 
-
-class BulkStepper:
-    """Exact complete-scheduler rounds of a pair-statistics potential by a
-    fresh recount per substep. Only nodes of degree at least the floor on the
-    live graph have pairs that can reach it; those pairs are counted, decided
-    through :class:`Decisions` and applied by :meth:`DynGraph.apply_delta`."""
-
-    prune = True
-
-    def __init__(self, g: DynGraph, potential: Potential):
-        self.g = g
-        stats, self.substeps = potential.pair_rule
-        self.floor = stats.cn_floor
-        self.decisions = Decisions(stats, self.floor + 1)
-
-    def _substep(self) -> EdgeDelta:
-        from scipy import sparse
-
-        g = self.g
-        ids = _at_floor(g._adj, self.floor)
-        a_high = _adjacency_rows(g._adj, ids.tolist(), g.n)
-        counts = sparse.triu(a_high @ a_high.T, 1, format="coo")
-        hot = np.flatnonzero(counts.data >= self.floor)
-        if not len(hot):
-            return EdgeDelta()
-        us, vs = ids[counts.row[hot]], ids[counts.col[hot]]
-        edges = np.asarray(a_high[counts.row[hot], vs]).ravel()
-        flipped = self.decisions.toggling(g, us, vs, edges, counts.data[hot])
-        return _apply(g, pair_codes(us[flipped], vs[flipped]), edges[flipped] == 0)
-
-    # the substeps of a round, netted as on the incremental route
-    advance = IncrementalStepper.advance

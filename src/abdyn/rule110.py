@@ -422,8 +422,8 @@ class AssemblyRunner:
         self.assembly = build_assembly((0,) * width)
         self._exact = False     # a full check and exact restores proved the build
 
-    def run(self, tape, steps: int, merged: bool = False, check: bool = True,
-            engine: str = "auto") -> SimulationResult:
+    def run(self, tape, steps: int, merged: bool = False,
+            check: bool = True) -> SimulationResult:
         """Simulate ``steps`` automaton steps of ``tape``.
 
         Unmerged runs spend two engine rounds per step; merged runs one. The
@@ -464,7 +464,6 @@ class AssemblyRunner:
             scheduler=CompleteScheduler(),
             max_rounds=max(steps if merged else 2 * steps, 1),
             stop_mode="budget",
-            engine=engine,
             copy_graph=False,
             record_rounds="all",
             observers=(observer,),

@@ -7,10 +7,15 @@ import os
 import random
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import settings
+from scipy import sparse
 
-from abdyn.graph import DynGraph
+from abdyn.fastpath import Decisions
+from abdyn.graph import (DynGraph, EdgeDelta, code_ends, edge_codes, graph_fingerprint,
+                         pair_codes)
+from abdyn.potentials import Potential
 
 # Property tests draw the same examples on every run and write no example
 # database, so a tier-1 run is reproducible. Hypothesis still caches the
@@ -53,6 +58,67 @@ def brute_component_labels(g: DynGraph) -> list[int]:
                     label[y] = s
                     stack.append(y)
     return label
+
+
+class BulkOracle:
+    """Complete-scheduler rounds of a pair-statistics potential by a fresh
+    recount in every substep: the independent side of the checks on
+    :class:`~abdyn.fastpath.IncrementalStepper` at scales where the unpruned
+    reference, ``engine="naive"``, cannot enumerate the pairs.
+
+    It carries no count between substeps and builds its adjacency from the
+    graph's edge codes, not from the stepper's adjacency rows. Only nodes of
+    degree at least the floor on the live graph have pairs that can reach
+    it; those pairs are counted, decided through the rule's
+    :class:`~abdyn.fastpath.Decisions` and applied by the validating
+    :meth:`DynGraph.apply_delta`."""
+
+    def __init__(self, g: DynGraph, potential: Potential):
+        self.g = g
+        stats, self.substeps = potential.pair_rule
+        self.floor = stats.cn_floor
+        self.decisions = Decisions(stats, self.floor + 1)
+
+    def _substep(self) -> EdgeDelta:
+        g = self.g
+        us, vs = (x.astype(np.int64) for x in code_ends(edge_codes(g)))
+        ends = np.concatenate([us, vs])
+        adj = sparse.csr_matrix((np.ones(len(ends), dtype=np.int32),
+                                 (ends, np.concatenate([vs, us]))), shape=(g.n, g.n))
+        ids = np.flatnonzero(np.diff(adj.indptr) >= self.floor)
+        a_high = adj[ids]
+        counts = sparse.triu(a_high @ a_high.T, 1, format="coo")
+        hot = np.flatnonzero(counts.data >= self.floor)
+        if not len(hot):
+            return EdgeDelta()
+        us, vs = ids[counts.row[hot]], ids[counts.col[hot]]
+        edges = np.asarray(a_high[counts.row[hot], vs]).ravel()
+        flipped = self.decisions.toggling(g, us, vs, edges, counts.data[hot])
+        codes = pair_codes(us[flipped], vs[flipped])
+        order = np.argsort(codes)
+        delta = EdgeDelta.from_codes(codes[order], edges[flipped][order] == 0)
+        g.apply_delta(delta)
+        return delta
+
+    def advance(self) -> EdgeDelta:
+        """One round: the substeps' deltas, netted."""
+        delta = self._substep()
+        for _ in range(1, self.substeps):
+            delta = delta.then(self._substep())
+        return delta
+
+
+def oracle_rounds(g: DynGraph, potential: Potential, rounds: int) -> list[tuple[EdgeDelta, int]]:
+    """Step a :class:`BulkOracle` on ``g``, in place, for ``rounds`` rounds:
+    each round's delta with the graph's fingerprint after it. After every
+    round the graph's maintained fingerprint must equal a fresh fold."""
+    oracle = BulkOracle(g, potential)
+    out = []
+    for t in range(rounds):
+        delta = oracle.advance()
+        assert g.fingerprint == graph_fingerprint(g), t
+        out.append((delta, g.fingerprint))
+    return out
 
 
 def random_graph(n: int, p: float, seed: int) -> DynGraph:

@@ -17,13 +17,15 @@ from abdyn.generators import gnp, random_connected
 from abdyn.kcore import verify_kcore_run
 from abdyn.potentials import (PROPER_FUNCTIONS, degree_like_potential,
                               min_degree_potential, proper_degree_potential,
-                              rule110_potential)
-from abdyn.rule110 import AssemblyRunner, reference_run
+                              rule110_potential, two_step_merge)
+from abdyn.rule110 import AssemblyRunner, build_assembly, reference_run
 from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                               FairRoundRobinScheduler, ScriptedScheduler,
                               UniformRandomScheduler, all_pairs)
 from abdyn.social import (niceness_g, random_profile, run_general,
                           star_predicate, star_protocol)
+
+from conftest import oracle_rounds
 
 N_KCORE = 200
 P_KCORE = 0.05
@@ -240,19 +242,18 @@ def test_criterion_7_prune_soundness(runner_w3):
         assert [r.fingerprint for r in plain.rounds] == \
             [r.fingerprint for r in pruned.rounds], (i, n, p)
 
-    # naive cannot enumerate the assembly's pairs; the two independent
-    # pruned routes check each other
-    incremental = runner_w3.run((0, 1, 1), steps=2, check=False, engine="incremental").trace
-    bulk = runner_w3.run((0, 1, 1), steps=2, check=False, engine="bulk").trace
-    assert incremental.metadata["prune"] and bulk.metadata["prune"]
-    fp_a = [(r.t, r.added, r.removed, r.fingerprint) for r in incremental.rounds]
-    fp_b = [(r.t, r.added, r.removed, r.fingerprint) for r in bulk.rounds]
-    assert fp_a == fp_b
-    merged = [[(r.t, r.added, r.removed, r.fingerprint) for r in
-               runner_w3.run((0, 1, 1), steps=2, merged=True, check=False,
-                             engine=engine).trace.rounds]
-              for engine in ("incremental", "bulk")]
-    assert merged[0] == merged[1] and len(merged[0]) == 2
+    # naive cannot enumerate the assembly's pairs; the incremental route is
+    # checked against the independent recount of the test oracle
+    assembly_rule = rule110_potential(100)
+    for merged, potential in ((False, assembly_rule), (True, two_step_merge(assembly_rule))):
+        trace = runner_w3.run((0, 1, 1), steps=2, merged=merged, check=False).trace
+        assert trace.metadata["prune"]
+        assert trace.metadata["engine"] == "IncrementalStepper"
+        rounds = len(trace.rounds)
+        assert rounds == (2 if merged else 4)
+        oracle = oracle_rounds(build_assembly((0, 1, 1)).graph, potential, rounds)
+        assert [(r.t, r.added, r.removed, r.fingerprint) for r in trace.rounds] == \
+            [(t, len(d.additions), len(d.removals), fp) for t, (d, fp) in enumerate(oracle)]
     _report(7, "prune soundness", True,
             "50 random graphs + one width-3 assembly, plain and merged, "
             "identical round fingerprints")

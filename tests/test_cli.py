@@ -382,20 +382,34 @@ _CYCLE = "graph.generator = cycle\ngraph.n = 4\n"
     ({"cfg": _CYCLE + "a line without an equals sign\n"}, ["run", "{cfg}"], 64,
      "cfg:3: expected 'key = value'"),
     ({"cfg": _CYCLE + "run.engine = incremental\n" + _MIN_DEGREE}, ["run", "{cfg}"], 64,
-     "potential min_degree provides no pair statistics"),
+     "unknown engine 'incremental'; allowed: auto, naive"),
     ({"cfg": _CYCLE + "run.engine = bulk\n" + _RULE110.format("rule110_merged")},
-     ["run", "{cfg}"], 0, ""),
+     ["run", "{cfg}"], 64, "unknown engine 'bulk'; allowed: auto, naive"),
     ({"cfg": _CYCLE + "run.engine = incremental\nscheduler.name = round_robin\n"
              + _RULE110.format("rule110")}, ["run", "{cfg}"], 64,
-     "incremental engine requires the complete scheduler"),
+     "unknown engine 'incremental'; allowed: auto, naive"),
+    ({"cfg": _CYCLE + _RULE110.format("rule110_merged")}, ["run", "{cfg}"], 0, ""),
+    ({"cfg": _CYCLE + "run.engine = naive\nrun.engine = bogus\nrun.engine = auto\n"
+             + _MIN_DEGREE}, ["run", "{cfg}"], 64,
+     "cfg:4: key run.engine set twice (first at line 3)"),
+    ({"script": "0-1 1-2\n2-3\n",
+      "cfg": _CYCLE + "scheduler.name = scripted\nscheduler.script = {script}\n"
+             "scheduler.fair = yes\n" + _MIN_DEGREE}, ["run", "{cfg}"], 64,
+     "config key scheduler.fair needs true or false, got 'yes'"),
+    # any case is taken, and the claim is then checked
+    ({"script": "0-1 1-2\n2-3\n",
+      "cfg": _CYCLE + "scheduler.name = scripted\nscheduler.script = {script}\n"
+             "scheduler.fair = TRUE\n" + _MIN_DEGREE}, ["run", "{cfg}"], 64,
+     "script does not cover all pairs"),
     ({"edges": "0 1\n1 2\n2 3\n3 4\n1 5\n"},
      ["star", "--graph", "{edges}", "--seed", "1", "--out", "{out}"], 0, ""),
 ], ids=["gnp", "path", "star", "complete", "rule110-assembly", "scripted", "script-twice",
         "social", "profile-twice", "no-equals", "incremental-without-pair-rule",
-        "bulk-merged", "incremental-round-robin", "star-graph"])
+        "bulk-merged", "incremental-round-robin", "merged", "key-twice", "fair-yes",
+        "fair-upper-case", "star-graph"])
 def test_cli_inputs_exit_codes(tmp_path, capsys, files, argv, code, err):
     """Inputs that no other test feeds the command line: generators,
-    schedulers, malformed files and forced routes."""
+    schedulers, malformed files and configs, and the removed forced routes."""
     paths = {name: str(tmp_path / name) for name in [*files, "trace", "out"]}
     for name, text in files.items():
         if name == "cfg":
@@ -409,3 +423,4 @@ def test_cli_inputs_exit_codes(tmp_path, capsys, files, argv, code, err):
         assert read_trace(paths["trace"])["verdict"]["round"] >= 0
     else:
         assert read_edgelist(paths["out"]).m == 5
+

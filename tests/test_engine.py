@@ -23,7 +23,7 @@ from abdyn.schedulers import (CompleteScheduler, CurrentEdgesScheduler,
                               ScriptedScheduler, UniformRandomScheduler, all_pairs)
 from abdyn.social import niceness_g, random_profile, star_protocol
 
-from conftest import blinker, random_graph, triangle
+from conftest import BulkOracle, blinker, oracle_rounds, random_graph, triangle
 
 
 def cycle_graph(n):
@@ -238,11 +238,13 @@ def test_max_rounds_validation():
                 scheduler=CompleteScheduler())
     with pytest.raises(ConfigError):
         RunConfig(max_rounds=0, **base)
-    with pytest.raises(ConfigError, match="record_rounds"):
+    with pytest.raises(ConfigError, match="^unknown record_rounds 'change'; "
+                                          "allowed: all, changes, auto$"):
         RunConfig(max_rounds=1, record_rounds="change", **base)
-    with pytest.raises(ConfigError, match="stop_mode"):
+    with pytest.raises(ConfigError, match="^unknown stop_mode 'fixed_point'; "
+                                          "allowed: cycle, budget$"):
         RunConfig(max_rounds=1, stop_mode="fixed_point", **base)
-    with pytest.raises(ConfigError, match="unknown engine 'bogus'"):
+    with pytest.raises(ConfigError, match="^unknown engine 'bogus'; allowed: auto, naive$"):
         RunConfig(max_rounds=1, engine="bogus", **base)
 
 
@@ -266,28 +268,24 @@ def test_stochastic_sweep_window(n, window):
     assert len(trace.rounds) == window
 
 
-@pytest.mark.parametrize("engine, potential, scheduler, message", [
-    ("incremental", min_degree_potential(1, 3), CompleteScheduler(),
-     "potential min_degree provides no pair statistics"),
-    ("bulk", community_potential(1, 3), CompleteScheduler(),
-     "potential community provides no pair statistics"),
-    # accepted: a forced bulk runs wherever a forced incremental does
-    ("bulk", two_step_merge(rule110_potential(10)), CompleteScheduler(), None),
-    ("incremental", rule110_potential(10), FairRoundRobinScheduler(2),
-     "incremental engine requires the complete scheduler"),
-    ("bulk", rule110_potential(10), UniformRandomScheduler(1),
-     "bulk engine requires the complete scheduler"),
+@pytest.mark.parametrize("engine, potential, scheduler, stepper", [
+    ("incremental", min_degree_potential(1, 3), CompleteScheduler(), "NaiveStepper"),
+    ("bulk", community_potential(1, 3), CompleteScheduler(), "NaiveStepper"),
+    ("bulk", two_step_merge(rule110_potential(10)), CompleteScheduler(), "IncrementalStepper"),
+    ("incremental", rule110_potential(10), FairRoundRobinScheduler(2), "NaiveStepper"),
+    ("bulk", rule110_potential(10), UniformRandomScheduler(1), "NaiveStepper"),
 ])
 def test_forced_routes_are_refused_when_the_config_is_built(engine, potential, scheduler,
-                                                            message):
+                                                            stepper):
+    # a route is not forced: auto takes the fast one wherever one applies
     cfg = dict(graph=random_graph(48, 0.9, 0), potential=potential, scheduler=scheduler,
-               max_rounds=2, engine=engine, stop_mode="budget")
-    if message is None:
-        trace = run(RunConfig(**cfg))
-        assert trace.metadata["engine"] == "BulkStepper" and trace.change_count
-        return
-    with pytest.raises(ConfigError, match=f"^{message}$"):
-        RunConfig(**cfg)
+               max_rounds=2, stop_mode="budget")
+    with pytest.raises(ConfigError, match=f"^unknown engine '{engine}'; allowed: auto, naive$"):
+        RunConfig(engine=engine, **cfg)
+    trace = run(RunConfig(**cfg))
+    assert trace.metadata["engine"] == stepper
+    if stepper == "IncrementalStepper":
+        assert trace.change_count
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +355,12 @@ def test_prune_matches_unpruned_on_gadget_fragment():
     pot = rule110_potential(10)
     base = dict(potential=pot, scheduler=CompleteScheduler(), max_rounds=6,
                 stop_mode="budget", record_rounds="all")
-    runs = [run(RunConfig(graph=g.copy(), engine=e, **base))
-            for e in ("naive", "auto", "incremental")]
-    assert [t.metadata["prune"] for t in runs] == [False, True, True]
+    runs = [run(RunConfig(graph=g.copy(), engine=e, **base)) for e in ("naive", "auto")]
+    assert [t.metadata["prune"] for t in runs] == [False, True]
+    assert runs[1].metadata["engine"] == "IncrementalStepper"
     fps = [[r.fingerprint for r in t.rounds] for t in runs]
-    assert fps[0] == fps[1] == fps[2]
+    oracle = [fp for _, fp in oracle_rounds(g.copy(), pot, len(fps[0]))]
+    assert fps[0] == fps[1] == oracle
 
 
 def test_every_pruning_route_rejects_a_false_floor():
@@ -372,9 +371,10 @@ def test_every_pruning_route_rejects_a_false_floor():
                     evaluator=lambda g, u, v: 0, pair_stats=stats)
     base = dict(graph=path_graph(4), potential=pot, scheduler=CompleteScheduler(),
                 max_rounds=1)
-    for engine in ("auto", "incremental", "bulk"):
-        with pytest.raises(ContractError, match="cn=1"):
-            run(RunConfig(engine=engine, **base))
+    with pytest.raises(ContractError, match="cn=1"):
+        run(RunConfig(**base))
+    with pytest.raises(ContractError, match="cn=1"):
+        BulkOracle(path_graph(4), pot)
     run(RunConfig(engine="naive", **base))      # the unpruned reference never relies on it
 
 
@@ -385,17 +385,21 @@ def test_incremental_and_bulk_match_naive(seed):
     base = dict(potential=pot, scheduler=CompleteScheduler(), max_rounds=10,
                 stop_mode="budget", record_rounds="all")
     fps = {}
-    for engine in ("naive", "incremental", "bulk"):
+    for engine in ("naive", "auto"):
         fresh = []
         t = run(RunConfig(graph=g.copy(), engine=engine,
                           observers=(lambda t, h, d, diff: fresh.append(graph_fingerprint(h)),),
                           **base))
+        assert t.metadata["engine"] == ("IncrementalStepper" if engine == "auto"
+                                        else "NaiveStepper")
         fps[engine] = [r.fingerprint for r in t.rounds]
         # the run's incremental XOR equals a fresh fold after every round
         assert fps[engine] == fresh, engine
         assert t.change_count and fresh[-1] == graph_fingerprint(t.final_graph)
         assert t.diff == g.edge_set() ^ t.final_graph.edge_set()
-    assert fps["naive"] == fps["incremental"] == fps["bulk"]
+    # the oracle checks the maintained fingerprint against the fold itself
+    fps["bulk"] = [fp for _, fp in oracle_rounds(g.copy(), pot, len(fps["naive"]))]
+    assert fps["naive"] == fps["auto"] == fps["bulk"]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -570,18 +574,25 @@ def test_maintained_fingerprint_equals_the_fold_every_round(route, seed, cached)
     table = _table_potential(2 + seed, seed)
     engine, potential, scheduler = {
         "naive": ("naive", table, CompleteScheduler()),
-        "incremental": ("incremental", table, CompleteScheduler()),
-        "bulk": ("bulk", table, CompleteScheduler()),
-        "merged": ("incremental", two_step_merge(table), CompleteScheduler()),
-        "merged-bulk": ("bulk", two_step_merge(table), CompleteScheduler()),
+        "incremental": ("auto", table, CompleteScheduler()),
+        "bulk": (None, table, None),
+        "merged": ("auto", two_step_merge(table), CompleteScheduler()),
+        "merged-bulk": (None, two_step_merge(table), None),
         "auto-pruned": ("auto", table, FairRoundRobinScheduler(17)),
         "rewrite": ("auto", star_protocol(seed), UniformRandomScheduler(seed)),
     }[route]
+    if engine is None:
+        # the oracle compares the maintained fingerprint with the fold itself
+        steps = oracle_rounds(g, potential, 300)
+        assert any(delta for delta, _ in steps)
+        return
     seen = []
     trace = run(RunConfig(graph=g, potential=potential, scheduler=scheduler,
                           max_rounds=300, engine=engine, stop_mode="budget",
                           record_rounds="all", observers=(_fold_check(seen),)))
     assert trace.change_count
+    if route in ("incremental", "merged"):
+        assert trace.metadata["engine"] == "IncrementalStepper"
     assert len(seen) == len(trace.rounds)
     for t, ((kept, folded), record) in enumerate(zip(seen, trace.rounds)):
         assert kept == folded == record.fingerprint, (route, t)
@@ -606,9 +617,10 @@ def test_graph_reused_across_runs_keeps_its_fingerprint(monkeypatch):
     # without folding again
     g = blinker()
     cfg = dict(graph=g, potential=rule110_potential(100), scheduler=CompleteScheduler(),
-               max_rounds=3, engine="incremental", stop_mode="budget", copy_graph=False,
-               record_rounds="all")
-    assert run(RunConfig(**cfg)).change_count and g._fp == graph_fingerprint(g)
+               max_rounds=3, stop_mode="budget", copy_graph=False, record_rounds="all")
+    first = run(RunConfig(**cfg))
+    assert first.metadata["engine"] == "IncrementalStepper"
+    assert first.change_count and g._fp == graph_fingerprint(g)
     g.remove_edge(2, 3)
     folds = []
     fold = graph_module.graph_fingerprint
@@ -627,10 +639,13 @@ def test_incremental_merged_matches_generic_merged(seed):
     g = random_graph(14, 0.5, seed)
     base = dict(potential=pot, scheduler=CompleteScheduler(), max_rounds=3,
                 stop_mode="budget", record_rounds="all")
-    traces = [run(RunConfig(graph=g.copy(), engine=engine, **base))
-              for engine in ("naive", "incremental", "bulk")]
-    assert traces[0].change_count
-    assert traces[0].rounds == traces[1].rounds == traces[2].rounds
+    naive, auto = (run(RunConfig(graph=g.copy(), engine=engine, **base))
+                   for engine in ("naive", "auto"))
+    assert naive.change_count and auto.metadata["engine"] == "IncrementalStepper"
+    assert naive.rounds == auto.rounds
+    oracle = oracle_rounds(g.copy(), pot, len(naive.rounds))
+    assert [(len(d.additions), len(d.removals), fp) for d, fp in oracle] == \
+        [(r.added, r.removed, r.fingerprint) for r in naive.rounds]
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from abdyn.engine import RunConfig, run
 from abdyn.errors import ContractError
-from abdyn.fastpath import BulkStepper, Decisions, IncrementalStepper
+from abdyn.fastpath import Decisions, IncrementalStepper
 from abdyn.graph import DynGraph, EdgeDelta, graph_fingerprint
 from abdyn.potentials import PairStatsRule, Potential, two_step_merge
 from abdyn.schedulers import CompleteScheduler, FairRoundRobinScheduler
 
-from conftest import random_graph
+from conftest import BulkOracle, oracle_rounds, random_graph
 
-ROUTES = ("naive", "auto", "incremental", "bulk")
+ROUTES = ("naive", "auto")
 ROUNDS = 6
 # what a table entry does with the pair's edge state; "ce" reads the
 # common neighbor edges, "ce-caught" too but keeps the state if that fails
@@ -81,17 +81,32 @@ def graphs(draw, max_n: int = TOP):
 
 
 def _run(g, pot, engine, rounds):
-    return run(RunConfig(graph=g.copy(), potential=pot, scheduler=CompleteScheduler(),
-                         max_rounds=rounds, engine=engine, stop_mode="budget",
-                         record_rounds="all", record_deltas=True))
+    trace = run(RunConfig(graph=g.copy(), potential=pot, scheduler=CompleteScheduler(),
+                          max_rounds=rounds, engine=engine, stop_mode="budget",
+                          record_rounds="all", record_deltas=True))
+    # auto takes the incremental route on every pair rule, merged ones included
+    assert trace.metadata["engine"] == ("IncrementalStepper" if engine == "auto"
+                                        else "NaiveStepper")
+    return trace
+
+
+def _padded(trace, rounds):
+    """The delta of each of ``rounds`` rounds and the fingerprint after it; a
+    run that stops at its fixed point keeps its last graph."""
+    deltas = trace.deltas + [EdgeDelta()] * (rounds - len(trace.deltas))
+    fps = [r.fingerprint for r in trace.rounds]
+    return deltas, fps + fps[-1:] * (rounds - len(fps))
 
 
 def _states(g, pot, engine, rounds):
-    """Fingerprint after each of ``rounds`` rounds; a run that stops at its
-    fixed point keeps its last graph."""
-    trace = _run(g, pot, engine, rounds)
-    fps = [r.fingerprint for r in trace.rounds]
-    return fps + fps[-1:] * (rounds - len(fps))
+    """Fingerprint after each of ``rounds`` rounds."""
+    return _padded(_run(g, pot, engine, rounds), rounds)[1]
+
+
+def _oracle_states(g, pot, rounds):
+    """The deltas and fingerprints of :func:`_padded`, by the oracle."""
+    steps = oracle_rounds(g.copy(), pot, rounds)
+    return [delta for delta, _ in steps], [fp for _, fp in steps]
 
 
 @settings(max_examples=120)
@@ -104,13 +119,15 @@ def test_routes_agree_round_by_round(g, rule):
         assert trace.deltas == naive.deltas, engine
         assert [r.fingerprint for r in trace.rounds] == [r.fingerprint for r in naive.rounds]
         assert trace.verdict == naive.verdict, engine
+    want = _padded(naive, ROUNDS)
+    assert _oracle_states(g, pot, ROUNDS) == want
 
     stepper = IncrementalStepper(g.copy(), pot)
     stepper.verify_counts()
     for t in range(ROUNDS):
         delta, _ = stepper.advance(t)
         stepper.verify_counts()
-        assert delta == (naive.deltas[t] if t < len(naive.deltas) else EdgeDelta()), t
+        assert delta == want[0][t], t
     assert graph_fingerprint(stepper.g) == graph_fingerprint(naive.final_graph)
 
 
@@ -134,8 +151,9 @@ def test_merged_round_equals_two_plain_rounds(g, rule):
     pot = _potential(rule)
     plain = _states(g, pot, "naive", 4)
     merged = two_step_merge(pot)
-    for engine in ("naive", "incremental", "bulk"):
+    for engine in ROUTES:
         assert _states(g, merged, engine, 2) == plain[1::2], engine
+    assert _oracle_states(g, merged, 2)[1] == plain[1::2]
 
 
 @given(table_rules(valid=False))
@@ -143,9 +161,10 @@ def test_floor_violating_tables_are_rejected(rule):
     with pytest.raises(ContractError, match="cn_floor certificate violated"):
         Decisions(rule, rule.cn_floor)
     g = random_graph(8, 0.5, 0)
-    for engine in ("auto", "incremental", "bulk"):
-        with pytest.raises(ContractError):
-            _run(g, _potential(rule), engine, 1)
+    with pytest.raises(ContractError):
+        _run(g, _potential(rule), "auto", 1)
+    with pytest.raises(ContractError):
+        BulkOracle(g.copy(), _potential(rule))
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +210,11 @@ def test_decision_table_grows_past_its_first_extent():
     naive = _run(g, pot, "naive", 4)
     assert naive.change_count == 4
     incremental = IncrementalStepper(g.copy(), pot)
-    bulk = BulkStepper(g.copy(), pot)
+    bulk = BulkOracle(g.copy(), pot)
     first = (len(incremental.decisions), len(bulk.decisions))
     assert first == (2, 2)
     for t in range(4):
-        assert incremental.advance(t)[0] == bulk.advance(t)[0] == naive.deltas[t], t
+        assert incremental.advance(t)[0] == bulk.advance() == naive.deltas[t], t
         incremental.verify_counts()
     assert len(incremental.decisions) > 10 and len(bulk.decisions) > 10
 
@@ -210,9 +229,9 @@ def test_substep_without_a_hot_pair(merged):
     assert len(stepper._substep()) == 0
     assert stepper.advance(0)[0] == EdgeDelta() and stepper.g == g
     stepper.verify_counts()
-    bulk = BulkStepper(g.copy(), pot)
+    bulk = BulkOracle(g.copy(), pot)
     assert len(bulk._substep()) == 0
-    assert bulk.advance(0)[0] == EdgeDelta() and bulk.g == g
+    assert bulk.advance() == EdgeDelta() and bulk.g == g
     for engine in ROUTES:
         trace = _run(g, pot, engine, 3)
         assert trace.verdict.kind == "stabilized" and not trace.change_count, engine
