@@ -31,7 +31,9 @@ uses the potential's certificates, which changes no decision:
   per graph state. A decision over all pairs (a complete-scheduler round, or
   the init and the confirming sweep below) takes O(n log n + m + |delta|)
   calls of a catalog f: the nodes that u would join form a suffix of the
-  nodes sorted by h;
+  nodes sorted by h. An array-backed interaction set (round robin and
+  scripted rounds) is decided on the scheduled nodes' values by f's numpy
+  twin, with one edge lookup per pair whose value leaves [alpha, beta);
 * it serves uniform one-pair rounds on node-form potentials without
   observers through :class:`ActiveSetStepper`, which keeps the exact set of
   pairs whose decision would change, so a round that draws a pair outside
@@ -169,30 +171,45 @@ def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeD
       skips the pairs whose common neighbor count lies below its certified
       floor; they keep their state;
     * a node-form potential f(h(u), h(v)) reads h from the graph's table,
-      computed at most once per node per graph state, and evaluates f on the
-      values. A complete interaction set is decided by :func:`_sorted_sweep`
-      when f is a catalog function and the values allow it (see
-      :func:`_twin_array`).
+      computed at most once per node per graph state and only for the
+      scheduled nodes (degrees are read directly), and evaluates f on the
+      values. When f is a catalog function and the values allow it (see
+      :func:`_twin_array`), a complete interaction set is decided by
+      :func:`_sorted_sweep`, and an array-backed one
+      (:meth:`~abdyn.schedulers.InteractionSet.from_arrays`) by
+      :func:`_twin_decide`.
     """
     evaluate = potential.evaluator
     if prune and potential.node_form is not None:
         f, h = potential.node_form
-        # the degrees of all nodes cost one pass in C; any other h is read
-        # from the graph's table, filled for the scheduled nodes only
-        complete = isinstance(pairs, InteractionSet) and pairs.complete
-        if complete or h is degree:
+        table = None        # h by node, or None where degrees are read from the adjacency
+        if isinstance(pairs, InteractionSet) and pairs.complete:
             table = _node_values(g, potential)
-        else:
-            if not isinstance(pairs, Sized):
-                pairs = list(pairs)     # read twice: a generator would run dry
-            table = _node_table(g, potential, chain.from_iterable(pairs))
-        if complete:
             x = _twin_array(potential, table)
             if x is not None:
                 return _sorted_sweep(g, potential, x)
+        elif isinstance(pairs, InteractionSet) and pairs.array_backed:
+            us, vs = pairs.arrays()
+            scheduled = np.zeros(g.n, dtype=bool)
+            scheduled[us] = scheduled[vs] = True
+            nodes = scheduled.nonzero()[0]
+            x = _twin_array(potential, _node_values(g, potential, nodes.tolist()))
+            if x is not None:
+                by_node = np.empty(g.n, dtype=x.dtype)
+                by_node[nodes] = x
+                return _twin_decide(g, potential, us, vs, by_node[us], by_node[vs])
+        if table is None and h is not degree:
+            if not isinstance(pairs, Sized):
+                pairs = list(pairs)     # read twice: a generator would run dry
+            table = _node_table(g, potential, chain.from_iterable(pairs))
+        if table is None:
+            adj = g._adj
 
-        def evaluate(_g, u, v):
-            return f(table[u], table[v])
+            def evaluate(_g, u, v):
+                return f(len(adj[u]), len(adj[v]))
+        else:
+            def evaluate(_g, u, v):
+                return f(table[u], table[v])
     additions = []
     removals = []
     alpha, beta = potential.alpha, potential.beta
@@ -218,6 +235,28 @@ def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeD
     return EdgeDelta.build(additions, removals)
 
 
+def _twin_decide(g: DynGraph, potential: Potential, us: np.ndarray, vs: np.ndarray,
+                 xu: np.ndarray, xv: np.ndarray) -> EdgeDelta:
+    """Decide the pairs (us[k], vs[k]) of a node-form potential from their
+    ends' node values xu, xv (see :func:`_twin_array`) with f's numpy twin.
+    Only the pairs whose value lies outside [alpha, beta) have their edge
+    state read, one set lookup each."""
+    value = _TWINS[potential.node_form[0]][0](xu, xv)
+    born = value >= potential.beta
+    picked = (born | (value < potential.alpha)).nonzero()[0]
+    if not picked.size:
+        return EdgeDelta()
+    pu, pv = us[picked], vs[picked]
+    adj = g._adj
+    edge = np.fromiter(map(set.__contains__, map(adj.__getitem__, pu.tolist()), pv.tolist()),
+                       dtype=bool, count=picked.size)
+    born = born[picked]
+    change = born != edge
+    codes = pair_codes(pu[change], pv[change])
+    order = np.argsort(codes)
+    return EdgeDelta.from_codes(codes[order], born[change][order])
+
+
 def _node_table(g: DynGraph, potential: Potential, nodes) -> dict:
     """The graph's table of h (see :meth:`~abdyn.graph.DynGraph.node_table`)
     for a node-form potential, filled for every node in ``nodes``. An
@@ -236,11 +275,15 @@ def _node_table(g: DynGraph, potential: Potential, nodes) -> dict:
     return table
 
 
-def _node_values(g: DynGraph, potential: Potential) -> list:
-    """h of every node of a node-form potential, in node order."""
+def _node_values(g: DynGraph, potential: Potential, nodes: Optional[list] = None) -> list:
+    """h of a node-form potential at ``nodes``, by default at every node, in
+    their order. Degrees are read from the adjacency; any other h from the
+    graph's table, filled for those nodes only."""
     if potential.node_form[1] is degree:
-        return list(map(len, g._adj))
-    nodes = range(g.n)
+        adj = g._adj
+        return list(map(len, adj if nodes is None else map(adj.__getitem__, nodes)))
+    if nodes is None:
+        nodes = range(g.n)
     return list(map(_node_table(g, potential, nodes).__getitem__, nodes))
 
 
@@ -253,14 +296,14 @@ def _sortable(f, values: list) -> bool:
     values give equal results: mixing ints and floats could break both,
     since an int above 2**53 loses precision in float arithmetic.
     """
-    if not any(f is c for c in PROPER_FUNCTIONS.values()):
+    if f not in _TWINS:
         return False
-    kind = type(values[0]) if values else int
-    if kind not in (int, float) or any(type(x) is not kind for x in values):
+    kinds = set(map(type, values)) or {int}
+    if kinds != {int} and kinds != {float}:
         return False
-    if kind is float and not all(map(math.isfinite, values)):
+    if kinds == {float} and not all(map(math.isfinite, values)):
         return False
-    return f is not PROPER_FUNCTIONS["product"] or all(x >= 0 for x in values)
+    return f is not PROPER_FUNCTIONS["product"] or min(values, default=0) >= 0
 
 
 def _twin_array(potential: Potential, values: list) -> Optional[np.ndarray]:

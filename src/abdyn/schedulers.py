@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import starmap
+from itertools import chain, starmap
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .graph import DynGraph, norm_pair
+from .graph import DynGraph, norm_pair, pair_codes
 
 # Most 32-bit words that one batch of UniformRandomScheduler.skip_until draws.
 BATCH_WORDS = 4096
@@ -55,13 +55,18 @@ def in_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
 class InteractionSet:
     """An unordered collection of distinct node pairs activated in one round.
 
-    A complete set is represented lazily so that no quadratic structure is
-    materialized for large graphs.
+    A set is held as tuples, as two int64 arrays ``us < vs``
+    (:meth:`from_arrays`), or, when complete, by its node count alone, so
+    that no quadratic structure is materialized for large graphs. A set
+    built from tuples builds its arrays on the first :meth:`arrays` call,
+    and one built from arrays its tuples on the first iteration; an array
+    set iterates in the order of its arrays.
     """
 
-    __slots__ = ("_pairs", "_n")
+    __slots__ = ("_pairs", "_us", "_vs", "_n")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] | None = None, complete_n: int | None = None):
+        self._us = self._vs = None
         if complete_n is not None:
             self._pairs = None
             self._n = complete_n
@@ -77,30 +82,95 @@ class InteractionSet:
                         raise ConfigError(f"interaction set holds pair ({u},{v}) twice")
                     seen.add(pair)
 
+    @classmethod
+    def from_arrays(cls, us: np.ndarray, vs: np.ndarray) -> "InteractionSet":
+        """The set of the pairs (us[k], vs[k]), from two one-dimensional int64
+        arrays of equal length, taken uncopied: the caller must not write
+        them afterwards. :meth:`validate` checks that every pair is in range
+        with us[k] < vs[k] and that no pair repeats."""
+        if not (isinstance(us, np.ndarray) and isinstance(vs, np.ndarray)
+                and us.dtype == vs.dtype == np.int64 and us.ndim == vs.ndim == 1
+                and len(us) == len(vs)):
+            raise ConfigError("an interaction set takes two one-dimensional int64 arrays "
+                              "of equal length")
+        inter = cls.__new__(cls)
+        inter._pairs = inter._n = None
+        inter._us, inter._vs = us, vs
+        return inter
+
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        if self._pairs is None:
+        if self._n is not None:
             return all_pairs(self._n)
+        if self._pairs is None:
+            self._pairs = tuple(zip(self._us.tolist(), self._vs.tolist()))
         return iter(self._pairs)
 
     def __len__(self) -> int:
-        if self._pairs is None:
+        if self._n is not None:
             return pair_count(self._n)
-        return len(self._pairs)
+        return len(self._us) if self._pairs is None else len(self._pairs)
 
     @property
     def complete(self) -> bool:
         """Whether the set holds every pair of its nodes."""
-        return self._pairs is None
+        return self._n is not None
+
+    @property
+    def array_backed(self) -> bool:
+        """Whether :meth:`arrays` costs no conversion."""
+        return self._us is not None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs as two int64 arrays ``us``, ``vs``, in iteration order;
+        callers must not write them."""
+        if self._us is None:
+            if self._n is not None:
+                self._us, self._vs = np.triu_indices(self._n, 1)
+            else:
+                ends = np.fromiter(chain.from_iterable(self._pairs), dtype=np.int64,
+                                   count=2 * len(self._pairs))
+                self._us, self._vs = ends[0::2], ends[1::2]
+        return self._us, self._vs
 
     def validate(self, n: int) -> None:
-        """Raise ConfigError naming a self-pair or a pair outside 0..n-1."""
-        if self._pairs is None:
+        """Raise ConfigError naming the first offending pair, in iteration
+        order: a self-pair, a pair outside 0..n-1, a pair (u, v) with u > v
+        or a pair given twice. A complete set must be on n nodes."""
+        if self._n is not None:
+            if self._n != n:
+                raise ConfigError(f"complete interaction set on {self._n} nodes "
+                                  f"for a graph on {n} nodes")
             return
-        for u, v in self._pairs:
-            if not 0 <= u < v < n:
-                if u == v:
-                    raise ConfigError(f"interaction set contains self-pair ({u},{v})")
-                raise ConfigError(f"interaction pair ({u},{v}) out of range for n={n}")
+        if self._us is None:
+            for u, v in self._pairs:
+                if not 0 <= u < v < n:
+                    raise _pair_refusal(u, v, n)
+            return
+        us, vs = self._us, self._vs
+        bad = ((us >= vs) | (us < 0) | (vs >= n)).nonzero()[0]
+        end = int(bad[0]) if bad.size else len(us)
+        # the pairs before the first bad one have 0 <= u < v < n, so their
+        # keys u * n + v, below n**2 (within int64 for any n a graph in
+        # memory can have), are distinct exactly when the pairs are
+        keys = us[:end] * n + vs[:end]
+        if np.count_nonzero(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            ranked = keys[order]
+            again = order[1:][ranked[1:] == ranked[:-1]]
+            if again.size:
+                i = int(again.min())
+                raise ConfigError(f"interaction set holds pair ({us[i]},{vs[i]}) twice")
+        if end < len(us):
+            raise _pair_refusal(int(us[end]), int(vs[end]), n)
+
+
+def _pair_refusal(u: int, v: int, n: int) -> ConfigError:
+    """The refusal of the pair (u, v), which is not 0 <= u < v < n."""
+    if u == v:
+        return ConfigError(f"interaction set contains self-pair ({u},{v})")
+    if not (0 <= u < n and 0 <= v < n):
+        return ConfigError(f"interaction pair ({u},{v}) out of range for n={n}")
+    return ConfigError(f"interaction pair ({u},{v}) is not ordered u < v")
 
 
 class Scheduler:
@@ -241,6 +311,8 @@ class UniformRandomScheduler(Scheduler):
 class FairRoundRobinScheduler(Scheduler):
     """All pairs in a fixed cyclic order, a batch per round.
 
+    The order is that of :func:`all_pairs`, held as one read-only pair array
+    per end; a round emits a slice of them, or two where the batch wraps.
     The pair stream is continuous across rounds, so any window of
     ceil(#pairs / batch) consecutive rounds covers every pair.
     """
@@ -251,25 +323,28 @@ class FairRoundRobinScheduler(Scheduler):
         if batch_size < 1:
             raise ConfigError(f"batch size must be positive, got {batch_size}")
         self.batch_size = batch_size
-        self._order: list[tuple[int, int]] = []
+        self._us = self._vs = np.empty(0, dtype=np.int64)
 
     def reset(self, graph: DynGraph) -> None:
-        self._order = list(all_pairs(graph.n))
-        self.fairness_period = max(1, math.ceil(len(self._order) / self.batch_size))
+        us, vs = np.triu_indices(graph.n, 1)
+        self._us, self._vs = _read_only(us), _read_only(vs)
+        self.fairness_period = max(1, math.ceil(len(self._us) / self.batch_size))
 
     def interactions(self, t: int, graph: DynGraph) -> InteractionSet:
-        order = self._order
-        total = len(order)
+        us, vs = self._us, self._vs
+        total = len(us)
         if total == 0:
             return InteractionSet([])
         start = (t * self.batch_size) % total
         end = start + min(self.batch_size, total)
-        # one slice, or two where the batch wraps past the end of the order
-        picked = order[start:end] if end <= total else order[start:] + order[:end - total]
-        return InteractionSet(picked)
+        if end <= total:
+            return InteractionSet.from_arrays(us[start:end], vs[start:end])
+        wrap = end - total
+        return InteractionSet.from_arrays(np.concatenate((us[start:], us[:wrap])),
+                                          np.concatenate((vs[start:], vs[:wrap])))
 
     def phase(self, t: int) -> int:
-        total = len(self._order)
+        total = len(self._us)
         return (t * self.batch_size) % total if total else 0
 
     def params(self) -> dict:
@@ -279,8 +354,9 @@ class FairRoundRobinScheduler(Scheduler):
 class ScriptedScheduler(Scheduler):
     """Replays a fixed per-round script, optionally cyclically.
 
-    When fairness is claimed the script's union must cover every pair; the
-    constructor rejects scripts that do not, naming the missing pairs.
+    Each round is held as read-only pair arrays, sorted. When fairness is
+    claimed the script's union must cover every pair; the constructor
+    rejects scripts that do not, naming the missing pairs.
     """
 
     name = "scripted"
@@ -289,47 +365,77 @@ class ScriptedScheduler(Scheduler):
                  repeat: bool = True, claim_fair: bool = False):
         if not script:
             raise ConfigError("script must contain at least one round")
-        self.script = [tuple(norm_pair(*p) for p in rounds) for rounds in script]
-        for i, rounds in enumerate(self.script):
-            seen = set()
-            for u, v in rounds:
-                if u == v or not (0 <= u < n and 0 <= v < n):
-                    raise ConfigError(
-                        f"script round {i} holds invalid pair ({u},{v}) for n={n}")
-                if (u, v) in seen:
-                    raise ConfigError(f"script round {i} holds pair ({u},{v}) twice")
-                seen.add((u, v))
+        sizes = np.fromiter(map(len, script), dtype=np.int64, count=len(script))
+        flat = list(chain.from_iterable(script))
+        if not set(map(len, flat)) <= {2}:
+            raise ConfigError("every scripted pair must hold two node ids")
+        try:
+            ends = np.fromiter(chain.from_iterable(flat), dtype=np.int64, count=2 * len(flat))
+        except OverflowError:
+            raise ConfigError(f"script holds a node id out of range for n={n}") from None
+        us = np.minimum(ends[0::2], ends[1::2])
+        vs = np.maximum(ends[0::2], ends[1::2])
+        rid = np.repeat(np.arange(len(script)), sizes)
+        bad = ((us == vs) | (us < 0) | (vs >= n)).nonzero()[0]
+        end = int(bad[0]) if bad.size else len(us)
+        # the pairs before the first invalid one are in range, so their codes
+        # identify them; lexsort is stable, so a repeated pair's first
+        # occurrence in a round sorts before the later ones
+        codes = pair_codes(us[:end], vs[:end])
+        order = np.lexsort((codes, rid[:end]))
+        key_r, key_c = rid[order], codes[order]
+        again = order[1:][(key_r[1:] == key_r[:-1]) & (key_c[1:] == key_c[:-1])]
+        if again.size:
+            i = int(again.min())
+            raise ConfigError(f"script round {rid[i]} holds pair ({us[i]},{vs[i]}) twice")
+        if end < len(us):
+            raise ConfigError(f"script round {rid[end]} holds invalid pair "
+                              f"({us[end]},{vs[end]}) for n={n}")
+        cuts = np.cumsum(sizes)[:-1]
+        self._rounds = list(zip(np.split(_read_only(us[order]), cuts),
+                                np.split(_read_only(vs[order]), cuts)))
         self.repeat = repeat
         self.n = n
         self.claims_fair = claim_fair
         if claim_fair:
             if not repeat:
                 raise ConfigError("fairness claim requires a repeating script")
-            covered = set()
-            for rounds in self.script:
-                covered.update(rounds)
-            missing = sorted(set(all_pairs(n)) - covered)
-            if missing:
-                shown = ", ".join(f"({u},{v})" for u, v in missing[:10])
+            covered = np.sort(codes)
+            fresh = np.ones(covered.size, dtype=bool)
+            fresh[1:] = covered[1:] != covered[:-1]
+            covered = covered[fresh]
+            if covered.size != pair_count(n):
+                every = pair_codes(*np.triu_indices(n, 1))
+                missing = every[~in_sorted(covered, every)]
+                shown = ", ".join(f"({c >> 32},{c & 0xFFFFFFFF})"
+                                  for c in missing[:10].tolist())
                 more = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
                 raise ConfigError(f"script does not cover all pairs; missing {shown}{more}")
-            self.fairness_period = len(self.script)
+            self.fairness_period = len(script)
 
     def interactions(self, t: int, graph: DynGraph) -> InteractionSet:
+        rounds = self._rounds
         if self.repeat:
-            return InteractionSet(self.script[t % len(self.script)])
-        if t < len(self.script):
-            return InteractionSet(self.script[t])
+            return InteractionSet.from_arrays(*rounds[t % len(rounds)])
+        if t < len(rounds):
+            return InteractionSet.from_arrays(*rounds[t])
         return InteractionSet([])
 
     def phase(self, t: int) -> int:
         if self.repeat:
-            return t % len(self.script)
-        return min(t, len(self.script))
+            return t % len(self._rounds)
+        return min(t, len(self._rounds))
 
     def params(self) -> dict:
-        return {"rounds": len(self.script), "repeat": self.repeat,
+        return {"rounds": len(self._rounds), "repeat": self.repeat,
                 "claim_fair": self.claims_fair}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only, so that the slices a scheduler hands out
+    cannot be written."""
+    a.flags.writeable = False
+    return a
 
 
 class SocialScheduler(Scheduler):

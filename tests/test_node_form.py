@@ -8,9 +8,10 @@ every scheduled pair. Both must produce the same rounds.
 import dataclasses
 import math
 import random
+from unittest import mock
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abdyn import engine
@@ -121,6 +122,64 @@ def test_auto_matches_naive_round_by_round(case, seed):
         assert act.rounds == ref.rounds[:len(act.rounds)], ref_sched.name
         assert act.deltas == ref.deltas[:len(act.deltas)], ref_sched.name
         assert act.final_graph == ref.final_graph, ref_sched.name
+
+
+def _counted(calls, fn):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
+@settings(max_examples=30)
+@given(node_form_cases(), st.sampled_from(["one", "below", "equal", "above", "twice"]),
+       st.integers(0, 1000), st.booleans())
+def test_array_route_matches_naive_round_by_round(case, size, seed, user_f):
+    """Round robin, with a batch below, equal to and above the pair count
+    (which wraps past the end of the order), and scripted rounds, decided
+    from the node values by f's numpy twin, match ``naive``. A user f that
+    computes the same values is decided pair by pair and matches too."""
+    g, pot = case
+    f, h = pot.node_form
+    if user_f:
+        pot = dataclasses.replace(pot, node_form=(lambda x, y: f(x, y), h))
+    total = g.n * (g.n - 1) // 2
+    batch = {"one": 1, "below": max(1, total - 1), "equal": total, "above": total + 1,
+             "twice": 2 * total + 3}[size]
+    twin_fits = engine._twin_array(pot, [h(g, u) for u in range(g.n)]) is not None
+    for make in (lambda: FairRoundRobinScheduler(batch),
+                 lambda: _fair_script(g.n, seed, 1 + seed % 7)):
+        calls = []
+        with mock.patch.object(engine, "_twin_decide", _counted(calls, engine._twin_decide)):
+            ref, act = (run(RunConfig(graph=g, potential=pot, scheduler=make(),
+                                      max_rounds=20_000, engine=mode, record_rounds="all",
+                                      record_deltas=True))
+                        for mode in ("naive", "auto"))
+        name = ref.metadata["scheduler"]
+        assert act.metadata["engine"] == "NaiveStepper"
+        assert act.verdict == ref.verdict, name
+        assert act.rounds == ref.rounds, name
+        assert act.deltas == ref.deltas, name
+        assert act.final_graph == ref.final_graph, name
+        if user_f:
+            assert not calls, name
+        elif twin_fits:
+            assert calls, name
+
+
+def test_array_sets_are_decided_from_the_scheduled_nodes_without_a_pair_loop():
+    g = random_graph(30, 0.3, 4)
+    calls = []
+    h = _counted(calls, attribute_sum([u % 5 - 2 for u in range(30)]))
+    pot = degree_like_potential(PROPER_FUNCTIONS["sum"], h, 1, 4, validate=False)
+    pairs = [(0, 29), (3, 7), (3, 29), (11, 12), (5, 28), (0, 7)]
+    want = decide_pairs(g, pot, pairs, False)
+    us, vs = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    inter = InteractionSet.from_arrays(us, vs)
+    calls.clear()
+    with mock.patch.object(InteractionSet, "__iter__", side_effect=AssertionError("iterated")):
+        assert decide_pairs(g, pot, inter, True) == want
+    assert sorted(u for _, u in calls) == sorted(set(us.tolist() + vs.tolist()))
 
 
 @given(node_form_cases())

@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abdyn import schedulers
+from abdyn import generators, schedulers
 from abdyn.engine import RunConfig, run
 from abdyn.errors import ConfigError
 from abdyn.graph import DynGraph
@@ -35,6 +36,63 @@ def test_interaction_set_invariants():
     with pytest.raises(ConfigError):
         InteractionSet([(0, 9)]).validate(3)
     InteractionSet(complete_n=100).validate(100)
+
+
+def _arrays(pairs):
+    return InteractionSet.from_arrays(np.array([u for u, _ in pairs], dtype=np.int64),
+                                      np.array([v for _, v in pairs], dtype=np.int64))
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ([(0, 1), (2, 5), (1, 9)], r"^interaction pair \(2,5\) out of range for n=5$"),
+    ([(0, 1), (-1, 2)], r"^interaction pair \(-1,2\) out of range for n=5$"),
+    ([(0, 1), (3, 3), (2, 1)], r"^interaction set contains self-pair \(3,3\)$"),
+    ([(0, 1), (2, 1), (3, 3)], r"^interaction pair \(2,1\) is not ordered u < v$"),
+    ([(1, 3), (0, 1), (1, 3), (0, 9)], r"^interaction set holds pair \(1,3\) twice$"),
+    ([(0, 1), (1, 3), (0, 9), (1, 3)], r"^interaction pair \(0,9\) out of range for n=5$"),
+], ids=["range_high", "range_negative", "self_pair", "u_above_v", "repeat", "first_wins"])
+def test_array_sets_refuse_the_first_offending_pair(pairs, message):
+    inter = _arrays(pairs)
+    assert inter.array_backed and list(inter) == pairs and len(inter) == len(pairs)
+    with pytest.raises(ConfigError, match=message):
+        inter.validate(5)
+
+
+def test_array_sets_take_int64_vectors_uncopied():
+    us, vs = np.array([0, 2], dtype=np.int64), np.array([3, 4], dtype=np.int64)
+    inter = InteractionSet.from_arrays(us, vs)
+    inter.validate(5)
+    assert inter.arrays()[0] is us and inter.arrays()[1] is vs
+    for bad in ((us.astype(np.int32), vs), (us, vs[:1]), (us.reshape(2, 1), vs),
+                ([0, 2], vs)):
+        with pytest.raises(ConfigError, match="two one-dimensional int64 arrays"):
+            InteractionSet.from_arrays(*bad)
+    # a tuple set builds its arrays on request, in its own iteration order
+    tuples = InteractionSet([(4, 1), (0, 2)])
+    assert not tuples.array_backed
+    got = tuples.arrays()
+    assert tuples.array_backed and list(zip(*(a.tolist() for a in got))) == list(tuples)
+    tuples.validate(5)
+    complete = InteractionSet(complete_n=4)
+    assert list(zip(*(a.tolist() for a in complete.arrays()))) == list(all_pairs(4))
+
+
+class _OversizedComplete(CompleteScheduler):
+    """Claims every pair of a graph with three more nodes than the run's."""
+
+    is_complete = False
+
+    def interactions(self, t, graph):
+        return InteractionSet(complete_n=graph.n + 3)
+
+
+@pytest.mark.parametrize("engine", ["auto", "naive"])
+def test_a_complete_set_of_the_wrong_size_is_refused(engine):
+    with pytest.raises(ConfigError, match=r"^complete interaction set on 13 nodes "
+                                          r"for a graph on 10 nodes$"):
+        run(RunConfig(graph=generators.gnp(10, 0.3, seed=1),
+                      potential=min_degree_potential(2, 10),
+                      scheduler=_OversizedComplete(), max_rounds=5, engine=engine))
 
 
 class _BothOrientations(UniformRandomScheduler):
@@ -237,18 +295,19 @@ def test_round_robin_periods():
 
 
 @pytest.mark.parametrize("batch", [3, 10, 13])
-def test_round_robin_batches_follow_the_cyclic_order(batch, monkeypatch):
+def test_round_robin_batches_follow_the_cyclic_order(batch):
     # 10 pairs: a batch below, equal to and above the pair count; batch 3
-    # wraps past the end of the order in rounds 3, 6 and 9
+    # wraps past the end of the order in rounds 3, 6 and 9. An array-backed
+    # set iterates in the order of its arrays, which is the emission order.
     g = DynGraph(5)
     sched = FairRoundRobinScheduler(batch)
     sched.reset(g)
     order = list(all_pairs(5))
-    monkeypatch.setattr(schedulers, "InteractionSet", list)
     for t in range(12):
         start = t * batch % len(order)
         want = [order[(start + k) % len(order)] for k in range(min(batch, len(order)))]
-        assert sched.interactions(t, g) == want, t
+        emitted = sched.interactions(t, g)
+        assert emitted.array_backed and list(emitted) == want, t
 
 
 @pytest.mark.parametrize("n,batch", [(4, 1), (5, 3), (6, 7)])
@@ -282,6 +341,27 @@ def test_scripted_scheduler_refuses_a_pair_twice_in_a_round():
     # a pair and its reverse in one round would be scheduled once
     with pytest.raises(ConfigError, match=r"^script round 1 holds pair \(0,1\) twice$"):
         ScriptedScheduler([[(0, 2)], [(0, 1), (1, 0)]], n=3)
+
+
+def test_scripted_rounds_are_sorted_pair_arrays():
+    g = DynGraph(4)
+    script = [[(2, 3), (1, 0), (3, 0)], [(2, 1)], []]
+    sched = ScriptedScheduler(script, n=4, repeat=True)
+    for t in range(6):
+        inter = sched.interactions(t, g)
+        want = sorted(tuple(sorted(p)) for p in script[t % 3])
+        assert inter.array_backed and list(inter) == want, t
+        with pytest.raises(ValueError):
+            inter.arrays()[0][:1] = 3       # the script cannot be written through a round
+
+
+def test_scripted_coverage_and_pair_shape_refusals():
+    pairs = list(all_pairs(7))
+    shown = ", ".join(f"({u},{v})" for u, v in pairs[:20:2])
+    with pytest.raises(ConfigError, match=re.escape(f"missing {shown} and 1 more")):
+        ScriptedScheduler([pairs[1::2][::-1]], n=7, claim_fair=True)
+    with pytest.raises(ConfigError, match="two node ids"):
+        ScriptedScheduler([[(0, 1, 2)]], n=3)
 
 
 def test_scripted_scheduler_replay_and_padding():
