@@ -51,8 +51,9 @@ Cycle detection compares exact edge-set differences from the initial graph
 fingerprints appear in traces only as cheap labels. The loop reads them from
 the graph (:attr:`~abdyn.graph.DynGraph.fingerprint`), which folds itself once
 and then XORs in the tokens of each toggle as the steppers apply them, so a
-round's label costs O(toggles), not O(m). A graph run with ``copy_graph``
-off keeps its fingerprint between runs and is folded only once.
+round's label costs O(toggles), not O(m). The run reads the caller's graph's
+fingerprint before it copies the graph, so the copy inherits it, and runs
+on one source graph, copied or not, fold it only once.
 
 The same loop runs a rewrite protocol (:class:`abdyn.social.GeneralProtocol`
 passed as ``RunConfig.potential``) through its stepper. Such a run has no
@@ -529,7 +530,10 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
 # The run loop
 
 def run(config: RunConfig) -> RunTrace:
-    g = config.graph.copy() if config.copy_graph else config.graph
+    g = config.graph
+    g.fingerprint       # folded on the caller's graph, at most once, and inherited by a copy
+    if config.copy_graph:
+        g = g.copy()
     sched = config.scheduler
     sched.reset(g)
 

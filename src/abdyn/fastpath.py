@@ -10,9 +10,13 @@ of a fixed node set H: the nodes of degree at least the floor at init (only
 they can reach it, since CN <= min degree, and no node joins them later).
 The counts are the upper triangle of one sparse matrix, built with one
 product over the adjacency rows of H, and each substep updates it with
-sparse products of the substep's toggles alone. Per round it re-decides just
-the pairs at or above the floor, so a huge graph with few high nodes and few
-toggles costs little beyond one pass over the degrees.
+sparse products of the substep's toggles alone. It also keeps the state from
+before the last substep that toggled: when the pairs toggled in exactly one
+of the two substeps are fewer than the new substep's own, as in a clock that
+flips the same pairs every substep, it updates from that older state by
+those net toggles instead. Per round it re-decides just the pairs at or
+above the floor, so a huge graph with few high nodes and few toggles costs
+little beyond one pass over the degrees.
 
 It runs a merged potential's two substeps (see
 :attr:`~abdyn.potentials.Potential.pair_rule`) and nets their deltas
@@ -30,6 +34,7 @@ stepper's back raises ``ContractError`` instead of corrupting the graph.
 from __future__ import annotations
 
 from itertools import chain
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -161,6 +166,59 @@ def _high_side(adj, ids: np.ndarray, n: int):
             sparse.triu(a_high @ a_high.T, 1, format="csr"))
 
 
+class Toggles(NamedTuple):
+    """The pairs of H that one substep toggles: their codes, ascending in a
+    substep's own toggles, their positions ``ti < tj`` in the tracked ids,
+    and ``sign`` +1 for an edge added, -1 for one removed."""
+
+    codes: np.ndarray
+    ti: np.ndarray
+    tj: np.ndarray
+    sign: np.ndarray
+
+    def net(self, later: "Toggles") -> Optional["Toggles"]:
+        """This substep's toggles and then ``later``'s, netted, when that
+        leaves fewer pairs than ``later`` holds, else None. A pair in both is
+        back in its old state, so the net toggles are the pairs in exactly
+        one of the two."""
+        _, mine, theirs = np.intersect1d(self.codes, later.codes, assume_unique=True,
+                                         return_indices=True)
+        # |self| + |later| - 2 |both| < |later|
+        if 2 * len(mine) <= len(self.codes):
+            return None
+        if (self.sign[mine] == later.sign[theirs]).any():
+            raise ContractError("a pair toggled in two substeps moved the same way twice")
+        return Toggles(*(np.concatenate([np.delete(a, mine), np.delete(b, theirs)])
+                         for a, b in zip(self, later)))
+
+
+def _moved(a_hh, upper, toggles: Toggles):
+    """A + D and C + triu(A D + D A + D D, 1) for A = ``a_hh``, the count
+    triangle C = ``upper`` and D the symmetric +-1 matrix of ``toggles``:
+    (A + D)^2 - A^2 = A D + D A + D D."""
+    from scipy import sparse
+
+    ti, tj, sign = toggles.ti, toggles.tj, toggles.sign
+    d = sparse.csr_matrix((np.concatenate([sign, sign]),
+                           (np.concatenate([ti, tj]), np.concatenate([tj, ti]))),
+                          shape=a_hh.shape)
+    # a CSR sum stores no zeros: a count or an edge that drops to 0 leaves
+    # the matrix, and len(cn) stays the number of pairs with a count
+    ad = a_hh @ d
+    return a_hh + d, upper + sparse.triu(ad + ad.T + d @ d, 1, format="csr")
+
+
+def _diverged(what: str, ids: np.ndarray, want, have) -> None:
+    """Raise ``ContractError`` if the tracked matrix ``have`` differs from
+    ``want`` in an entry or in what it stores."""
+    wrong = (want != have).tocoo()
+    if wrong.nnz or have.nnz != want.nnz:
+        pairs = list(zip(ids[wrong.row[:3]].tolist(), ids[wrong.col[:3]].tolist()))
+        raise ContractError(
+            f"{what} diverged at {wrong.nnz} entries (first: {pairs}); "
+            f"{have.nnz} stored for {want.nnz}")
+
+
 class IncrementalStepper:
     """Exact incremental execution of a pair-statistics potential under the
     complete scheduler.
@@ -175,11 +233,19 @@ class IncrementalStepper:
 
     Each substep decides the pairs whose count reaches the floor, reading
     their edge state from ``a_hh`` and their decision from the rule's
-    :class:`Decisions`. It builds the symmetric +-1 toggle matrix D on H
-    and, with A = ``a_hh`` and C the count triangle, updates
-    ``C += triu(A D + D A + D D, 1)`` and ``A += D``:
-    (A + D)^2 - A^2 = A D + D A + D D. That is exact because every toggle
+    :class:`Decisions`. Its toggles, as the symmetric +-1 matrix D on H,
+    update A = ``a_hh`` and the count triangle C by ``A += D`` and
+    ``C += triu(A D + D A + D D, 1)``. That is exact because every toggle
     lies inside H and the edges from H to the other nodes never change.
+
+    ``older`` holds (``a_hh``, ``cn.upper``) from before the last substep
+    that toggled, and ``toggled`` that substep's :class:`Toggles`. When the
+    pairs toggled in exactly one of that substep and the new one are fewer
+    than the new one's own, the new state is the older one moved by those
+    net toggles, by the same identity (A_{t+1} = A_{t-1} + D_net); a clock
+    that flips the same pairs every substep then costs only the pairs that
+    change otherwise. ``rebased`` counts those substeps. A substep that
+    toggles nothing changes neither state.
     """
 
     prune = True        # pairs below the floor are never decided
@@ -193,12 +259,13 @@ class IncrementalStepper:
         self.cn = PairCounts(ids, upper)
         self.decisions = Decisions(self.stats,
                                    max(self.floor, int(upper.data.max(initial=0))) + 1)
+        self.older = None
+        self.toggled: Optional[Toggles] = None
+        self.rebased = 0
 
     # -- round execution ---------------------------------------------------
 
     def _substep(self) -> EdgeDelta:
-        from scipy import sparse
-
         ids = self.cn.ids
         upper = self.cn.upper
         hot = np.flatnonzero(upper.data >= self.floor)
@@ -218,18 +285,18 @@ class IncrementalStepper:
         # ti < tj and the ids ascend, so each code is (smaller << 32) | larger
         codes = pair_codes(ids[ti], ids[tj])
         order = np.argsort(codes)
-        delta = EdgeDelta.from_codes(codes[order], born[order])
-        # the graph is written first, so a refused delta leaves the counts as they were
+        toggles = Toggles(codes[order], ti[order], tj[order],
+                          np.where(born[order], 1, -1).astype(np.int32))
+        net = self.toggled.net(toggles) if self.toggled is not None else None
+        delta = EdgeDelta.from_codes(toggles.codes, born[order])
+        # the graph is written first, so a refused delta leaves both states as they were
         self.g.apply_delta(delta)
-        sign = np.where(born, 1, -1).astype(np.int32)
-        d = sparse.csr_matrix((np.concatenate([sign, sign]),
-                               (np.concatenate([ti, tj]), np.concatenate([tj, ti]))),
-                              shape=self.a_hh.shape)
-        # a CSR sum stores no zeros: a count or an edge that drops to 0 leaves
-        # the matrix, and len(self.cn) stays the number of pairs with a count
-        ad = self.a_hh @ d
-        self.cn.upper = upper + sparse.triu(ad + ad.T + d @ d, 1, format="csr")
-        self.a_hh = self.a_hh + d
+        start, moves = (self.a_hh, upper), toggles
+        if net is not None:
+            start, moves = self.older, net
+            self.rebased += 1
+        self.older, self.toggled = (self.a_hh, upper), toggles
+        self.a_hh, self.cn.upper = _moved(*start, moves)
         return delta
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
@@ -244,7 +311,8 @@ class IncrementalStepper:
         """Audit the tracked state against a fresh build: every node of
         degree at least the floor is in H, ``a_hh`` and the count triangle
         equal their values on the live graph, and so does the graph's
-        maintained fingerprint."""
+        maintained fingerprint. The older state moved by the last toggles
+        must equal them too."""
         g = self.g
         if g.fingerprint != graph_fingerprint(g):
             raise ContractError(
@@ -257,13 +325,10 @@ class IncrementalStepper:
             raise ContractError(
                 f"{len(outside)} node(s) reached the floor outside the tracked set "
                 f"(first: {outside[:5].tolist()})")
-        a_hh, upper = _high_side(adj, ids, self.g.n)
-        for name, want, have in (("adjacency among the tracked nodes", a_hh, self.a_hh),
-                                 ("common neighbor counts", upper, self.cn.upper)):
-            wrong = (want != have).tocoo()
-            if wrong.nnz or have.nnz != want.nnz:
-                pairs = list(zip(ids[wrong.row[:3]].tolist(), ids[wrong.col[:3]].tolist()))
-                raise ContractError(
-                    f"tracked {name} diverged at {wrong.nnz} entries (first: {pairs}); "
-                    f"{have.nnz} stored for {want.nnz}")
-
+        have = (self.a_hh, self.cn.upper)
+        names = ("adjacency among the tracked nodes", "common neighbor counts")
+        for name, want, got in zip(names, _high_side(adj, ids, g.n), have):
+            _diverged(f"tracked {name}", ids, want, got)
+        if self.toggled is not None:
+            for name, want, got in zip(names, _moved(*self.older, self.toggled), have):
+                _diverged(f"older state plus the last toggles: {name}", ids, want, got)

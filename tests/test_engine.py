@@ -11,7 +11,7 @@ from abdyn import graph as graph_module
 from abdyn.engine import (RunConfig, Verdict, check_degree_properties, decide_pairs,
                           degree_classes, run, snapshot_observer)
 from abdyn.errors import ConfigError, ContractError
-from abdyn.fastpath import IncrementalStepper
+from abdyn.fastpath import Decisions, IncrementalStepper
 from abdyn.graph import DynGraph, EdgeDelta, graph_fingerprint
 from abdyn.kcore import peel
 from abdyn.potentials import (PROPER_FUNCTIONS, PairStatsRule, Potential,
@@ -420,6 +420,16 @@ def _flip_adjacency(stepper):
     stepper.a_hh.data[0] = 0
 
 
+def _stale_older(stepper):
+    # one substep of a rule that removes every edge of the K5; the state kept
+    # from before it then holds the adjacency after it
+    drop = PairStatsRule(decide=lambda edge, cn, ce_fn: 0 if cn >= 3 else edge, cn_floor=3)
+    stepper.decisions = Decisions(drop, 4)
+    assert len(stepper._substep().removals) == 10
+    stepper.verify_counts()
+    stepper.older = (stepper.a_hh, stepper.older[1])
+
+
 def _raise_outside_node(stepper):
     # an untracked node gains edges until it reaches the floor
     g = stepper.g
@@ -435,6 +445,7 @@ def _raise_outside_node(stepper):
     (_corrupt_count, "common neighbor counts diverged"),
     (_flip_adjacency, "adjacency among the tracked nodes diverged"),
     (_raise_outside_node, "reached the floor outside the tracked set"),
+    (_stale_older, "older state plus the last toggles: adjacency among the tracked nodes"),
 ])
 def test_verify_counts_catches_each_corruption(corrupt, message):
     # K5 on 0..4 plus leaves 5..9 hung off node 0: the leaves stay below the
@@ -630,6 +641,25 @@ def test_graph_reused_across_runs_keeps_its_fingerprint(monkeypatch):
     monkeypatch.undo()
     assert not folds and second.change_count
     assert second.rounds[-1].fingerprint == g.fingerprint == graph_fingerprint(g)
+
+
+@pytest.mark.parametrize("engine", ["naive", "auto"])
+def test_runs_on_one_source_graph_fold_it_once(monkeypatch, engine):
+    # each run copies the source graph, and the copy inherits the fingerprint
+    # the first run folded on the source
+    g = random_graph(20, 0.4, 0)
+    folds = []
+    fold = graph_module.graph_fingerprint
+    monkeypatch.setattr(graph_module, "graph_fingerprint",
+                        lambda h: folds.append(h) or fold(h))
+    cfg = dict(graph=g, potential=_table_potential(3, 0), scheduler=CompleteScheduler(),
+               max_rounds=3, engine=engine, stop_mode="budget", record_rounds="all")
+    first = run(RunConfig(**cfg))
+    assert len(folds) == 1 and folds[0] is g
+    second = run(RunConfig(**cfg))
+    monkeypatch.undo()
+    assert len(folds) == 1 and first.change_count and second.rounds == first.rounds
+    assert g == random_graph(20, 0.4, 0) and g.fingerprint == graph_fingerprint(g)
 
 
 @pytest.mark.parametrize("seed", range(3))

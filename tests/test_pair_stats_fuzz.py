@@ -14,10 +14,10 @@ from abdyn.engine import RunConfig, run
 from abdyn.errors import ContractError
 from abdyn.fastpath import Decisions, IncrementalStepper
 from abdyn.graph import DynGraph, EdgeDelta, graph_fingerprint
-from abdyn.potentials import PairStatsRule, Potential, two_step_merge
+from abdyn.potentials import PairStatsRule, Potential, rule110_potential, two_step_merge
 from abdyn.schedulers import CompleteScheduler, FairRoundRobinScheduler
 
-from conftest import BulkOracle, oracle_rounds, random_graph
+from conftest import BulkOracle, blinker, oracle_rounds, random_graph
 
 ROUTES = ("naive", "auto")
 ROUNDS = 6
@@ -45,6 +45,14 @@ def _table_rule(floor: int, table: dict) -> PairStatsRule:
         return int(act == "on")
     decide.table = table    # the tests read it back; the routes see decide only
     return PairStatsRule(decide=decide, cn_floor=floor)
+
+
+def _random_table(rng: random.Random) -> PairStatsRule:
+    """A decision table over a floor of 1 to 3 that never reads the common
+    neighbor edges."""
+    floor = rng.randint(1, 3)
+    return _table_rule(floor, {(e, c): rng.choice(ACTIONS[:4])
+                               for e in (0, 1) for c in range(floor, TOP)})
 
 
 def _potential(rule: PairStatsRule) -> Potential:
@@ -241,9 +249,7 @@ def test_merged_rounds_cancel_pairs_toggled_in_both_substeps():
     twice = once = 0
     for seed in range(40):
         rng = random.Random(seed)
-        floor = rng.randint(1, 3)
-        rule = _table_rule(floor, {(e, c): rng.choice(ACTIONS[:4])
-                                   for e in (0, 1) for c in range(floor, TOP)})
+        rule = _random_table(rng)
         g = random_graph(9, rng.choice((0.3, 0.5, 0.7)), seed)
         plain = _run(g, _potential(rule), "naive", 2).final_graph
         want = EdgeDelta.build(plain.edge_set() - g.edge_set(),
@@ -259,3 +265,96 @@ def test_merged_rounds_cancel_pairs_toggled_in_both_substeps():
         twice += len(first & second)
         once += len(first ^ second)
     assert twice >= 20 and once >= 20
+
+
+# ---------------------------------------------------------------------------
+# the state kept from before the last toggling substep
+
+def _pairs(delta: EdgeDelta) -> set:
+    return set(delta.additions + delta.removals)
+
+
+def _checked_substep(stepper: IncrementalStepper, oracle: BulkOracle) -> EdgeDelta:
+    delta = stepper._substep()
+    stepper.verify_counts()
+    assert delta == oracle._substep()
+    return delta
+
+
+def _stepper_and_oracle(seed: int):
+    rng = random.Random(seed)
+    rule = _random_table(rng)
+    g = random_graph(10, rng.choice((0.3, 0.5, 0.7)), seed)
+    return IncrementalStepper(g.copy(), _potential(rule)), BulkOracle(g.copy(), _potential(rule))
+
+
+def test_toggling_substeps_update_from_the_nearer_state():
+    # a toggling substep takes the older state exactly when the pairs toggled
+    # in one of it and the last toggling substep are fewer than its own
+    taken = passed = 0
+    for seed in range(40):
+        stepper, oracle = _stepper_and_oracle(seed)
+        last = None
+        for _ in range(6):
+            rebased = stepper.rebased
+            delta = _checked_substep(stepper, oracle)
+            nearer = bool(delta) and last is not None and (
+                len(_pairs(last) ^ _pairs(delta)) < len(delta))
+            assert stepper.rebased - rebased == nearer, seed
+            if delta and last is not None:
+                taken += nearer
+                passed += not nearer
+            last = delta or last
+    assert taken >= 20 and passed >= 20
+
+
+def test_an_empty_substep_keeps_both_states():
+    # the rule toggles, then keeps every pair for one substep, then toggles
+    # again: the third substep nets against the first
+    taken = 0
+    for seed in range(40):
+        stepper, oracle = _stepper_and_oracle(seed)
+        first = _checked_substep(stepper, oracle)
+        kept = (stepper.older, stepper.toggled, stepper.a_hh, stepper.cn.upper)
+        rule = stepper.decisions
+        stepper.decisions = oracle.decisions = Decisions(_table_rule(stepper.floor, {}), TOP)
+        assert not _checked_substep(stepper, oracle)
+        assert all(a is b for a, b in zip(kept, (stepper.older, stepper.toggled,
+                                                  stepper.a_hh, stepper.cn.upper)))
+        stepper.decisions = oracle.decisions = rule
+        third = _checked_substep(stepper, oracle)
+        nearer = bool(first) and bool(third) and (
+            len(_pairs(first) ^ _pairs(third)) < len(third))
+        assert stepper.rebased == nearer, seed
+        taken += nearer
+    assert taken >= 5
+
+
+def test_a_refused_delta_leaves_both_states():
+    # the blinker's rule toggles (0, 1) in every substep, so from the second
+    # on the net toggles against the older state are none
+    g = blinker()
+    stepper = IncrementalStepper(g, rule110_potential(100))
+    assert _pairs(stepper._substep()) == {(0, 1)} and not stepper.rebased
+    assert _pairs(stepper._substep()) == {(0, 1)} and stepper.rebased == 1
+    stepper.verify_counts()
+
+    def state():
+        return (stepper.older, stepper.toggled, stepper.a_hh, stepper.cn.upper)
+    kept = state()
+    g.remove_edge(0, 1)
+    with pytest.raises(ContractError, match=r"^delta removes missing edge \(0,1\)$"):
+        stepper._substep()
+    assert all(a is b for a, b in zip(kept, state())) and stepper.rebased == 1
+    g.add_edge(0, 1)
+
+    # kept toggles that claim (0, 1) was added are refused before any write
+    toggled = stepper.toggled
+    stepper.toggled = toggled._replace(sign=-toggled.sign)
+    with pytest.raises(ContractError, match="moved the same way twice"):
+        stepper._substep()
+    assert g.has_edge(0, 1) and stepper.rebased == 1
+    stepper.toggled = toggled
+
+    assert _pairs(stepper._substep()) == {(0, 1)} and stepper.rebased == 2
+    stepper.verify_counts()

@@ -10,7 +10,7 @@ from abdyn import rule110
 from abdyn.errors import ContractError, InputError
 from abdyn.fastpath import IncrementalStepper
 from abdyn.graph import DynGraph, edge_codes, graph_fingerprint, norm_pair
-from abdyn.potentials import rule110_potential
+from abdyn.potentials import rule110_potential, two_step_merge
 from abdyn.rule110 import (AUX_PER_SUBCELL, BLINKER_HALF, CELL_BLOCK, DRIVERS, KINDS,
                            PIN_INTERNALS, SUBCELL_BLOCK, AssemblyRunner, CellAssembly,
                            GadgetMap, SubCell, build_assembly, check_structure,
@@ -368,6 +368,30 @@ def test_reused_runner_round0_checks(monkeypatch):
         runner._restore(frozenset())
         IncrementalStepper(asm.graph, rule110_potential(100)).verify_counts()
     assert len(calls) == len(tapes)
+
+
+@pytest.mark.parametrize("merged", [False, True])
+def test_every_toggling_substep_after_the_first_takes_the_older_state(merged):
+    # the blinkers toggle every substep, so the net toggles against the state
+    # before the last substep are the few anchor pairs that change
+    tape = (1, 0, 1)
+    asm = build_assembly(tape)
+    pot = rule110_potential(100)
+    stepper = IncrementalStepper(asm.graph, two_step_merge(pot) if merged else pot)
+    substep = stepper._substep
+    toggling = []
+
+    def checked():
+        delta = substep()
+        stepper.verify_counts()
+        toggling.append(len(delta))
+        return delta
+    stepper._substep = checked
+    for t in range(2 if merged else 4):
+        stepper.advance(t)
+    assert len(toggling) == 4 and all(toggling)
+    assert stepper.rebased == 3
+    assert tuple(extract_values(asm)) == reference_run(tape, 2)[-1]
 
 
 def test_merged_step_equals_two_half_steps_on_four_ring():
