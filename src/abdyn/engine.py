@@ -46,14 +46,22 @@ uses the potential's certificates, which changes no decision:
   machine ints or floats it works on arrays (see :func:`_twin_array`);
   other values are decided pair by pair, exactly, at any size.
 
+Bookkeeping is carried from round to round at O(toggles) per round: the set
+of pairs that differ from the initial graph, which observers receive after
+every round as ``obs(t, g, delta, diff)``, and the degree classes of each
+:class:`RoundRecord`, counted from the graph's maintained degree list
+(:attr:`~abdyn.graph.DynGraph.degrees`) at the delta's endpoints only: node
+by node for a delta of pairs, in bulk for an array-backed one.
+
 Cycle detection compares exact edge-set differences from the initial graph
 (plus the scheduler phase), so a cycle verdict is never a false positive;
 fingerprints appear in traces only as cheap labels. The loop reads them from
 the graph (:attr:`~abdyn.graph.DynGraph.fingerprint`), which folds itself once
 and then XORs in the tokens of each toggle as the steppers apply them, so a
 round's label costs O(toggles), not O(m). The run reads the caller's graph's
-fingerprint before it copies the graph, so the copy inherits it, and runs
-on one source graph, copied or not, fold it only once.
+fingerprint and degree list before it copies the graph, so the copy inherits
+them, and runs on one source graph, copied or not, fold and list it only
+once.
 
 The same loop runs a rewrite protocol (:class:`abdyn.social.GeneralProtocol`
 passed as ``RunConfig.potential``) through its stepper. Such a run has no
@@ -73,7 +81,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Sized
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .graph import DynGraph, EdgeDelta, code_ends, code_pairs, edge_codes, pair_codes
+from .graph import DynGraph, EdgeDelta, code_ends, edge_codes, pair_codes
 # unused here: perfbench/tracer.py wraps them by name until ROADMAP item 1 step B
 from .graph import edge_token, graph_fingerprint  # noqa: F401
 from .potentials import PROPER_FUNCTIONS, Potential, degree
@@ -345,14 +353,13 @@ def _sorted_sweep(g: DynGraph, potential: Potential, x: np.ndarray) -> EdgeDelta
     n = g.n
     codes = edge_codes(g)
     us, vs = code_ends(codes)
-    removed = twin(x[us], x[vs]) < potential.alpha
-    removals = tuple(code_pairs(codes[removed]))
+    removals = codes[twin(x[us], x[vs]) < potential.alpha]
     if not n:
-        return EdgeDelta(removals=removals)
+        return EdgeDelta.from_code_sets(codes[:0], removals)
     # f is largest at the largest value, so no pair reaches beta unless that one does
     top = x.max()
     if not twin(top, top) >= potential.beta:
-        return EdgeDelta(removals=removals)
+        return EdgeDelta.from_code_sets(codes[:0], removals)
     order = np.argsort(x, kind="stable")
     ranked = x[order]
     lo = np.zeros(n, dtype=np.int64)
@@ -369,8 +376,7 @@ def _sorted_sweep(g: DynGraph, potential: Potential, x: np.ndarray) -> EdgeDelta
     av = order[np.arange(int(length.sum())) + np.repeat(lo + length - np.cumsum(length), length)]
     keep = au < av
     add_codes = pair_codes(au[keep], av[keep])
-    add_codes = np.sort(add_codes[~in_sorted(codes, add_codes)])
-    return EdgeDelta(additions=tuple(code_pairs(add_codes)), removals=removals)
+    return EdgeDelta.from_code_sets(np.sort(add_codes[~in_sorted(codes, add_codes)]), removals)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +537,9 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
 
 def run(config: RunConfig) -> RunTrace:
     g = config.graph
-    g.fingerprint       # folded on the caller's graph, at most once, and inherited by a copy
+    # folded and listed on the caller's graph, at most once, and inherited by a copy
+    g.fingerprint
+    g.degrees
     if config.copy_graph:
         g = g.copy()
     sched = config.scheduler
@@ -548,8 +556,11 @@ def run(config: RunConfig) -> RunTrace:
         config.record_rounds == "auto" and config.max_rounds <= 100_000)
 
     fp = g.fingerprint
-    degrees = list(map(len, g._adj))
-    degree_counter = Counter(degrees)
+    degrees = g.degrees.copy()      # as of the last bookkeeping
+    # counted in C: Counter(degrees) took twice as long on a W=4 rule-110 assembly
+    counts = np.bincount(np.fromiter(degrees, dtype=np.int64, count=len(degrees)))
+    present = counts.nonzero()[0]
+    degree_counter = Counter(dict(zip(present.tolist(), counts[present].tolist())))
     diff: set[tuple[int, int]] = set()
 
     track_cycles = settles and sched.deterministic
@@ -596,7 +607,8 @@ def run(config: RunConfig) -> RunTrace:
         if t >= config.max_rounds:
             break
         delta, n_inter = stepper.advance(t)
-        changed = not delta.empty
+        added, removed = delta.counts
+        changed = bool(added or removed)
 
         if changed:
             _bookkeep(delta, g, degrees, degree_counter, diff)
@@ -607,8 +619,7 @@ def run(config: RunConfig) -> RunTrace:
             quiet_streak += 1
 
         if record_all or changed:
-            rounds.append(RoundRecord(t, n_inter, len(delta.additions),
-                                      len(delta.removals), len(degree_counter), fp))
+            rounds.append(RoundRecord(t, n_inter, added, removed, len(degree_counter), fp))
         if deltas is not None:
             deltas.append(delta)
         for obs in config.observers:
@@ -670,20 +681,36 @@ def run(config: RunConfig) -> RunTrace:
 
 def _bookkeep(delta: EdgeDelta, g: DynGraph, degrees: list[int], counter: Counter,
               diff: set) -> None:
-    """Update the degrees, their class counter and the diff-from-initial set
-    after the delta has been applied; an endpoint met again is up to date."""
-    pairs = delta.additions + delta.removals
-    diff.symmetric_difference_update(pairs)
-    adj = g._adj
-    for x in chain.from_iterable(pairs):
-        new = len(adj[x])
-        old = degrees[x]
-        if new != old:
-            degrees[x] = new
-            counter[old] -= 1
-            if not counter[old]:
-                del counter[old]
-            counter[new] += 1
+    """Update ``degrees``, their class counter and the diff-from-initial set
+    after the delta has been applied; the new degrees come from the graph's
+    list. A delta of pairs is booked node by node (an endpoint met again is
+    up to date), an array-backed one in bulk over its distinct endpoints,
+    with C-level reads and counts."""
+    now = g.degrees
+    if not delta.array_backed:
+        pairs = delta.additions + delta.removals
+        diff.symmetric_difference_update(pairs)
+        for x in chain.from_iterable(pairs):
+            new = now[x]
+            old = degrees[x]
+            if new != old:
+                degrees[x] = new
+                counter[old] -= 1
+                if not counter[old]:
+                    del counter[old]
+                counter[new] += 1
+        return
+    diff.symmetric_difference_update(delta.pairs())
+    ends = delta.endpoints()
+    old = Counter(map(degrees.__getitem__, ends))
+    new = list(map(now.__getitem__, ends))
+    for x, d in zip(ends, new):
+        degrees[x] = d
+    counter.update(new)
+    counter.subtract(old)
+    for d in old:
+        if not counter[d]:
+            del counter[d]
 
 
 # ---------------------------------------------------------------------------

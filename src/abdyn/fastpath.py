@@ -16,7 +16,8 @@ of the two substeps are fewer than the new substep's own, as in a clock that
 flips the same pairs every substep, it updates from that older state by
 those net toggles instead. Per round it re-decides just the pairs at or
 above the floor, so a huge graph with few high nodes and few toggles costs
-little beyond one pass over the degrees.
+little beyond one pass over the graph's maintained degree list
+(:attr:`~abdyn.graph.DynGraph.degrees`) at init.
 
 It runs a merged potential's two substeps (see
 :attr:`~abdyn.potentials.Potential.pair_rule`) and nets their deltas
@@ -25,8 +26,11 @@ state, count) from count 0 up with a common-neighbor-edge supplier that
 refuses to be called (:class:`Decisions`); the rows below the floor are the
 certificate check. A round looks its pairs up in one array operation and
 calls ``decide`` only on the pairs whose entry reads the common neighbor
-edges, so the rule keeps one definition, its own ``decide``. Each substep
-applies its toggles as one :class:`~abdyn.graph.EdgeDelta` through the
+edges, so the rule keeps one definition, its own ``decide``; the graph
+keeps those counts per state (:meth:`DynGraph.common_neighbor_edges`), so a
+pair an observer counted on the same state costs a lookup. Each substep
+applies its toggles as one :class:`~abdyn.graph.EdgeDelta` built from their
+sorted edge codes, which a long delta keeps as arrays, through the
 validating :meth:`DynGraph.apply_delta`, so an edit made behind the
 stepper's back raises ``ContractError`` instead of corrupting the graph.
 """
@@ -152,9 +156,9 @@ class PairCounts:
         return self.upper.nnz
 
 
-def _at_floor(adj, floor: int) -> np.ndarray:
-    """Ascending ids of the nodes of degree at least ``floor``."""
-    return np.flatnonzero(np.fromiter(map(len, adj), dtype=np.int64, count=len(adj)) >= floor)
+def _at_floor(degrees: list[int], floor: int) -> np.ndarray:
+    """Ascending ids of the nodes whose entry in ``degrees`` is at least ``floor``."""
+    return np.flatnonzero(np.fromiter(degrees, dtype=np.int64, count=len(degrees)) >= floor)
 
 
 def _high_side(adj, ids: np.ndarray, n: int):
@@ -254,7 +258,7 @@ class IncrementalStepper:
         self.g = g
         self.stats, self.substeps = potential.pair_rule
         self.floor = self.stats.cn_floor
-        ids = _at_floor(g._adj, self.floor)
+        ids = _at_floor(g.degrees, self.floor)
         self.a_hh, upper = _high_side(g._adj, ids, g.n)
         self.cn = PairCounts(ids, upper)
         self.decisions = Decisions(self.stats,
@@ -310,17 +314,24 @@ class IncrementalStepper:
     def verify_counts(self) -> None:
         """Audit the tracked state against a fresh build: every node of
         degree at least the floor is in H, ``a_hh`` and the count triangle
-        equal their values on the live graph, and so does the graph's
-        maintained fingerprint. The older state moved by the last toggles
-        must equal them too."""
+        equal their values on the live graph, and so do the graph's
+        maintained fingerprint and degree list. The older state moved by the
+        last toggles must equal them too."""
         g = self.g
         if g.fingerprint != graph_fingerprint(g):
             raise ContractError(
                 f"maintained fingerprint {g.fingerprint:016x} diverged from the "
                 f"graph's fold {graph_fingerprint(g):016x}")
         adj = g._adj
+        fresh = list(map(len, adj))
+        listed = g.degrees
+        if listed != fresh:
+            u = next((u for u, (d, e) in enumerate(zip(listed, fresh)) if d != e), None)
+            where = (f"first at node {u}: listed {listed[u]}, degree {fresh[u]}" if u is not None
+                     else f"{len(listed)} entries for {len(fresh)} nodes")
+            raise ContractError(f"maintained degree list diverged ({where})")
         ids = self.cn.ids
-        outside = np.setdiff1d(_at_floor(adj, self.floor), ids)
+        outside = np.setdiff1d(_at_floor(fresh, self.floor), ids)
         if len(outside):
             raise ContractError(
                 f"{len(outside)} node(s) reached the floor outside the tracked set "

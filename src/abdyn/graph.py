@@ -4,24 +4,32 @@ Node ids are dense integers 0..n-1 and the node set is fixed for the lifetime
 of a graph; only edges change. Adjacency is kept in hash sets so that common
 neighbor counting is a single C-level intersection. Once its fingerprint has
 been asked for, a graph keeps it up to date under every edit (Zobrist
-hashing: each toggle XORs one edge token). It also holds, per node
-function h, a table of the values h(graph, u) found so far (see
-:meth:`DynGraph.node_table`), which every edit drops.
+hashing: each toggle XORs one edge token); so it does with the list of
+node degrees (:attr:`DynGraph.degrees`). It also holds tables that every
+edit drops: per node function h, the values h(graph, u) found so far (see
+:meth:`DynGraph.node_table`), and up to ``CE_MEMO_PAIRS`` results of
+:meth:`DynGraph.common_neighbor_edges`.
+
+An :class:`EdgeDelta` comes in two forms. Built from pairs it keeps its
+tuples, and its check and its writes loop over them. Built from edge codes
+with at least ``CODE_FORM_PAIRS`` pairs it is a :class:`_CodeDelta`, which
+keeps the sorted uint64 codes: it is checked, folded into the fingerprint
+and netted on arrays, and builds its tuples only when they are read.
 
 Only the constructors of this class (``DynGraph(n)``, ``from_codes``, and
 ``from_edges``, which fills through ``from_codes``) and its edit methods
 (``add_edge``, ``remove_edge``, and ``apply_delta`` for any multi-edge delta)
-write the adjacency ``_adj``; other modules read it directly for speed, and
-nothing else may write it, or the fingerprint and the node tables go stale.
+write the adjacency ``_adj`` and the degree list; other modules read them
+directly for speed, and nothing else may write them, or the fingerprint,
+the degrees and the tables go stale.
 
 Thread safety: read-only queries may run concurrently; mutation requires
-exclusive access. A read may fill a node table; filling is idempotent, since
-a value depends only on the current edges.
+exclusive access. A read may build the degree list or fill a table; both
+are idempotent, since a value depends only on the current edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -38,13 +46,15 @@ def norm_pair(u: int, v: int) -> tuple[int, int]:
 class DynGraph:
     """Simple undirected graph on a fixed node set."""
 
-    __slots__ = ("_adj", "_m", "_fp", "_tables")
+    __slots__ = ("_adj", "_m", "_fp", "_deg", "_tables")
 
     def __init__(self, n: int):
         self._adj: list[set[int]] = [set() for _ in range(_node_count(n))]
         self._m = 0
         self._fp: Optional[int] = None      # the fingerprint, once asked for
-        # {h: {node: h(self, node)}} for the current edges; None after an edit
+        self._deg: Optional[list[int]] = None   # the degree list, once asked for
+        # {h: {node: h(self, node)}} for the current edges, and under _CE the
+        # memo {(u, v): common_neighbor_edges(u, v)}; None after an edit
         self._tables: Optional[dict] = None
 
     @classmethod
@@ -117,6 +127,7 @@ class DynGraph:
         g._adj = adj
         g._m = len(codes)
         g._fp = None
+        g._deg = None
         g._tables = None
         return g
 
@@ -136,6 +147,15 @@ class DynGraph:
         if self._fp is None:
             self._fp = graph_fingerprint(self)
         return self._fp
+
+    @property
+    def degrees(self) -> list[int]:
+        """The degree of every node, as a list. The first access builds it;
+        from then on every edit through this class keeps it current, and a
+        copy of the graph carries a copy of it. Callers must not mutate it."""
+        if self._deg is None:
+            self._deg = list(map(len, self._adj))
+        return self._deg
 
     def node_table(self, h: Callable) -> dict:
         """The values of the node function h known for the current edges, as
@@ -173,6 +193,9 @@ class DynGraph:
             self._tables = None
             if self._fp is not None:
                 self._fp ^= edge_token(u, v)
+            if self._deg is not None:
+                self._deg[u] += 1
+                self._deg[v] += 1
 
     def remove_edge(self, u: int, v: int) -> None:
         self._check(u)
@@ -184,6 +207,9 @@ class DynGraph:
             self._tables = None
             if self._fp is not None:
                 self._fp ^= edge_token(u, v)
+            if self._deg is not None:
+                self._deg[u] -= 1
+                self._deg[v] -= 1
 
     def neighbors(self, u: int) -> set[int]:
         """Live neighbor set of u. Callers must not mutate it."""
@@ -212,44 +238,73 @@ class DynGraph:
         return len(self._adj[u] & self._adj[v])
 
     def common_neighbor_edges(self, u: int, v: int) -> int:
-        """Number of edges whose endpoints are both common neighbors of u and v."""
+        """Number of edges whose endpoints are both common neighbors of u and
+        v. The graph keeps the results of up to ``CE_MEMO_PAIRS`` pairs per
+        state (see :meth:`node_table`), so a pair asked for again before the
+        next edit costs one lookup."""
         self._check(u)
         self._check(v)
         if u == v:
             raise InputError("common_neighbor_edges requires two distinct nodes")
-        common = self._adj[u] & self._adj[v]
-        if len(common) < 2:
-            return 0
-        total = 0
-        for w in common:
-            total += len(self._adj[w] & common)
-        return total // 2
+        memo = self.node_table(_CE)
+        key = (u, v) if u < v else (v, u)
+        total = memo.get(key)
+        if total is None:
+            common = self._adj[u] & self._adj[v]
+            total = 0
+            if len(common) >= 2:
+                for w in common:
+                    total += len(self._adj[w] & common)
+                total //= 2
+            if len(memo) < CE_MEMO_PAIRS:
+                memo[key] = total
+        return total
 
     def apply_delta(self, delta: "EdgeDelta") -> None:
         """Toggle exactly the listed edges. The delta must be valid against
         the current graph; a violation indicates an engine bug."""
         delta.validate(self)
-        adds, rems = delta.additions, delta.removals
         adj = self._adj
-        for u, v in rems:
-            adj[u].discard(v)
-            adj[v].discard(u)
-        for u, v in adds:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._m += len(adds) - len(rems)
-        if adds or rems:
+        deg = self._deg
+        coded = delta.array_backed
+        if coded:
+            add_us, add_vs, rem_us, rem_vs = delta._end_lists()
+            adds, rems = zip(add_us, add_vs), zip(rem_us, rem_vs)
+            added, removed = len(add_us), len(rem_us)
+        else:
+            adds, rems = delta.additions, delta.removals
+            added, removed = len(adds), len(rems)
+        if deg is None or coded:
+            for u, v in rems:
+                adj[u].discard(v)
+                adj[v].discard(u)
+            for u, v in adds:
+                adj[u].add(v)
+                adj[v].add(u)
+            if deg is not None:
+                for x in delta.endpoints():
+                    deg[x] = len(adj[x])
+        else:
+            for u, v in rems:
+                adj[u].discard(v)
+                adj[v].discard(u)
+                deg[u] -= 1
+                deg[v] -= 1
+            for u, v in adds:
+                adj[u].add(v)
+                adj[v].add(u)
+                deg[u] += 1
+                deg[v] += 1
+        self._m += added - removed
+        if added or removed:
             self._tables = None
-        if self._fp is not None:
+        if self._fp is not None and (added or removed):
             fp = self._fp
-            if len(adds) + len(rems) < VECTOR_FP_PAIRS:
+            if not coded and added + removed < CODE_FORM_PAIRS:
                 for u, v in chain(adds, rems):
-                    fp ^= edge_token(u, v)
+                    fp ^= _splitmix64((u << 32) | v)
             else:
-                ends = np.fromiter(chain.from_iterable(chain(adds, rems)), dtype=np.uint64,
-                                   count=2 * (len(adds) + len(rems)))
-                fp ^= int(np.bitwise_xor.reduce(_splitmix64_array(
-                    pair_codes(ends[0::2], ends[1::2]))))
+                fp ^= int(np.bitwise_xor.reduce(_splitmix64_array(delta.code_arrays()[0])))
             self._fp = fp
 
     def copy(self) -> "DynGraph":
@@ -257,6 +312,7 @@ class DynGraph:
         g._adj = [set(s) for s in self._adj]
         g._m = self._m
         g._fp = self._fp
+        g._deg = None if self._deg is None else self._deg.copy()
         g._tables = None
         return g
 
@@ -321,12 +377,28 @@ def _unordered(u: int, v: int) -> ContractError:
                          f"delta pair ({u},{v}) is not ordered u < v")
 
 
-@dataclass(frozen=True)
 class EdgeDelta:
-    """One synchronous round's edge update, as disjoint add/remove lists."""
+    """One synchronous round's edge update: pairs (u, v), u < v, to add and
+    to remove, disjoint.
 
-    additions: tuple[tuple[int, int], ...] = ()
-    removals: tuple[tuple[int, int], ...] = ()
+    A delta holds one of two forms; deltas that hold the same pairs are equal
+    whatever their forms. Built from pairs (``EdgeDelta(additions,
+    removals)`` or :meth:`build`) it keeps its tuples, and its check, its
+    writes and its fingerprint fold loop over them with no numpy call. Built
+    by :meth:`from_codes` with at least ``CODE_FORM_PAIRS`` pairs it is a
+    :class:`_CodeDelta`, which keeps the ascending uint64 codes of all its
+    pairs with a mask of the added ones: it is checked, folded and netted on
+    those arrays, and builds ``additions`` and ``removals`` only when they
+    are first read. A delta is immutable.
+    """
+
+    __slots__ = ("additions", "removals")
+    array_backed = False        # whether the delta holds the code form
+
+    def __init__(self, additions: tuple[tuple[int, int], ...] = (),
+                 removals: tuple[tuple[int, int], ...] = ()):
+        self.additions = tuple(additions)
+        self.removals = tuple(removals)
 
     @classmethod
     def build(cls, additions, removals) -> "EdgeDelta":
@@ -335,20 +407,36 @@ class EdgeDelta:
             removals=tuple(sorted(norm_pair(*e) for e in removals)),
         )
 
-    @classmethod
-    def from_codes(cls, codes: np.ndarray, born: np.ndarray) -> "EdgeDelta":
+    @staticmethod
+    def from_codes(codes: np.ndarray, born: np.ndarray) -> "EdgeDelta":
         """The delta of the edges whose codes are in the ascending uint64
-        array ``codes``: additions where ``born`` holds, removals elsewhere.
-        Ascending codes give the pairs in the order :meth:`build` sorts them."""
-        return cls(additions=tuple(code_pairs(codes[born])),
-                   removals=tuple(code_pairs(codes[~born])))
+        array ``codes``: additions where the bool array ``born`` holds,
+        removals elsewhere. Ascending codes give the pairs in the order
+        :meth:`build` sorts them. With ``CODE_FORM_PAIRS`` codes or more the
+        delta keeps both arrays, uncopied, so the caller must not write them;
+        with fewer it holds their pairs as tuples. The order of the codes is
+        checked when the delta is validated."""
+        if not (isinstance(codes, np.ndarray) and codes.dtype == np.uint64 and codes.ndim == 1
+                and isinstance(born, np.ndarray) and born.dtype == bool
+                and born.shape == codes.shape):
+            raise ContractError("a delta takes a one-dimensional uint64 code array and a "
+                                "bool array of the same shape")
+        if len(codes) < CODE_FORM_PAIRS or not len(codes):
+            return EdgeDelta(additions=tuple(code_pairs(codes[born])),
+                             removals=tuple(code_pairs(codes[~born])))
+        return _CodeDelta(codes, born)
 
-    def then(self, later: "EdgeDelta") -> "EdgeDelta":
-        """The net delta of this one followed by ``later``, sorted as by
-        :meth:`build`: a pair in both is back in its state and drops out."""
-        adds = set(chain(self.additions, later.additions))
-        rems = set(chain(self.removals, later.removals))
-        return EdgeDelta.build(adds - rems, rems - adds)
+    @staticmethod
+    def from_code_sets(additions: np.ndarray, removals: np.ndarray) -> "EdgeDelta":
+        """The delta that adds the pairs of the ascending uint64 edge codes
+        ``additions`` and removes those of ``removals``, two disjoint
+        arrays; in the code form from ``CODE_FORM_PAIRS`` pairs up."""
+        if len(additions) + len(removals) < CODE_FORM_PAIRS:
+            return EdgeDelta(additions=tuple(code_pairs(additions)),
+                             removals=tuple(code_pairs(removals)))
+        codes = np.concatenate((additions, removals))
+        order = np.argsort(codes, kind="stable")    # merges the two runs
+        return EdgeDelta.from_codes(codes[order], order < len(additions))
 
     @property
     def empty(self) -> bool:
@@ -357,7 +445,76 @@ class EdgeDelta:
     def __len__(self) -> int:
         return len(self.additions) + len(self.removals)
 
+    @property
+    def counts(self) -> tuple[int, int]:
+        """The numbers of pairs added and removed."""
+        return len(self.additions), len(self.removals)
+
+    def pairs(self) -> Iterable[tuple[int, int]]:
+        """Every pair the delta toggles, once each, additions first."""
+        return self.additions + self.removals
+
+    def endpoints(self) -> Iterable[int]:
+        """The endpoints of the toggled pairs, each node once; ascending in
+        the code form."""
+        return set(chain.from_iterable(self.pairs()))
+
+    def code_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of every pair the delta toggles as a uint64 array, in
+        the order of :meth:`pairs` (ascending in the code form), and whether
+        each pair is added."""
+        pairs = self.pairs()
+        ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
+                           count=2 * len(pairs)).view(np.uint64)
+        return (pair_codes(ends[0::2], ends[1::2]),
+                np.arange(len(pairs)) < len(self.additions))
+
+    def then(self, later: "EdgeDelta") -> "EdgeDelta":
+        """The net delta of this one followed by ``later``, sorted as by
+        :meth:`build`: a pair in both is back in its state and drops out.
+        Two valid deltas in a row never both add or both remove a pair;
+        such a pair raises ``ContractError`` and names the first in order."""
+        if not (self.array_backed or later.array_backed):
+            twice = [(p, "add") for p in set(self.additions).intersection(later.additions)]
+            twice += [(p, "remove") for p in set(self.removals).intersection(later.removals)]
+            if twice:
+                (u, v), what = min(twice)
+                raise ContractError(f"both deltas {what} the pair ({u},{v})")
+            adds = set(chain(self.additions, later.additions))
+            rems = set(chain(self.removals, later.removals))
+            return EdgeDelta.build(adds - rems, rems - adds)
+        (first, first_born), (second, second_born) = self.code_arrays(), later.code_arrays()
+        codes = np.concatenate((first, second))
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        born = np.concatenate((first_born, second_born))[order]
+        # a pair in both sits at i and i + 1
+        again = np.flatnonzero(codes[1:] == codes[:-1])
+        same = born[again] == born[again + 1]
+        if same.any():
+            i = int(again[np.argmax(same)])
+            code = int(codes[i])
+            raise ContractError(f"both deltas {'add' if born[i] else 'remove'} the pair "
+                                f"({code >> 32},{code & 0xFFFFFFFF})")
+        keep = np.ones(len(codes), dtype=bool)
+        keep[again] = keep[again + 1] = False
+        return EdgeDelta.from_codes(codes[keep], born[keep])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeDelta):
+            return NotImplemented
+        return self.additions == other.additions and self.removals == other.removals
+
+    def __hash__(self) -> int:
+        return hash((self.additions, self.removals))
+
+    def __repr__(self) -> str:
+        return f"EdgeDelta(additions={self.additions!r}, removals={self.removals!r})"
+
     def validate(self, g: DynGraph) -> None:
+        """Raise unless the delta can be applied to g: its pairs ordered
+        u < v, in range, none listed twice or both added and removed, every
+        addition a non-edge and every removal an edge."""
         adds = set(self.additions)
         rems = set(self.removals)
         if len(adds) != len(self.additions) or len(rems) != len(self.removals):
@@ -368,7 +525,7 @@ class EdgeDelta:
         # two has_edge range checks per pair, or than one pass over the ids
         adj = g._adj
         n = len(adj)
-        for u, v in adds:
+        for u, v in self.additions:
             if u >= v:
                 raise _unordered(u, v)
             if not (0 <= u < n and 0 <= v < n):
@@ -376,7 +533,7 @@ class EdgeDelta:
                 g._check(v)
             if v in adj[u]:
                 raise ContractError(f"delta adds existing edge ({u},{v})")
-        for u, v in rems:
+        for u, v in self.removals:
             if u >= v:
                 raise _unordered(u, v)
             if not (0 <= u < n and 0 <= v < n):
@@ -384,6 +541,92 @@ class EdgeDelta:
                 g._check(v)
             if v not in adj[u]:
                 raise ContractError(f"delta removes missing edge ({u},{v})")
+
+
+class _CodeDelta(EdgeDelta):
+    """The code form of :class:`EdgeDelta`: ``codes``, the ascending uint64
+    codes of all its pairs, and ``born``, where they are added. It holds at
+    least one pair. Its tuples and its lists of ends are built on first use
+    and kept."""
+
+    __slots__ = ("_codes", "_born", "_adds", "_rems", "_lists", "_ends")
+    array_backed = True
+
+    def __init__(self, codes: np.ndarray, born: np.ndarray):
+        self._codes, self._born = codes, born
+        self._adds = self._rems = self._lists = self._ends = None
+
+    @property
+    def additions(self) -> tuple[tuple[int, int], ...]:
+        if self._adds is None:
+            add_us, add_vs, _, _ = self._end_lists()
+            self._adds = tuple(zip(add_us, add_vs))
+        return self._adds
+
+    @property
+    def removals(self) -> tuple[tuple[int, int], ...]:
+        if self._rems is None:
+            _, _, rem_us, rem_vs = self._end_lists()
+            self._rems = tuple(zip(rem_us, rem_vs))
+        return self._rems
+
+    def _end_lists(self) -> tuple[list[int], ...]:
+        """The smaller and larger ends of the additions, then of the
+        removals, as four lists of Python ints."""
+        if self._lists is None:
+            codes, born = self._codes, self._born
+            ends = code_ends(codes[born]) + code_ends(codes[~born])
+            self._lists = tuple(end.tolist() for end in ends)
+        return self._lists
+
+    @property
+    def empty(self) -> bool:
+        return False
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    @property
+    def counts(self) -> tuple[int, int]:
+        added = int(np.count_nonzero(self._born))
+        return added, len(self._codes) - added
+
+    def pairs(self) -> Iterable[tuple[int, int]]:
+        add_us, add_vs, rem_us, rem_vs = self._end_lists()
+        return chain(zip(add_us, add_vs), zip(rem_us, rem_vs))
+
+    def endpoints(self) -> Iterable[int]:
+        if self._ends is None:
+            ends = np.concatenate(code_ends(self._codes))
+            ends.sort()
+            self._ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))].tolist()
+        return self._ends
+
+    def code_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._codes, self._born
+
+    def validate(self, g: DynGraph) -> None:
+        """:meth:`EdgeDelta.validate` on the arrays: order, range, repeats
+        and overlap, then one adjacency lookup per pair; the codes must
+        ascend. On a fault it runs the pair-by-pair check of the same pairs,
+        so the first offending pair and the message are the same in both
+        forms."""
+        codes = self._codes
+        adj = g._adj
+        us, vs = code_ends(codes)
+        if (codes[1:] > codes[:-1]).all() and (us < vs).all() and vs.max() < len(adj):
+            add_us, add_vs, rem_us, rem_vs = self._end_lists()
+            has, row = set.__contains__, adj.__getitem__
+            if (not any(map(has, map(row, add_us), add_vs))
+                    and all(map(has, map(row, rem_us), rem_vs))):
+                return
+        EdgeDelta(self.additions, self.removals).validate(g)
+        # the pairs pass one by one, so only the order of the codes is at fault
+        i = int(np.argmax(codes[1:] < codes[:-1])) + 1
+        code, prev = int(codes[i]), int(codes[i - 1])
+        raise ContractError(f"delta edge codes not sorted ascending: ({code >> 32},"
+                            f"{code & 0xFFFFFFFF}) at index {i} follows "
+                            f"({prev >> 32},{prev & 0xFFFFFFFF})")
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +645,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 FOLD_BLOCK = 4096          # nodes per block when coding a whole graph
-# apply_delta folds the tokens of a delta of this many pairs or more as one array: on a
-# 2-core Xeon guest 16 pairs took 11 us one by one and 13 us as an array, 24 pairs 16 us and 14 us
-VECTOR_FP_PAIRS = 20
+# A delta of this many pairs or more is held as codes by EdgeDelta.from_codes, and
+# folded into the fingerprint as one array in either form: numpy's fixed cost per
+# call outweighs a short pair loop. On a 2-core Xeon guest folding 16 pairs took
+# 11 us one by one and 13 us as an array, 24 pairs 16 us and 14 us.
+CODE_FORM_PAIRS = 20
+# common_neighbor_edges results kept per graph state
+CE_MEMO_PAIRS = 4096
+_CE = "common_neighbor_edges"      # the memo's key among the tables; no node function is a str
 
 
 def _splitmix64(x: int) -> int:

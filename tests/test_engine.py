@@ -441,11 +441,16 @@ def _raise_outside_node(stepper):
             g.add_edge(low, v)
 
 
+def _tamper_degrees(stepper):
+    stepper.g.degrees[7] += 1
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_corrupt_count, "common neighbor counts diverged"),
     (_flip_adjacency, "adjacency among the tracked nodes diverged"),
     (_raise_outside_node, "reached the floor outside the tracked set"),
     (_stale_older, "older state plus the last toggles: adjacency among the tracked nodes"),
+    (_tamper_degrees, r"maintained degree list diverged \(first at node 7: listed 2, degree 1\)"),
 ])
 def test_verify_counts_catches_each_corruption(corrupt, message):
     # K5 on 0..4 plus leaves 5..9 hung off node 0: the leaves stay below the
@@ -608,6 +613,79 @@ def test_maintained_fingerprint_equals_the_fold_every_round(route, seed, cached)
     for t, ((kept, folded), record) in enumerate(zip(seen, trace.rounds)):
         assert kept == folded == record.fingerprint, (route, t)
     assert trace.final_graph.fingerprint == graph_fingerprint(trace.final_graph)
+
+
+# ---------------------------------------------------------------------------
+# degree classes and the diff on every route, in both delta forms
+
+@pytest.fixture(params=["pairs", "codes", "as built"])
+def delta_form(request, monkeypatch):
+    """Hold every delta as pairs (booked node by node), every delta built
+    from codes as codes (booked in bulk), or choose by size."""
+    size = {"pairs": 10**9, "codes": 1, "as built": graph_module.CODE_FORM_PAIRS}[request.param]
+    monkeypatch.setattr(graph_module, "CODE_FORM_PAIRS", size)
+    return request.param
+
+
+@pytest.mark.parametrize("route, stepper", [
+    ("naive", "NaiveStepper"), ("incremental", "IncrementalStepper"),
+    ("merged", "IncrementalStepper"), ("active-set", "ActiveSetStepper"),
+    ("array round robin", "NaiveStepper"), ("rewrite", None)])
+@pytest.mark.parametrize("seed", range(2))
+def test_classes_and_diff_are_exact_every_round(route, stepper, seed, delta_form):
+    # complete rounds of these tables toggle from 2 to 87 pairs, over 12 and 14 rounds
+    case = (5, 11)[seed]
+    g = random_graph(18, 0.4, case)
+    table = _table_potential(2, case)
+    engine, potential, scheduler = {
+        "naive": ("naive", table, CompleteScheduler()),
+        "incremental": ("auto", table, CompleteScheduler()),
+        "merged": ("auto", two_step_merge(table), CompleteScheduler()),
+        "active-set": ("auto", min_degree_potential(6, 100), UniformRandomScheduler(seed)),
+        "array round robin": ("auto", min_degree_potential(7, 100), FairRoundRobinScheduler(23)),
+        "rewrite": ("auto", star_protocol(seed), UniformRandomScheduler(seed)),
+    }[route]
+    initial = g.edge_set()
+    seen = []
+
+    def observe(t, h, delta, diff):
+        seen.append((degree_classes(h).count, diff == initial ^ h.edge_set()))
+    trace = run(RunConfig(graph=g, potential=potential, scheduler=scheduler, max_rounds=300,
+                          engine=engine, record_rounds="all", record_deltas=True,
+                          observers=() if route == "active-set" else (observe,)))
+    assert trace.metadata.get("engine") == stepper and trace.change_count
+    if route != "active-set":
+        assert seen == [(record.classes, True) for record in trace.rounds]
+    # replayed on a copy, every round's record counts the classes of its graph
+    h = g.copy()
+    for record, delta in zip(trace.rounds, trace.deltas, strict=True):
+        h.apply_delta(delta)
+        assert record.classes == degree_classes(h).count, record.t
+    assert h == trace.final_graph and trace.diff == initial ^ h.edge_set()
+
+
+def test_complete_community_run_holds_at_most_the_ce_cap(monkeypatch):
+    g = random_graph(14, 0.5, 4)
+    reference = run(RunConfig(graph=g, potential=community_potential(5, 5),
+                              scheduler=CompleteScheduler(), max_rounds=20, stop_mode="budget",
+                              record_deltas=True))
+    cap = 9
+    monkeypatch.setattr(graph_module, "CE_MEMO_PAIRS", cap)
+    held = []
+    count = DynGraph.common_neighbor_edges
+
+    def counted(h, u, v):
+        value = count(h, u, v)
+        held.append(len(h._tables[graph_module._CE]))
+        return value
+    monkeypatch.setattr(DynGraph, "common_neighbor_edges", counted)
+    trace = run(RunConfig(graph=g, potential=community_potential(5, 5),
+                          scheduler=CompleteScheduler(), max_rounds=20, stop_mode="budget",
+                          record_deltas=True))
+    assert reference.change_count and len(held) > 2 * cap
+    assert max(held) == cap
+    # the capped memo changes no decision
+    assert trace.deltas == reference.deltas and trace.rounds == reference.rounds
 
 
 @pytest.mark.parametrize("seed", range(6))

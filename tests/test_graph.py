@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from abdyn import graph as graph_module
 from abdyn.errors import ContractError, InputError
-from abdyn.graph import (VECTOR_FP_PAIRS, DynGraph, EdgeDelta, edge_codes, edge_token,
+from abdyn.graph import (CODE_FORM_PAIRS, DynGraph, EdgeDelta, edge_codes, edge_token,
                          graph_fingerprint, induced_ball)
 
 from conftest import (brute_common_neighbor_edges, brute_common_neighbors,
@@ -245,7 +245,7 @@ def _edits(g):
     yield lambda: g.apply_delta(EdgeDelta.from_codes(codes, ~born))     # and back
     yield lambda: g.apply_delta(EdgeDelta.from_codes(codes[:0], born[:0]))
     every = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-    assert len(every) >= VECTOR_FP_PAIRS
+    assert len(every) >= CODE_FORM_PAIRS
     yield lambda: g.apply_delta(EdgeDelta.build(                       # the complement
         [p for p in every if not g.has_edge(*p)], [p for p in every if g.has_edge(*p)]))
 
@@ -321,6 +321,116 @@ def test_delta_then_equals_applying_both(seed):
     assert start == g
 
 
+def _code_form(pairs, born):
+    """The delta of ``pairs``, added where ``born`` holds, held as codes
+    whatever its size."""
+    codes = np.array([(u << 32) | v for u, v in pairs], dtype=np.uint64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "CODE_FORM_PAIRS", 1)
+        return EdgeDelta.from_codes(codes, np.array(born, dtype=bool))
+
+
+@pytest.mark.parametrize("forms", ["pairs", "codes", "mixed"])
+@pytest.mark.parametrize("what", ["add", "remove"])
+def test_delta_then_refuses_a_pair_moved_the_same_way_twice(forms, what):
+    first = [((0, 5), True), ((1, 2), False), ((2, 7), what == "add"), ((3, 4), True)]
+    later = [((0, 1), True), ((2, 7), what == "add"), ((3, 4), False), ((5, 6), False)]
+
+    def make(steps, coded):
+        pairs, born = zip(*steps)
+        if coded:
+            return _code_form(pairs, born)
+        return EdgeDelta.build([p for p, b in steps if b], [p for p, b in steps if not b])
+    a = make(first, forms != "pairs")
+    b = make(later, forms == "codes")
+    with pytest.raises(ContractError, match=rf"^both deltas {what} the pair \(2,7\)$"):
+        a.then(b)
+    # a pair added and then removed nets out in every form
+    fine = [(p, not b) if p == (2, 7) else (p, b) for p, b in later]
+    assert a.then(make(fine, forms == "codes")) == EdgeDelta.build(
+        [(0, 1), (0, 5)], [(1, 2), (5, 6)])
+
+
+def _faulty(kind, g, rng):
+    """A code-form delta of 30 pairs against g with one fault of ``kind``."""
+    every = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    pairs = sorted(rng.sample(every, 30))
+    born = [not g.has_edge(*p) for p in pairs]
+    i = rng.randrange(1, 29)
+    if kind in ("existing", "missing"):
+        i = rng.choice([k for k, b in enumerate(born) if b == (kind == "missing")])
+    u, v = pairs[i]
+    if kind == "repeat":
+        pairs.insert(i, pairs[i])
+        born.insert(i, born[i])
+    elif kind == "overlap":
+        pairs.insert(i, pairs[i])
+        born.insert(i, not born[i])
+    elif kind == "unordered":
+        pairs[i] = (v, u)
+    elif kind == "self-pair":
+        pairs[i] = (u, u)
+    elif kind == "out of range":
+        pairs[i] = (u, g.n + v)
+    elif kind in ("existing", "missing"):
+        born[i] = not born[i]
+    elif kind == "unsorted":
+        pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+        born[i], born[i + 1] = born[i + 1], born[i]
+    if kind in ("unordered", "self-pair", "out of range"):
+        order = sorted(range(len(pairs)), key=lambda k: (pairs[k][0] << 32) | pairs[k][1])
+        pairs, born = [pairs[k] for k in order], [born[k] for k in order]
+    return _code_form(pairs, born)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind, message", [
+    ("repeat", "delta contains duplicate pairs"),
+    ("overlap", "delta adds and removes the same pairs"),
+    ("unordered", "delta pair"),
+    ("self-pair", "delta contains self-loop"),
+    ("out of range", "node id"),
+    ("existing", "delta adds existing edge"),
+    ("missing", "delta removes missing edge"),
+])
+def test_code_form_faults_match_the_pair_oracle(kind, message, seed):
+    rng = random.Random(seed)
+    g = random_graph(12, 0.4, seed)
+    g.fingerprint
+    g.degrees
+    delta = _faulty(kind, g, rng)
+    assert delta.array_backed and len(delta) >= CODE_FORM_PAIRS
+    oracle = EdgeDelta(additions=delta.additions, removals=delta.removals)
+    assert not oracle.array_backed
+    with pytest.raises((ContractError, InputError), match=f"^{message}") as want:
+        g.copy().apply_delta(oracle)
+    before = (g.edge_set(), g.fingerprint, list(g.degrees))
+    with pytest.raises(type(want.value)) as got:
+        g.apply_delta(delta)
+    assert str(got.value) == str(want.value)
+    assert (g.edge_set(), g.fingerprint, g.degrees) == before
+
+
+def test_code_form_refuses_unsorted_codes():
+    g = random_graph(12, 0.4, 5)
+    delta = _faulty("unsorted", g, random.Random(5))
+    EdgeDelta(additions=delta.additions, removals=delta.removals).validate(g)   # pairs fine
+    with pytest.raises(ContractError, match=r"^delta edge codes not sorted ascending: "
+                                            r"\(\d+,\d+\) at index \d+ follows \(\d+,\d+\)$"):
+        g.apply_delta(delta)
+
+
+@pytest.mark.parametrize("codes, born", [
+    (np.array([1, 2], dtype=np.int64), np.array([True, False])),
+    (np.array([1, 2], dtype=np.uint64), np.array([1, 0])),
+    (np.array([1, 2], dtype=np.uint64), np.array([True])),
+    (np.array([[1, 2]], dtype=np.uint64), np.array([[True, False]])),
+])
+def test_delta_from_codes_refuses_other_arrays(codes, born):
+    with pytest.raises(ContractError, match="one-dimensional uint64 code array"):
+        EdgeDelta.from_codes(codes, born)
+
+
 # ---------------------------------------------------------------------------
 # Bulk constructors
 
@@ -386,7 +496,7 @@ def graphs_and_edits(draw):
         return n, [], []
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     pairs = draw(st.lists(pair, max_size=120))
-    # toggle batches fall on both sides of VECTOR_FP_PAIRS
+    # toggle batches fall on both sides of CODE_FORM_PAIRS
     batch = st.one_of(st.lists(pair, max_size=6), st.lists(pair, min_size=30, max_size=60))
     edits = draw(st.lists(st.tuples(st.sampled_from(("add", "remove", "toggle")), batch),
                           max_size=6))
@@ -445,38 +555,48 @@ def test_from_edges_refuses_what_is_not_a_pair(pairs):
 
 
 # ---------------------------------------------------------------------------
-# The one writer of the adjacency
+# The one writer of the adjacency and the degree list
 
 _SET_WRITES = {"add", "discard", "update", "remove", "clear", "pop"}
+_LIST_WRITES = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+_ADJ = {"_adj"}
+_DEGREES = {"_deg", "degrees"}
 
 
 def _adj_writes(path: Path) -> list[str]:
-    """file:line of every write to a graph's ``_adj`` in one source file: an
-    assignment to ``._adj`` or to an entry of it, or a set-mutating call on an
-    entry of ``._adj``; an entry of a name bound to ``._adj`` counts the same."""
+    """file:line of every write to a graph's adjacency ``_adj`` or degree list
+    (``_deg``, read through ``degrees``) in one source file: an assignment
+    or deletion of the attribute or of an entry of it, a set-mutating call
+    on an entry of ``._adj``, or a list-mutating call on the degree list; a
+    name bound to either attribute counts the same."""
     tree = ast.parse(path.read_text(), filename=str(path))
 
-    def is_adj(node):
-        return isinstance(node, ast.Attribute) and node.attr == "_adj"
-    aliases = {t.id for node in ast.walk(tree)
-               if isinstance(node, ast.Assign) and is_adj(node.value)
+    def attr_in(node, names):
+        return isinstance(node, ast.Attribute) and node.attr in names
+    aliases = {t.id: node.value.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and attr_in(node.value, _ADJ | _DEGREES)
                for t in node.targets if isinstance(t, ast.Name)}
 
-    def entry_of_adj(node):
-        return isinstance(node, ast.Subscript) and (
-            is_adj(node.value) or isinstance(node.value, ast.Name) and node.value.id in aliases)
+    def is_state(node, names):
+        return attr_in(node, names) or isinstance(node, ast.Name) and aliases.get(node.id) in names
+
+    def entry_of(node, names):
+        return isinstance(node, ast.Subscript) and is_state(node.value, names)
 
     def targets(node):
-        for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+        for t in node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]:
             yield from t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t]
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            if any(is_adj(t) or entry_of_adj(t) for t in targets(node)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            if any(attr_in(t, _ADJ | _DEGREES) or entry_of(t, _ADJ | _DEGREES)
+                   for t in targets(node)):
                 lines.append(node.lineno)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr in _SET_WRITES and entry_of_adj(node.func.value)):
-            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner, name = node.func.value, node.func.attr
+            if (name in _SET_WRITES and entry_of(owner, _ADJ)
+                    or name in _LIST_WRITES and is_state(owner, _DEGREES)):
+                lines.append(node.lineno)
     return [f"{path.name}:{line}" for line in sorted(set(lines))]
 
 
@@ -501,6 +621,15 @@ def test_the_adjacency_scan_flags_each_kind_of_write(tmp_path):
         "    x[list(g._adj[u])] = 1",             # reads the adjacency only
         "    adj[u].update(x); adj[u].clear()",
         "    adj[u].pop(); adj[u].remove(v)",
+        "    deg = g.degrees",                     # binds the degree list, writes nothing
+        "    deg[u] += 1",
+        "    g.degrees[v] = 0",
+        "    g._deg = None",
+        "    deg.append(0); g._deg.extend(x)",
+        "    del deg[u]",
+        "    deg.sort(); g.degrees.insert(0, 1)",
+        "    y = g.degrees.copy(); y[u] = deg[v]",  # writes a copy only
         "    return len(adj[u] & g._adj[v])",
     ]))
-    assert _adj_writes(probe) == [f"probe.py:{k}" for k in (2, 4, 5, 6, 7, 9, 10)]
+    assert _adj_writes(probe) == [f"probe.py:{k}" for k in (2, 4, 5, 6, 7, 9, 10,
+                                                          12, 13, 14, 15, 16, 17)]

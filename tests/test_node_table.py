@@ -1,9 +1,11 @@
-"""The graph's node tables: h computed once per node per graph state.
+"""The graph's per-state tables and maintained degree list.
 
 ``Potential.value`` and the ``auto`` route read a node-form potential's h
 from :meth:`DynGraph.node_table`, which every edit drops. Every read must
 equal the cache-free f(h(g, u), h(g, v)) whatever edits came between, and
-``engine="naive"`` must keep calling the evaluator, with no table.
+``engine="naive"`` must keep calling the evaluator, with no table. The same
+holds for the memo of ``common_neighbor_edges`` and for the degree list,
+which every edit keeps current.
 """
 
 import sys
@@ -15,13 +17,14 @@ from hypothesis import strategies as st
 
 from abdyn.engine import RunConfig, decide_pairs, run
 from abdyn.errors import ContractError
-from abdyn.graph import EdgeDelta, pair_codes
+from abdyn import graph as graph_module
+from abdyn.graph import CE_MEMO_PAIRS, DynGraph, EdgeDelta, edge_codes, pair_codes
 from abdyn.potentials import (PROPER_FUNCTIONS, degree_like_potential,
                               proper_degree_potential)
 from abdyn.schedulers import FairRoundRobinScheduler, InteractionSet, all_pairs
 from abdyn.social import niceness_g, random_profile
 
-from conftest import random_graph
+from conftest import brute_common_neighbor_edges, random_graph
 
 N = 8
 
@@ -85,6 +88,69 @@ def test_reads_match_cache_free_values_across_edits(seed, steps):
         f, h = pot.node_form
         assert [pot.value(g, u, v) for u, v in all_pairs(N)] == \
             [f(h(g, u), h(g, v)) for u, v in all_pairs(N)]
+
+
+M = 24
+wide_pair_st = st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)).filter(
+    lambda p: p[0] != p[1])
+# each step: an operation and the pairs it edits or reads; deltas of up to 40
+# pairs lie on both sides of CODE_FORM_PAIRS
+state_steps_st = st.lists(st.tuples(
+    st.sampled_from(["add", "remove", "delta", "codes", "copy", "from_codes", "ce",
+                     "degrees"]),
+    st.lists(wide_pair_st, min_size=1, max_size=40)), min_size=5, max_size=30)
+
+
+def _ce_memo(g) -> dict:
+    return (g._tables or {}).get(graph_module._CE, {})
+
+
+def _check_state(g) -> None:
+    """The degree list, once built, and every memo entry equal fresh values."""
+    if g._deg is not None:
+        assert g._deg == [len(nbrs) for nbrs in g._adj]
+    memo = _ce_memo(g)
+    assert len(memo) <= CE_MEMO_PAIRS
+    for (u, v), value in memo.items():
+        assert u < v and value == brute_common_neighbor_edges(g, u, v)
+
+
+@given(st.integers(0, 10**6), st.booleans(), state_steps_st)
+def test_degrees_and_ce_memo_match_fresh_values_across_edits(seed, listed, steps):
+    g = random_graph(M, 0.3, seed)
+    if listed:
+        g.degrees
+    for op, pairs in steps:
+        if op == "add":
+            g.add_edge(*pairs[0])
+        elif op == "remove":
+            g.remove_edge(*pairs[0])
+        elif op == "delta":
+            g.apply_delta(EdgeDelta.build(*_toggles(g, pairs)))
+        elif op == "codes":
+            adds, rems = _toggles(g, pairs)
+            toggled = sorted(adds + rems)
+            ends = np.array(toggled, dtype=np.int64).reshape(-1, 2)
+            g.apply_delta(EdgeDelta.from_codes(pair_codes(ends[:, 0], ends[:, 1]),
+                                               np.array([p in adds for p in toggled],
+                                                        dtype=bool)))
+        elif op == "copy":
+            tables = g._tables
+            h = g.copy()
+            assert h._tables is None and h._deg == g._deg
+            assert h._deg is None or h._deg is not g._deg
+            h.common_neighbor_edges(*pairs[0])
+            assert g._tables is tables and _ce_memo(h) is not _ce_memo(g)
+            g = h
+        elif op == "from_codes":
+            g = DynGraph.from_codes(M, edge_codes(g))
+            assert g._deg is None and g._tables is None
+        elif op == "ce":
+            for u, v in pairs:
+                assert g.common_neighbor_edges(u, v) == g.common_neighbor_edges(v, u)
+        else:
+            assert g.degrees == [g.degree(u) for u in range(M)]
+        _check_state(g)
 
 
 def test_tables_live_until_an_edit():
