@@ -26,9 +26,10 @@ state, count) from count 0 up with a common-neighbor-edge supplier that
 refuses to be called (:class:`Decisions`); the rows below the floor are the
 certificate check. A round looks its pairs up in one array operation and
 calls ``decide`` only on the pairs whose entry reads the common neighbor
-edges, so the rule keeps one definition, its own ``decide``; the graph
-keeps those counts per state (:meth:`DynGraph.common_neighbor_edges`), so a
-pair an observer counted on the same state costs a lookup. Each substep
+edges, so the rule keeps one definition, its own ``decide``; a pair whose
+count an observer kept on the same state
+(:meth:`~abdyn.graph.DynGraph.keep_common_neighbor_edges`, as the rule-110
+structure check does for its anchor pairs) costs a lookup. Each substep
 applies its toggles as one :class:`~abdyn.graph.EdgeDelta` built from their
 sorted edge codes, which a long delta keeps as arrays, through the
 validating :meth:`DynGraph.apply_delta`, so an edit made behind the
@@ -50,7 +51,7 @@ from .schedulers import pair_count
 
 def _exact_ce(g: DynGraph, u: int, v: int):
     """The lazy common neighbor edge count that ``decide`` receives."""
-    return lambda: g.common_neighbor_edges(u, v)
+    return lambda: g.kept_common_neighbor_edges(u, v)
 
 
 class Decisions:

@@ -7,8 +7,9 @@ been asked for, a graph keeps it up to date under every edit (Zobrist
 hashing: each toggle XORs one edge token); so it does with the list of
 node degrees (:attr:`DynGraph.degrees`). It also holds tables that every
 edit drops: per node function h, the values h(graph, u) found so far (see
-:meth:`DynGraph.node_table`), and up to ``CE_MEMO_PAIRS`` results of
-:meth:`DynGraph.common_neighbor_edges`.
+:meth:`DynGraph.node_table`), and the common neighbor edge counts of the
+pairs that a caller asked it to keep (see
+:meth:`DynGraph.keep_common_neighbor_edges`).
 
 An :class:`EdgeDelta` comes in two forms. Built from pairs it keeps its
 tuples, and its check and its writes loop over them. Built from edge codes
@@ -54,7 +55,7 @@ class DynGraph:
         self._fp: Optional[int] = None      # the fingerprint, once asked for
         self._deg: Optional[list[int]] = None   # the degree list, once asked for
         # {h: {node: h(self, node)}} for the current edges, and under _CE the
-        # memo {(u, v): common_neighbor_edges(u, v)}; None after an edit
+        # kept counts {(u, v): common_neighbor_edges(u, v)}; None after an edit
         self._tables: Optional[dict] = None
 
     @classmethod
@@ -238,53 +239,63 @@ class DynGraph:
         return len(self._adj[u] & self._adj[v])
 
     def common_neighbor_edges(self, u: int, v: int) -> int:
-        """Number of edges whose endpoints are both common neighbors of u and
-        v. The graph keeps the results of up to ``CE_MEMO_PAIRS`` pairs per
-        state (see :meth:`node_table`), so a pair asked for again before the
-        next edit costs one lookup."""
+        """Number of edges whose endpoints are both common neighbors of u and v."""
         self._check(u)
         self._check(v)
         if u == v:
             raise InputError("common_neighbor_edges requires two distinct nodes")
-        memo = self.node_table(_CE)
-        key = (u, v) if u < v else (v, u)
-        total = memo.get(key)
-        if total is None:
-            common = self._adj[u] & self._adj[v]
-            total = 0
-            if len(common) >= 2:
-                for w in common:
-                    total += len(self._adj[w] & common)
-                total //= 2
-            if len(memo) < CE_MEMO_PAIRS:
-                memo[key] = total
+        common = self._adj[u] & self._adj[v]
+        if len(common) < 2:
+            return 0
+        total = 0
+        for w in common:
+            total += len(self._adj[w] & common)
+        return total // 2
+
+    def keep_common_neighbor_edges(self, u: int, v: int) -> int:
+        """:meth:`common_neighbor_edges` of u and v, counted afresh and kept
+        for the current edges, where :meth:`kept_common_neighbor_edges` reads
+        it until the next edit drops it with the node tables. A caller keeps
+        only the pairs that a later reader counts again on the same state, so
+        the results kept per state are no more than the pairs it counts."""
+        total = self.common_neighbor_edges(u, v)
+        self.node_table(_CE)[(u, v) if u < v else (v, u)] = total
         return total
+
+    def kept_common_neighbor_edges(self, u: int, v: int) -> int:
+        """:meth:`common_neighbor_edges` of u and v: the result kept for the
+        current edges by :meth:`keep_common_neighbor_edges`, else counted
+        afresh and not kept."""
+        tables = self._tables
+        if tables is not None:
+            kept = tables.get(_CE)
+            if kept is not None:
+                total = kept.get((u, v) if u < v else (v, u))
+                if total is not None:
+                    return total
+        return self.common_neighbor_edges(u, v)
 
     def apply_delta(self, delta: "EdgeDelta") -> None:
         """Toggle exactly the listed edges. The delta must be valid against
-        the current graph; a violation indicates an engine bug."""
+        the current graph; a violation indicates an engine bug. The first
+        apply builds the degree list."""
         delta.validate(self)
         adj = self._adj
-        deg = self._deg
-        coded = delta.array_backed
-        if coded:
+        deg = self.degrees
+        if delta.array_backed:
             add_us, add_vs, rem_us, rem_vs = delta._end_lists()
-            adds, rems = zip(add_us, add_vs), zip(rem_us, rem_vs)
             added, removed = len(add_us), len(rem_us)
+            for u, v in zip(rem_us, rem_vs):
+                adj[u].discard(v)
+                adj[v].discard(u)
+            for u, v in zip(add_us, add_vs):
+                adj[u].add(v)
+                adj[v].add(u)
+            for x in delta.endpoints():
+                deg[x] = len(adj[x])
         else:
             adds, rems = delta.additions, delta.removals
             added, removed = len(adds), len(rems)
-        if deg is None or coded:
-            for u, v in rems:
-                adj[u].discard(v)
-                adj[v].discard(u)
-            for u, v in adds:
-                adj[u].add(v)
-                adj[v].add(u)
-            if deg is not None:
-                for x in delta.endpoints():
-                    deg[x] = len(adj[x])
-        else:
             for u, v in rems:
                 adj[u].discard(v)
                 adj[v].discard(u)
@@ -300,7 +311,7 @@ class DynGraph:
             self._tables = None
         if self._fp is not None and (added or removed):
             fp = self._fp
-            if not coded and added + removed < CODE_FORM_PAIRS:
+            if not delta.array_backed and added + removed < CODE_FORM_PAIRS:
                 for u, v in chain(adds, rems):
                     fp ^= _splitmix64((u << 32) | v)
             else:
@@ -377,6 +388,9 @@ def _unordered(u: int, v: int) -> ContractError:
                          f"delta pair ({u},{v}) is not ordered u < v")
 
 
+_set = object.__setattr__      # how a delta fills its own slots
+
+
 class EdgeDelta:
     """One synchronous round's edge update: pairs (u, v), u < v, to add and
     to remove, disjoint.
@@ -397,8 +411,17 @@ class EdgeDelta:
 
     def __init__(self, additions: tuple[tuple[int, int], ...] = (),
                  removals: tuple[tuple[int, int], ...] = ()):
-        self.additions = tuple(additions)
-        self.removals = tuple(removals)
+        _set(self, "additions", tuple(additions))
+        _set(self, "removals", tuple(removals))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"an EdgeDelta is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"an EdgeDelta is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):       # copy and pickle rebuild through __init__
+        return EdgeDelta, (self.additions, self.removals)
 
     @classmethod
     def build(cls, additions, removals) -> "EdgeDelta":
@@ -473,16 +496,8 @@ class EdgeDelta:
         """The net delta of this one followed by ``later``, sorted as by
         :meth:`build`: a pair in both is back in its state and drops out.
         Two valid deltas in a row never both add or both remove a pair;
-        such a pair raises ``ContractError`` and names the first in order."""
-        if not (self.array_backed or later.array_backed):
-            twice = [(p, "add") for p in set(self.additions).intersection(later.additions)]
-            twice += [(p, "remove") for p in set(self.removals).intersection(later.removals)]
-            if twice:
-                (u, v), what = min(twice)
-                raise ContractError(f"both deltas {what} the pair ({u},{v})")
-            adds = set(chain(self.additions, later.additions))
-            rems = set(chain(self.removals, later.removals))
-            return EdgeDelta.build(adds - rems, rems - adds)
+        such a pair raises ``ContractError`` and names the first in order.
+        Both forms are netted on their code arrays."""
         (first, first_born), (second, second_born) = self.code_arrays(), later.code_arrays()
         codes = np.concatenate((first, second))
         order = np.argsort(codes, kind="stable")
@@ -553,21 +568,25 @@ class _CodeDelta(EdgeDelta):
     array_backed = True
 
     def __init__(self, codes: np.ndarray, born: np.ndarray):
-        self._codes, self._born = codes, born
-        self._adds = self._rems = self._lists = self._ends = None
+        for name, value in (("_codes", codes), ("_born", born), ("_adds", None),
+                            ("_rems", None), ("_lists", None), ("_ends", None)):
+            _set(self, name, value)
+
+    def __reduce__(self):
+        return _CodeDelta, (self._codes, self._born)
 
     @property
     def additions(self) -> tuple[tuple[int, int], ...]:
         if self._adds is None:
             add_us, add_vs, _, _ = self._end_lists()
-            self._adds = tuple(zip(add_us, add_vs))
+            _set(self, "_adds", tuple(zip(add_us, add_vs)))
         return self._adds
 
     @property
     def removals(self) -> tuple[tuple[int, int], ...]:
         if self._rems is None:
             _, _, rem_us, rem_vs = self._end_lists()
-            self._rems = tuple(zip(rem_us, rem_vs))
+            _set(self, "_rems", tuple(zip(rem_us, rem_vs)))
         return self._rems
 
     def _end_lists(self) -> tuple[list[int], ...]:
@@ -576,7 +595,7 @@ class _CodeDelta(EdgeDelta):
         if self._lists is None:
             codes, born = self._codes, self._born
             ends = code_ends(codes[born]) + code_ends(codes[~born])
-            self._lists = tuple(end.tolist() for end in ends)
+            _set(self, "_lists", tuple(end.tolist() for end in ends))
         return self._lists
 
     @property
@@ -599,7 +618,7 @@ class _CodeDelta(EdgeDelta):
         if self._ends is None:
             ends = np.concatenate(code_ends(self._codes))
             ends.sort()
-            self._ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))].tolist()
+            _set(self, "_ends", ends[np.concatenate(([True], ends[1:] != ends[:-1]))].tolist())
         return self._ends
 
     def code_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -650,9 +669,7 @@ FOLD_BLOCK = 4096          # nodes per block when coding a whole graph
 # call outweighs a short pair loop. On a 2-core Xeon guest folding 16 pairs took
 # 11 us one by one and 13 us as an array, 24 pairs 16 us and 14 us.
 CODE_FORM_PAIRS = 20
-# common_neighbor_edges results kept per graph state
-CE_MEMO_PAIRS = 4096
-_CE = "common_neighbor_edges"      # the memo's key among the tables; no node function is a str
+_CE = "common_neighbor_edges"      # the kept counts' key among the tables; no node function is a str
 
 
 def _splitmix64(x: int) -> int:

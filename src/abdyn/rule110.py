@@ -328,6 +328,10 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
        for followers at integer/half parity;
     d. the anchor common-neighbor-edge counts satisfy the wiring formulas
        8 + value sums for drivers and 4 + value sums for followers.
+
+    The anchor pairs' common neighbor edge counts are kept on g for its
+    current edges (:meth:`DynGraph.keep_common_neighbor_edges`): the fast
+    route reads them when it decides those pairs on the same state.
     """
     g = g or assembly.graph
     if g.n != assembly.graph.n:
@@ -363,7 +367,7 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
         if cn != want_cn:
             report.violations.append(StructureViolation(
                 "anchor_cn", gmap.describe_pair((a0, a1)), want_cn, cn))
-        ce = g.common_neighbor_edges(a0, a1)
+        ce = g.keep_common_neighbor_edges(a0, a1)   # the fast route decides these next
         j = sc.lane
         if sc.is_driver:
             want_ce = (8

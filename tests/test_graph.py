@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import random
 from pathlib import Path
 
@@ -349,6 +351,23 @@ def test_delta_then_refuses_a_pair_moved_the_same_way_twice(forms, what):
     fine = [(p, not b) if p == (2, 7) else (p, b) for p, b in later]
     assert a.then(make(fine, forms == "codes")) == EdgeDelta.build(
         [(0, 1), (0, 5)], [(1, 2), (5, 6)])
+
+
+@pytest.mark.parametrize("coded", [False, True])
+def test_delta_is_immutable(coded):
+    pairs, born = [(0, 3), (1, 2), (2, 5)], [True, False, True]
+    delta = _code_form(pairs, born) if coded else EdgeDelta.build([(0, 3), (2, 5)], [(1, 2)])
+    assert delta.array_backed == coded
+    for name in ("additions", "removals", "_codes", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(delta, name, ())
+        with pytest.raises(AttributeError):
+            delattr(delta, name)
+    assert delta == EdgeDelta(((0, 3), (2, 5)), ((1, 2),))
+    # a copy or a pickled delta holds the same pairs in the same form
+    for again in (copy.copy(delta), copy.deepcopy(delta), pickle.loads(pickle.dumps(delta))):
+        assert again == delta and again.array_backed == coded
+        assert hash(again) == hash(delta)
 
 
 def _faulty(kind, g, rng):

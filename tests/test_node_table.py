@@ -3,9 +3,11 @@
 ``Potential.value`` and the ``auto`` route read a node-form potential's h
 from :meth:`DynGraph.node_table`, which every edit drops. Every read must
 equal the cache-free f(h(g, u), h(g, v)) whatever edits came between, and
-``engine="naive"`` must keep calling the evaluator, with no table. The same
-holds for the memo of ``common_neighbor_edges`` and for the degree list,
-which every edit keeps current.
+``engine="naive"`` must keep calling the evaluator, with no table. The
+common neighbor edge counts kept by ``keep_common_neighbor_edges`` must
+likewise equal fresh counts until the edit that drops them, and
+``common_neighbor_edges`` itself, which ``naive`` calls, keeps none. The
+degree list, which every edit keeps current, must equal the degrees.
 """
 
 import sys
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from abdyn.engine import RunConfig, decide_pairs, run
 from abdyn.errors import ContractError
 from abdyn import graph as graph_module
-from abdyn.graph import CE_MEMO_PAIRS, DynGraph, EdgeDelta, edge_codes, pair_codes
+from abdyn.graph import DynGraph, EdgeDelta, edge_codes, pair_codes
 from abdyn.potentials import (PROPER_FUNCTIONS, degree_like_potential,
                               proper_degree_potential)
 from abdyn.schedulers import FairRoundRobinScheduler, InteractionSet, all_pairs
@@ -105,12 +107,13 @@ def _ce_memo(g) -> dict:
     return (g._tables or {}).get(graph_module._CE, {})
 
 
-def _check_state(g) -> None:
-    """The degree list, once built, and every memo entry equal fresh values."""
+def _check_state(g, kept) -> None:
+    """The degree list, once built, and every kept count equal fresh values;
+    the counts kept are those asked to be kept since the last edit."""
     if g._deg is not None:
         assert g._deg == [len(nbrs) for nbrs in g._adj]
     memo = _ce_memo(g)
-    assert len(memo) <= CE_MEMO_PAIRS
+    assert memo.keys() == kept
     for (u, v), value in memo.items():
         assert u < v and value == brute_common_neighbor_edges(g, u, v)
 
@@ -120,7 +123,9 @@ def test_degrees_and_ce_memo_match_fresh_values_across_edits(seed, listed, steps
     g = random_graph(M, 0.3, seed)
     if listed:
         g.degrees
+    kept = set()
     for op, pairs in steps:
+        before = g.edge_set()
         if op == "add":
             g.add_edge(*pairs[0])
         elif op == "remove":
@@ -139,18 +144,25 @@ def test_degrees_and_ce_memo_match_fresh_values_across_edits(seed, listed, steps
             h = g.copy()
             assert h._tables is None and h._deg == g._deg
             assert h._deg is None or h._deg is not g._deg
-            h.common_neighbor_edges(*pairs[0])
+            h.keep_common_neighbor_edges(*pairs[0])
             assert g._tables is tables and _ce_memo(h) is not _ce_memo(g)
             g = h
+            kept = {tuple(sorted(pairs[0]))}
         elif op == "from_codes":
             g = DynGraph.from_codes(M, edge_codes(g))
             assert g._deg is None and g._tables is None
+            kept = set()
         elif op == "ce":
-            for u, v in pairs:
-                assert g.common_neighbor_edges(u, v) == g.common_neighbor_edges(v, u)
+            for u, v in pairs[1:]:
+                assert g.common_neighbor_edges(u, v) == g.kept_common_neighbor_edges(v, u)
+            u, v = pairs[0]
+            assert g.keep_common_neighbor_edges(u, v) == g.kept_common_neighbor_edges(v, u)
+            kept.add((min(u, v), max(u, v)))
         else:
             assert g.degrees == [g.degree(u) for u in range(M)]
-        _check_state(g)
+        if g.edge_set() != before:
+            kept = set()        # an edit drops every kept count
+        _check_state(g, kept)
 
 
 def test_tables_live_until_an_edit():

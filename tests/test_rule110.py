@@ -370,6 +370,29 @@ def test_reused_runner_round0_checks(monkeypatch):
     assert len(calls) == len(tapes)
 
 
+@pytest.mark.parametrize("check", [True, False])
+def test_fast_route_reads_the_ce_the_check_kept(monkeypatch, check):
+    # a checked run's structure check keeps its anchor pairs' counts for the
+    # state that the fast route decides next, and the route asks for no
+    # other pair; an unchecked run keeps nothing and counts each afresh
+    runner = AssemblyRunner(4)
+    anchors = {sc.anchors for sc in runner.assembly.gmap.subcells.values()}
+    kept_read = DynGraph.kept_common_neighbor_edges
+    reads = []
+
+    def spy(g, u, v):
+        held = (g._tables or {}).get(graph_module._CE, {})
+        assert held.keys() <= anchors and (u, v) in anchors
+        reads.append((u, v) in held)
+        value = kept_read(g, u, v)
+        assert value == g.common_neighbor_edges(u, v)
+        return value
+    monkeypatch.setattr(DynGraph, "kept_common_neighbor_edges", spy)
+    result = runner.run((1, 0, 1, 1), steps=2, check=check)
+    assert result.ok and result.matches_reference()
+    assert reads and all(reads) == check and any(reads) == check
+
+
 @pytest.mark.parametrize("merged", [False, True])
 def test_every_toggling_substep_after_the_first_takes_the_older_state(merged):
     # the blinkers toggle every substep, so the net toggles against the state
