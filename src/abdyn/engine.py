@@ -212,21 +212,21 @@ def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeD
                 pairs = list(pairs)     # read twice: a generator would run dry
             table = _node_table(g, potential, chain.from_iterable(pairs))
         if table is None:
-            adj = g._adj
+            deg = g.degrees
 
             def evaluate(_g, u, v):
-                return f(len(adj[u]), len(adj[v]))
+                return f(deg[u], deg[v])
         else:
             def evaluate(_g, u, v):
                 return f(table[u], table[v])
     additions = []
     removals = []
     alpha, beta = potential.alpha, potential.beta
-    adj = g._adj
+    row = g.neighbors
     stats = potential.pair_stats
     floor = stats.cn_floor if prune and stats is not None else 0
     for u, v in pairs:
-        if floor and len(adj[u] & adj[v]) < floor:
+        if floor and len(row(u) & row(v)) < floor:
             continue
         try:
             val = evaluate(g, u, v)
@@ -236,10 +236,10 @@ def decide_pairs(g: DynGraph, potential: Potential, pairs, prune: bool) -> EdgeD
             raise ContractError(
                 f"potential {potential.name} failed on pair ({u},{v}): {exc}") from exc
         if val < alpha:
-            if v in adj[u]:
+            if v in row(u):
                 removals.append((u, v))
         elif val >= beta:
-            if v not in adj[u]:
+            if v not in row(u):
                 additions.append((u, v))
     return EdgeDelta.build(additions, removals)
 
@@ -256,9 +256,7 @@ def _twin_decide(g: DynGraph, potential: Potential, us: np.ndarray, vs: np.ndarr
     if not picked.size:
         return EdgeDelta()
     pu, pv = us[picked], vs[picked]
-    adj = g._adj
-    edge = np.fromiter(map(set.__contains__, map(adj.__getitem__, pu.tolist()), pv.tolist()),
-                       dtype=bool, count=picked.size)
+    edge = g.has_edges(pu, pv)
     born = born[picked]
     change = born != edge
     codes = pair_codes(pu[change], pv[change])
@@ -289,8 +287,8 @@ def _node_values(g: DynGraph, potential: Potential, nodes: Optional[list] = None
     their order. Degrees are read from the adjacency; any other h from the
     graph's table, filled for those nodes only."""
     if potential.node_form[1] is degree:
-        adj = g._adj
-        return list(map(len, adj if nodes is None else map(adj.__getitem__, nodes)))
+        deg = g.degrees
+        return list(deg) if nodes is None else list(map(deg.__getitem__, nodes))
     if nodes is None:
         nodes = range(g.n)
     return list(map(_node_table(g, potential, nodes).__getitem__, nodes))
@@ -495,7 +493,7 @@ class ActiveSetStepper(NaiveStepper):
         for (node, w), row in zip(rows, ranks):
             value = twin(x[node], x[w])
             edge = np.zeros(g.n, dtype=bool)
-            edge[list(g._adj[node])] = True
+            edge[list(g.neighbors(node))] = True
             edge = edge[w]
             found.append(row[np.where(edge, value < pot.alpha, value >= pot.beta)])
         return found
@@ -729,8 +727,8 @@ class DegreeClasses:
 def degree_classes(g: DynGraph) -> DegreeClasses:
     """Partition of the nodes by degree, ordered by decreasing degree."""
     buckets: dict[int, set[int]] = {}
-    for u in range(g.n):
-        buckets.setdefault(len(g._adj[u]), set()).add(u)
+    for u, d in enumerate(g.degrees):
+        buckets.setdefault(d, set()).add(u)
     degs = sorted(buckets, reverse=True)
     return DegreeClasses(
         classes=tuple(frozenset(buckets[d]) for d in degs),
@@ -799,17 +797,15 @@ def _pair_violations(t: int, g: DynGraph, h: DynGraph) -> list[PropertyViolation
     n = g.n
     if n < 2:
         return []
-    dg = np.fromiter(map(len, g._adj), dtype=np.int64, count=n)
+    dg = np.array(g.degrees, dtype=np.int64)
     order = np.argsort(-dg, kind="stable")
     dg = dg[order]
     # the adjacency of h in sparse rows, rows and columns in the order
-    sets = [h._adj[u] for u in order.tolist()]
-    dh = np.fromiter(map(len, sets), dtype=np.int64, count=n)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(dh, out=starts[1:])
+    starts, nbrs = h.csr_rows(order)
+    dh = np.diff(starts)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    cols = rank[np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(starts[-1]))]
+    cols = rank[nbrs]
 
     def dense(lo: int, hi: int) -> np.ndarray:
         # float32 counts are exact below 2**24 and multiply in BLAS

@@ -38,7 +38,6 @@ stepper's back raises ``ContractError`` instead of corrupting the graph.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -124,18 +123,16 @@ class Decisions:
         return np.flatnonzero(flips)
 
 
-def _adjacency_rows(adj, rows, n: int):
-    """Sparse 0/1 matrix whose i-th row is the neighbor set of ``rows[i]``."""
+def _adjacency_rows(g: DynGraph, rows: np.ndarray):
+    """Sparse 0/1 matrix whose i-th row is the neighbor set of ``rows[i]``,
+    from the graph's CSR rows (:meth:`~abdyn.graph.DynGraph.csr_rows`)."""
     # scipy loads on first use: loaded with this module, before a large graph
     # is built, it raised the peak resident set of a W=4 rule-110 run by 15 MB
     from scipy import sparse
 
-    sets = [adj[u] for u in rows]
-    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)), out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(sets), dtype=np.int32, count=int(indptr[-1]))
+    indptr, indices = g.csr_rows(rows)
     data = np.ones(len(indices), dtype=np.int32)
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(sets), n))
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), g.n))
 
 
 class PairCounts:
@@ -162,11 +159,11 @@ def _at_floor(degrees: list[int], floor: int) -> np.ndarray:
     return np.flatnonzero(np.fromiter(degrees, dtype=np.int64, count=len(degrees)) >= floor)
 
 
-def _high_side(adj, ids: np.ndarray, n: int):
-    """(A_HH, upper triangle of A_H A_H^T) for the nodes ``ids``."""
+def _high_side(g: DynGraph, ids: np.ndarray):
+    """(A_HH, upper triangle of A_H A_H^T) for the nodes ``ids`` of g."""
     from scipy import sparse
 
-    a_high = _adjacency_rows(adj, ids.tolist(), n)
+    a_high = _adjacency_rows(g, ids)
     return (a_high[:, ids].tocsr(),
             sparse.triu(a_high @ a_high.T, 1, format="csr"))
 
@@ -260,7 +257,7 @@ class IncrementalStepper:
         self.stats, self.substeps = potential.pair_rule
         self.floor = self.stats.cn_floor
         ids = _at_floor(g.degrees, self.floor)
-        self.a_hh, upper = _high_side(g._adj, ids, g.n)
+        self.a_hh, upper = _high_side(g, ids)
         self.cn = PairCounts(ids, upper)
         self.decisions = Decisions(self.stats,
                                    max(self.floor, int(upper.data.max(initial=0))) + 1)
@@ -323,8 +320,7 @@ class IncrementalStepper:
             raise ContractError(
                 f"maintained fingerprint {g.fingerprint:016x} diverged from the "
                 f"graph's fold {graph_fingerprint(g):016x}")
-        adj = g._adj
-        fresh = list(map(len, adj))
+        fresh = list(map(g.degree, range(g.n)))
         listed = g.degrees
         if listed != fresh:
             u = next((u for u, (d, e) in enumerate(zip(listed, fresh)) if d != e), None)
@@ -339,7 +335,7 @@ class IncrementalStepper:
                 f"(first: {outside[:5].tolist()})")
         have = (self.a_hh, self.cn.upper)
         names = ("adjacency among the tracked nodes", "common neighbor counts")
-        for name, want, got in zip(names, _high_side(adj, ids, g.n), have):
+        for name, want, got in zip(names, _high_side(g, ids), have):
             _diverged(f"tracked {name}", ids, want, got)
         if self.toggled is not None:
             for name, want, got in zip(names, _moved(*self.older, self.toggled), have):

@@ -20,8 +20,12 @@ from __future__ import annotations
 import json
 from typing import IO
 
+import numpy as np
+
 from .errors import InputError
-from .graph import DynGraph, fingerprint_hex, norm_pair
+from .graph import DynGraph, code_ends, edge_codes, fingerprint_hex, norm_pair
+
+WRITE_BLOCK = 1 << 16      # edge lines formatted per write
 
 
 def _strip(line: str) -> str:
@@ -65,10 +69,16 @@ def read_edgelist(path: str) -> DynGraph:
 
 
 def write_edgelist(g: DynGraph, path: str) -> None:
+    """Write g as a ``nodes N`` header and its edges ``u v``, u < v, in
+    ascending order, formatted from its edge codes WRITE_BLOCK lines at a
+    time, so no neighbour set is built."""
+    codes = edge_codes(g)
     with open(path, "w") as fh:
         fh.write(f"nodes {g.n}\n")
-        for u, v in sorted(g.edges()):
-            fh.write(f"{u} {v}\n")
+        for lo in range(0, len(codes), WRITE_BLOCK):
+            part = codes[lo:lo + WRITE_BLOCK]
+            ends = np.stack(code_ends(part), axis=1).ravel().tolist()
+            fh.write("%d %d\n" * len(part) % tuple(ends))
 
 
 def read_interaction_script(path: str) -> list[list[tuple[int, int]]]:

@@ -77,7 +77,7 @@ def verify_kcore_run(final: DynGraph, g0: DynGraph, alpha: int) -> KcoreReport:
     dec = peel(g0, alpha)
     core = np.zeros(g0.n, dtype=bool)
     core[list(dec.core)] = True
-    deg = np.fromiter(map(len, final._adj), dtype=np.int64, count=final.n)
+    deg = np.array(final.degrees, dtype=np.int64)
     # an isolated core node is possible only in the degenerate core-of-isolates
     # sense; classify mismatches from both directions
     mis_isolated = np.flatnonzero((deg == 0) & core).tolist() if alpha > 0 else []

@@ -245,12 +245,11 @@ class RewriteStepper:
         self.scheduler = scheduler
         self.rng = random.Random(protocol.seed)
         self.tags: list[str] = []
-        self.components = (_touched_components(g._adj, range(g.n))
+        self.components = (_touched_components(g, range(g.n))
                            if protocol.progress_check else 0)
 
     def advance(self, t: int) -> tuple[EdgeDelta, int]:
         g = self.g
-        adj = g._adj
         inter = self.scheduler.interactions(t, g)
         if len(inter) != 1:
             raise ConfigError(
@@ -262,19 +261,19 @@ class RewriteStepper:
         if pairs:
             near = ball_nodes(g, u, v, 1)
             for a, b in pairs:
-                if not (_near(adj, a, near) or _near(adj, b, near)):
+                if not (_near(g, a, near) or _near(g, b, near)):
                     raise ContractError(
                         f"rewrite touched pair ({a},{b}) outside distance 2 of ({u},{v})")
         progress = self.protocol.progress_check
         if progress and pairs:
             ends = {x for pair in pairs for x in pair}
             # a connected graph holds every endpoint in its one component
-            before = 1 if self.components == 1 else _touched_components(adj, ends)
+            before = 1 if self.components == 1 else _touched_components(g, ends)
         g.apply_delta(delta)
         if progress:
             count = self.components
             if pairs:
-                count += _touched_after(adj, delta, ends) - before
+                count += _touched_after(g, delta, ends) - before
             if count < self.components:
                 tag = "merge"
             elif info.get("tie"):
@@ -293,7 +292,7 @@ class RewriteStepper:
         return delta, 1
 
 
-def _touched_after(adj: list[set[int]], delta: EdgeDelta, ends: set[int]) -> int:
+def _touched_after(g: DynGraph, delta: EdgeDelta, ends: set[int]) -> int:
     """Number of components that hold a node of ``ends``, the endpoints of
     the applied ``delta``. If every endpoint is the hub (the endpoint of the
     most additions) or adjacent to it, that is 1 at O(|delta|) cost;
@@ -301,26 +300,27 @@ def _touched_after(adj: list[set[int]], delta: EdgeDelta, ends: set[int]) -> int
     hits = Counter(chain.from_iterable(delta.additions))
     if hits:
         hub = max(hits, key=hits.__getitem__)
-        nbrs = adj[hub]
+        nbrs = g.neighbors(hub)
         if all(x == hub or x in nbrs for x in ends):
             return 1
-    return _touched_components(adj, ends)
+    return _touched_components(g, ends)
 
 
-def _near(adj: list[set[int]], x: int, ball: set[int]) -> bool:
-    """Whether x lies in ``ball`` or has a neighbour there; an id outside
-    the graph has neither."""
-    return x in ball or (0 <= x < len(adj) and not adj[x].isdisjoint(ball))
+def _near(g: DynGraph, x: int, ball: set[int]) -> bool:
+    """Whether x lies in ``ball`` or has a neighbour there in g; an id
+    outside the graph has neither."""
+    return x in ball or (0 <= x < g.n and not g.neighbors(x).isdisjoint(ball))
 
 
-def _touched_components(adj: list[set[int]], nodes: Iterable[int]) -> int:
-    """Number of connected components that hold a node of ``nodes``.
+def _touched_components(g: DynGraph, nodes: Iterable[int]) -> int:
+    """Number of connected components of g that hold a node of ``nodes``.
 
     A breadth-first search starts at a node not yet reached and counts one
     component; the count is final as soon as every node has been reached.
     Ids outside the graph lie in no component.
     """
-    left = {x for x in nodes if 0 <= x < len(adj)}
+    n, row = g.n, g.neighbors
+    left = {x for x in nodes if 0 <= x < n}
     count = 0
     while left:
         count += 1
@@ -328,7 +328,7 @@ def _touched_components(adj: list[set[int]], nodes: Iterable[int]) -> int:
         seen = {start}
         queue = deque((start,))
         while left and queue:
-            for y in adj[queue.popleft()]:
+            for y in row(queue.popleft()):
                 if y not in seen:
                     seen.add(y)
                     left.discard(y)

@@ -509,7 +509,7 @@ def test_incremental_drops_nodes_that_fall_below_the_floor():
     assert len(delta.removals) == 15
     # (0, 1) still has node 6 in common, but no node is at the floor any more:
     # the tracked set stays, with exact counts below the floor
-    assert max(map(len, g._adj)) < 3
+    assert max(map(g.degree, range(g.n))) < 3
     assert stepper.cn.ids.tolist() == list(range(6)) and stepper.cn.upper[0, 1] == 1
     assert stepper.cn.upper.max() < 3 and stepper.advance(1)[0].empty
     stepper.verify_counts()

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from abdyn import fileio
 from abdyn.engine import RoundRecord, RunTrace, Verdict
 from abdyn.errors import InputError
 from abdyn.fileio import (TRACE_FORMAT, read_edgelist, read_interaction_script,
@@ -16,6 +19,45 @@ def test_edgelist_roundtrip(tmp_path):
     h = read_edgelist(str(path))
     assert h.n == g.n
     assert graph_fingerprint(h) == graph_fingerprint(g)
+
+
+def _line_writer(g, path):
+    """The oracle: one line per edge of the sorted edge iteration."""
+    with open(path, "w") as fh:
+        fh.write(f"nodes {g.n}\n")
+        for u, v in sorted(g.edges()):
+            fh.write(f"{u} {v}\n")
+
+
+@st.composite
+def edited_graphs(draw):
+    """A graph built from codes or edge by edge, with some edits after."""
+    n = draw(st.integers(0, 70))
+    if n < 2:
+        return DynGraph(n)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pair, max_size=4 * n))
+    if draw(st.booleans()):
+        g = DynGraph.from_edges(n, edges)
+    else:
+        g = DynGraph(n)
+        for u, v in edges:
+            g.add_edge(u, v)
+    for add, (u, v) in draw(st.lists(st.tuples(st.booleans(), pair), max_size=10)):
+        (g.add_edge if add else g.remove_edge)(u, v)
+    return g
+
+
+@given(edited_graphs(), st.sampled_from([1, 7, 1 << 16]))
+def test_edgelist_writer_matches_the_line_writer(tmp_path_factory, g, block):
+    path = tmp_path_factory.mktemp("edges") / "g.edges"
+    _line_writer(g, path.with_suffix(".want"))
+    old, fileio.WRITE_BLOCK = fileio.WRITE_BLOCK, block
+    try:
+        write_edgelist(g, str(path))
+    finally:
+        fileio.WRITE_BLOCK = old
+    assert path.read_bytes() == path.with_suffix(".want").read_bytes()
 
 
 def test_edgelist_isolated_nodes(tmp_path):

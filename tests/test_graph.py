@@ -497,15 +497,20 @@ def test_from_codes_without_edges(n):
     assert g.fingerprint == graph_fingerprint(DynGraph(n))
 
 
-def test_from_codes_entries_are_shared_plain_ints():
+def test_from_codes_builds_no_set_and_reads_plain_ints():
     rng = random.Random(5)
-    n = 3000      # ids past the interpreter's small-int cache, over several fill blocks
+    n = 9000      # ids past the interpreter's small-int cache, over several blocks
     pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(20_000)})
     g = DynGraph.from_codes(n, codes_of(pairs))
-    entries = [v for nbrs in g._adj for v in nbrs]
-    assert all(type(v) is int for v in entries)
-    assert len({id(v) for v in entries}) == len(set(entries))
-    assert g == per_edge(n, pairs) and g.m == len(pairs)
+    assert g._adj == [None] * n
+    assert g._indptr.dtype == g._indices.dtype == np.int32
+    assert g == per_edge(n, pairs) and g.m == len(pairs) and len(g.degrees) == n
+    indptr, indices = g.csr_rows(range(n))  # base rows hold their neighbours ascending
+    assert all((np.diff(indices[a:b]) > 0).all() for a, b in zip(indptr[:-1], indptr[1:]))
+    assert list(g.edges()) == pairs
+    assert g._adj == [None] * n     # equality, edges, edge codes and degrees build no set
+    entries = [v for u in range(n) for v in g.neighbors(u)]
+    assert all(type(v) is int for v in entries) and None not in g._adj
 
 
 @st.composite
@@ -528,7 +533,8 @@ def test_from_codes_equals_the_per_edge_build(case):
     canon = sorted({(min(p), max(p)) for p in pairs})
     g = DynGraph.from_codes(n, codes_of(canon))
     for other in (per_edge(n, pairs), DynGraph.from_edges(n, pairs)):
-        assert g._adj == other._adj and g.m == other.m
+        assert all(g.neighbors(u) == other.neighbors(u) for u in range(n))
+        assert g == other and g.m == other.m
         assert g.fingerprint == graph_fingerprint(other)
     for kind, batch in edits:
         if kind == "add":
@@ -543,6 +549,127 @@ def test_from_codes_equals_the_per_edge_build(case):
             g.apply_delta(EdgeDelta.from_codes(codes_of(toggled), born))
         assert g.fingerprint == token_fold(g)
         assert g.m == len(g.edge_set())
+
+
+def test_equality_compares_edges_across_graph_kinds():
+    pairs = [(0, 1), (1, 4), (2, 3), (0, 4)]
+    base = DynGraph.from_edges(5, pairs)
+    sets = per_edge(5, reversed(pairs))
+    assert base == sets and sets == base and base == DynGraph.from_edges(5, pairs)
+    assert base._adj == [None] * 5     # comparing built no set
+    assert base == base.copy()
+    assert base != DynGraph.from_edges(6, pairs)            # same edges, another n
+    assert base != DynGraph.from_edges(5, pairs[:-1])       # one edge fewer
+    assert base != DynGraph.from_edges(5, pairs[:-1] + [(0, 3)])     # same m, one edge moved
+    sets.remove_edge(1, 4)
+    assert base != sets
+    sets.add_edge(1, 4)
+    assert base == sets
+    base.remove_edge(2, 3)
+    base.add_edge(3, 4)
+    assert base != sets and base == per_edge(5, [(0, 1), (1, 4), (0, 4), (3, 4)])
+    assert DynGraph(0) == DynGraph.from_codes(0, codes_of([])) != DynGraph(1)
+    assert (base == "graph") is False
+
+
+def test_base_arrays_refuse_writes():
+    g = DynGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    for graph in (g, g.copy()):
+        for array in (graph._indptr, graph._indices):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 1
+    assert g.copy()._indices is g._indices
+
+
+@st.composite
+def graph_scripts(draw):
+    """A node count, starting edges and a list of operations on the graph."""
+    n = draw(st.integers(2, 14))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pair, max_size=3 * n))
+    op = st.one_of(
+        st.tuples(st.sampled_from(("add", "remove")), pair),
+        st.tuples(st.sampled_from(("pairs", "codes")), st.lists(pair, max_size=2 * CODE_FORM_PAIRS)),
+        st.tuples(st.just("copy"), st.none()),
+        # a rebuild, then the pair toggled before the degree list is built
+        st.tuples(st.sampled_from(("from_codes", "from_edges")), pair))
+    ops = draw(st.lists(op, max_size=8))
+    # the nodes whose rows each check reads one by one; the rest stay in the base
+    probes = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=len(ops) + 1,
+                           max_size=len(ops) + 1))
+    return n, edges, ops, probes
+
+
+def _toggle_delta(ref, pairs):
+    canon = sorted({(min(p), max(p)) for p in pairs})
+    return canon, [not ref.has_edge(u, v) for u, v in canon]
+
+
+def _same_graph(g, ref, probe):
+    """g agrees with the set-only reference on every query; the bulk
+    readers first, while the rows outside ``probe`` are still in the base."""
+    n = ref.n
+    assert g == ref and ref == g and g.m == ref.m and g.n == n
+    assert np.array_equal(edge_codes(g), edge_codes(ref))
+    assert sorted(g.edges()) == sorted(ref.edges())
+    assert g.degrees == ref.degrees
+    assert graph_fingerprint(g) == g.fingerprint == graph_fingerprint(ref)
+    indptr, indices = g.csr_rows(range(n))
+    assert [set(indices[a:b].tolist()) for a, b in zip(indptr, indptr[1:])] == \
+        [ref.neighbors(u) for u in range(n)]
+    assert [g.degree(u) for u in range(n)] == ref.degrees
+    us = np.repeat(np.array(sorted(probe), dtype=np.int64), n)
+    vs = np.tile(np.arange(n), len(probe))
+    assert g.has_edges(us, vs).tolist() == [ref.has_edge(u, v) for u, v in zip(us, vs)]
+    for u in sorted(probe):
+        assert g.neighbors(u) == ref.neighbors(u)
+        for v in range(n):
+            assert g.has_edge(u, v) == ref.has_edge(u, v)
+            if u != v:
+                assert g.common_neighbors(u, v) == ref.common_neighbors(u, v)
+                assert g.common_neighbor_edges(u, v) == ref.common_neighbor_edges(u, v)
+    assert g.degrees == ref.degrees and g == ref
+
+
+@given(graph_scripts())
+def test_base_backed_graph_matches_a_set_only_reference(script):
+    n, edges, ops, probes = script
+    ref = per_edge(n, edges)
+    g = DynGraph.from_edges(n, edges)
+    g.fingerprint
+    _same_graph(g, ref, probes[0])
+    for (kind, arg), probe in zip(ops, probes[1:]):
+        if kind == "add":
+            g.add_edge(*arg)
+            ref.add_edge(*arg)
+        elif kind == "remove":
+            g.remove_edge(*arg)
+            ref.remove_edge(*arg)
+        elif kind in ("pairs", "codes"):
+            canon, born = _toggle_delta(ref, arg)
+            if kind == "pairs":
+                delta = EdgeDelta([p for p, b in zip(canon, born) if b],
+                                  [p for p, b in zip(canon, born) if not b])
+            else:
+                delta = EdgeDelta.from_codes(codes_of(canon), np.array(born, dtype=bool))
+            g.apply_delta(delta)
+            for (u, v), b in zip(canon, born):
+                (ref.add_edge if b else ref.remove_edge)(u, v)
+        elif kind == "copy":
+            source, g = g, g.copy()
+            assert g._indptr is source._indptr and g._indices is source._indices
+            assert None not in g._adj and not {id(s) for s in g._adj} & {id(s) for s in source._adj}
+            assert g == source
+        else:
+            current = sorted(ref.edges())
+            g = (DynGraph.from_codes(n, codes_of(current)) if kind == "from_codes"
+                 else DynGraph.from_edges(n, [(v, u) for u, v in current]))
+            assert g._adj == [None] * n
+            g.fingerprint
+            for graph in (g, ref):
+                (graph.remove_edge if ref.has_edge(*arg) else graph.add_edge)(*arg)
+        _same_graph(g, ref, probe)
 
 
 def test_from_edges_takes_repeats_and_either_orientation():
@@ -578,22 +705,28 @@ def test_from_edges_refuses_what_is_not_a_pair(pairs):
 
 _SET_WRITES = {"add", "discard", "update", "remove", "clear", "pop"}
 _LIST_WRITES = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+_ARRAY_WRITES = {"fill", "sort", "put", "resize", "setflags", "partition", "itemset"}
+_NUMPY_WRITES = {"copyto", "put", "place", "putmask"}
 _ADJ = {"_adj"}
 _DEGREES = {"_deg", "degrees"}
+_BASE = {"_indptr", "_indices"}
 
 
 def _adj_writes(path: Path) -> list[str]:
-    """file:line of every write to a graph's adjacency ``_adj`` or degree list
-    (``_deg``, read through ``degrees``) in one source file: an assignment
-    or deletion of the attribute or of an entry of it, a set-mutating call
-    on an entry of ``._adj``, or a list-mutating call on the degree list; a
-    name bound to either attribute counts the same."""
+    """file:line of every write to a graph's adjacency overlay ``_adj``, its
+    base arrays ``_indptr`` and ``_indices``, or its degree list (``_deg``,
+    read through ``degrees``) in one source file: an assignment or deletion
+    of the attribute or of an entry of it, a set-mutating call on an entry
+    of ``._adj``, a list-mutating call on the degree list, an assignment to
+    anything reached through a base array (an entry, a slice, its flags),
+    an array-mutating method call on one, or numpy's ``copyto``-like calls
+    into one; a name bound to any of these attributes counts the same."""
     tree = ast.parse(path.read_text(), filename=str(path))
 
     def attr_in(node, names):
         return isinstance(node, ast.Attribute) and node.attr in names
     aliases = {t.id: node.value.attr for node in ast.walk(tree)
-               if isinstance(node, ast.Assign) and attr_in(node.value, _ADJ | _DEGREES)
+               if isinstance(node, ast.Assign) and attr_in(node.value, _ADJ | _DEGREES | _BASE)
                for t in node.targets if isinstance(t, ast.Name)}
 
     def is_state(node, names):
@@ -602,19 +735,28 @@ def _adj_writes(path: Path) -> list[str]:
     def entry_of(node, names):
         return isinstance(node, ast.Subscript) and is_state(node.value, names)
 
+    def through_base(node):
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+            if is_state(node, _BASE):
+                return True
+        return False
+
     def targets(node):
         for t in node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]:
             yield from t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t]
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
-            if any(attr_in(t, _ADJ | _DEGREES) or entry_of(t, _ADJ | _DEGREES)
-                   for t in targets(node)):
+            if any(attr_in(t, _ADJ | _DEGREES | _BASE) or entry_of(t, _ADJ | _DEGREES)
+                   or through_base(t) for t in targets(node)):
                 lines.append(node.lineno)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             owner, name = node.func.value, node.func.attr
             if (name in _SET_WRITES and entry_of(owner, _ADJ)
-                    or name in _LIST_WRITES and is_state(owner, _DEGREES)):
+                    or name in _LIST_WRITES and is_state(owner, _DEGREES)
+                    or name in _ARRAY_WRITES and is_state(owner, _BASE)
+                    or name in _NUMPY_WRITES and node.args and is_state(node.args[0], _BASE)):
                 lines.append(node.lineno)
     return [f"{path.name}:{line}" for line in sorted(set(lines))]
 
@@ -648,7 +790,17 @@ def test_the_adjacency_scan_flags_each_kind_of_write(tmp_path):
         "    del deg[u]",
         "    deg.sort(); g.degrees.insert(0, 1)",
         "    y = g.degrees.copy(); y[u] = deg[v]",  # writes a copy only
+        "    g._indices[0] = 1",
+        "    ix = g._indptr",                      # binds a base array, writes nothing
+        "    ix[1:3] += 1",
+        "    g._indptr = None",
+        "    g._indices.flags.writeable = True",
+        "    ix.fill(0); g._indices.sort()",
+        "    np.copyto(g._indices, x)",
+        "    del ix[0]",
+        "    z = g._indices[g._indptr[u]:g._indptr[u + 1]].copy(); z[0] = 1",  # reads only
         "    return len(adj[u] & g._adj[v])",
     ]))
-    assert _adj_writes(probe) == [f"probe.py:{k}" for k in (2, 4, 5, 6, 7, 9, 10,
-                                                          12, 13, 14, 15, 16, 17)]
+    assert _adj_writes(probe) == [f"probe.py:{k}" for k in (2, 4, 5, 6, 7, 9, 10, 12, 13, 14,
+                                                          15, 16, 17, 19, 21, 22, 23, 24,
+                                                          25, 26)]

@@ -111,7 +111,7 @@ def _check_state(g, kept) -> None:
     """The degree list, once built, and every kept count equal fresh values;
     the counts kept are those asked to be kept since the last edit."""
     if g._deg is not None:
-        assert g._deg == [len(nbrs) for nbrs in g._adj]
+        assert g._deg == [g.degree(u) for u in range(g.n)]
     memo = _ce_memo(g)
     assert memo.keys() == kept
     for (u, v), value in memo.items():

@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,3 +429,34 @@ def test_merged_step_equals_two_half_steps_on_four_ring():
     assert merged.ok and halves.ok
     assert [tuple(t) for t in merged.tapes] == [tuple(t) for t in halves.tapes]
     assert merged.tapes[1] == list(reference_step(tape))
+
+
+_PEAK_GROWTH = """
+import resource
+import sys
+
+import abdyn.fastpath  # noqa: F401
+import scipy.sparse  # noqa: F401
+from abdyn.rule110 import AssemblyRunner
+
+
+def peak_kb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+before = peak_kb()
+result = AssemblyRunner(4).run((1, 0, 1, 1), steps=1, check=True)
+assert result.ok and result.matches_reference()
+print((peak_kb() - before) / 1024)
+"""
+
+
+def test_w4_run_grows_the_peak_resident_set_by_under_120_mb():
+    # the assembly's static edges stay in the graph's CSR base; a reader that
+    # builds every neighbour set (about 180 MB of sets at W=4) fails here
+    src = str(Path(rule110.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", _PEAK_GROWTH], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert float(out) < 120

@@ -349,8 +349,8 @@ def test_touched_components_matches_brute_force(g, data):
     # ids just outside the graph lie in no component
     nodes = data.draw(st.lists(st.integers(-1, g.n), max_size=g.n + 2))
     expected = len({label[x] for x in nodes if 0 <= x < g.n})
-    assert _touched_components(g._adj, nodes) == expected
-    assert _touched_components(g._adj, range(g.n)) == len(set(label))
+    assert _touched_components(g, nodes) == expected
+    assert _touched_components(g, range(g.n)) == len(set(label))
 
 
 def test_touched_components_on_graphs_with_hubs():
@@ -365,7 +365,7 @@ def test_touched_components_on_graphs_with_hubs():
         for _ in range(5):
             nodes = rng.sample(range(n), rng.randrange(1, 8))
             expected = len({label[x] for x in nodes})
-            assert _touched_components(g._adj, nodes) == expected
+            assert _touched_components(g, nodes) == expected
 
 
 def toggle_protocol() -> GeneralProtocol:
@@ -527,7 +527,7 @@ def test_touched_after_shortcut_and_its_fallback(monkeypatch, edges, additions, 
     assert len({label[x] for x in ends}) == touched
     calls = []
     monkeypatch.setattr(social, "_touched_components",
-                        lambda adj, nodes: calls.append(sorted(nodes)) or
-                        _touched_components(adj, nodes))
-    assert social._touched_after(g._adj, delta, ends) == touched
+                        lambda g, nodes: calls.append(sorted(nodes)) or
+                        _touched_components(g, nodes))
+    assert social._touched_after(g, delta, ends) == touched
     assert calls == ([sorted(ends)] if searched else [])
