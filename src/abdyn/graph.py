@@ -17,9 +17,9 @@ of a graph; only edges change. The adjacency has two layers:
   node's row. ``DynGraph(n)`` starts with every row a set, and so does a
   :meth:`copy`, whose source first builds the sets it lacks.
 
-The bulk readers (:attr:`DynGraph.degrees`, :func:`edge_codes`, the
-fingerprint fold, :meth:`DynGraph.csr_rows`, :meth:`DynGraph.edges` and
-equality) read both layers and build no set, so a huge graph of which a run
+The bulk readers (:attr:`DynGraph.degrees`, :func:`edge_codes`,
+:func:`edge_code_xor`, the fingerprint fold, :meth:`DynGraph.csr_rows`,
+:meth:`DynGraph.edges` and equality) read both layers and build no set, so a huge graph of which a run
 edits a few nodes holds sets for those nodes only. Once its fingerprint has
 been asked for, a graph keeps it up to date under every edit (Zobrist
 hashing: each toggle XORs one edge token); so it does with the list of
@@ -40,8 +40,9 @@ the constructors of :class:`DynGraph` and its edit methods (``add_edge``,
 ``remove_edge``, and ``apply_delta`` for any multi-edge delta); a read adds
 a row to the overlay but changes no edge. Other modules read the adjacency
 through ``neighbors``, ``has_edge``, ``has_edges``, ``degree``, ``degrees``,
-``csr_rows``, ``edge_codes`` and the fingerprint, and nothing else may write
-it, or the fingerprint, the degrees and the tables go stale.
+``csr_rows``, ``edge_codes``, ``edge_code_xor`` and the fingerprint, and
+nothing else may write it, or the fingerprint, the degrees and the tables
+go stale.
 
 Thread safety: read-only queries may run concurrently; mutation requires
 exclusive access. A read may add a row to the overlay, build the degree list
@@ -773,6 +774,26 @@ def edge_codes(g: DynGraph) -> np.ndarray:
         out[pos:pos + len(codes)] = codes
         pos += len(codes)
     return out
+
+
+def edge_code_xor(g: DynGraph, codes: np.ndarray) -> np.ndarray:
+    """Sorted codes of the edges in g or in ``codes``, sorted unique codes
+    of pairs of g's nodes, but not in both: ``np.setxor1d(edge_codes(g),
+    codes)``. It compares one block of source nodes at a time, so its
+    temporaries are a block's size rather than a few copies of m codes (31
+    MB at the round-0 check of a W=4 rule-110 assembly), and a block wholly
+    in the base that has not changed costs one comparison."""
+    ends = np.searchsorted(codes, np.arange(FOLD_BLOCK, g.n + FOLD_BLOCK, FOLD_BLOCK,
+                                            dtype=np.uint64) << np.uint64(32)).tolist()
+    parts = [codes[:0]]
+    start = 0
+    for (block, _), end in zip(_edge_code_blocks(g), ends):
+        # setxor1d sorts; a block wholly in the base ascends like codes, so an
+        # unchanged one matches at once
+        if not np.array_equal(block, codes[start:end]):
+            parts.append(np.setxor1d(block, codes[start:end], assume_unique=True))
+        start = end
+    return np.concatenate(parts)
 
 
 def graph_fingerprint(g: DynGraph) -> int:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .engine import RunConfig, RunTrace, run
 from .errors import ContractError, InputError
-from .graph import DynGraph, code_pairs, edge_codes, norm_pair, pair_codes
+from .graph import DynGraph, code_pairs, edge_code_xor, norm_pair, pair_codes
 from .potentials import Potential, rule110_potential, two_step_merge
 from .schedulers import CompleteScheduler
 
@@ -365,7 +365,7 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
                     "blinker_parity", gmap.describe_pair(pair), want, not want))
 
     if diff is None:
-        diff = code_pairs(np.setxor1d(edge_codes(g), assembly.initial_codes, assume_unique=True))
+        diff = code_pairs(edge_code_xor(g, assembly.initial_codes))
     for pair in diff:
         if pair not in gmap.dynamic:
             report.violations.append(StructureViolation(

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from abdyn import graph as graph_module
 from abdyn.errors import ContractError, InputError
-from abdyn.graph import (CODE_FORM_PAIRS, DynGraph, EdgeDelta, edge_codes, edge_token,
-                         graph_fingerprint, induced_ball)
+from abdyn.graph import (CODE_FORM_PAIRS, DynGraph, EdgeDelta, edge_code_xor, edge_codes,
+                         edge_token, graph_fingerprint, induced_ball)
 
 from conftest import (brute_common_neighbor_edges, brute_common_neighbors,
                       random_graph, triangle)
@@ -210,6 +210,14 @@ def test_fingerprint_folds_partial_last_block(monkeypatch, block):
     monkeypatch.setattr(graph_module, "FOLD_BLOCK", block)
     assert graph_fingerprint(g) == want_fp
     assert edge_codes(g).tolist() == want_codes
+    # the block-by-block xor, on sets and on a base with a few rows edited
+    other = edge_codes(sparse_graph(45, 100, block + 1))
+    h = DynGraph.from_codes(45, other)
+    for u, v in [(0, 44), (3, 9), (20, 21)]:
+        (h.remove_edge if h.has_edge(u, v) else h.add_edge)(u, v)
+    for graph, codes in ((g, other), (h, other), (h, edge_codes(g)), (h, edge_codes(h))):
+        assert np.array_equal(edge_code_xor(graph, codes),
+                              np.setxor1d(edge_codes(graph), codes, assume_unique=True))
 
 
 def test_copy_independent():
@@ -606,12 +614,14 @@ def _toggle_delta(ref, pairs):
     return canon, [not ref.has_edge(u, v) for u, v in canon]
 
 
-def _same_graph(g, ref, probe):
+def _same_graph(g, ref, probe, start):
     """g agrees with the set-only reference on every query; the bulk
-    readers first, while the rows outside ``probe`` are still in the base."""
+    readers first, while the rows outside ``probe`` are still in the base.
+    ``start`` holds the codes of the first graph of the script."""
     n = ref.n
     assert g == ref and ref == g and g.m == ref.m and g.n == n
     assert np.array_equal(edge_codes(g), edge_codes(ref))
+    assert np.array_equal(edge_code_xor(g, start), np.setxor1d(edge_codes(ref), start))
     assert sorted(g.edges()) == sorted(ref.edges())
     assert g.degrees == ref.degrees
     assert graph_fingerprint(g) == g.fingerprint == graph_fingerprint(ref)
@@ -638,7 +648,8 @@ def test_base_backed_graph_matches_a_set_only_reference(script):
     ref = per_edge(n, edges)
     g = DynGraph.from_edges(n, edges)
     g.fingerprint
-    _same_graph(g, ref, probes[0])
+    start = edge_codes(ref)
+    _same_graph(g, ref, probes[0], start)
     for (kind, arg), probe in zip(ops, probes[1:]):
         if kind == "add":
             g.add_edge(*arg)
@@ -669,7 +680,7 @@ def test_base_backed_graph_matches_a_set_only_reference(script):
             g.fingerprint
             for graph in (g, ref):
                 (graph.remove_edge if ref.has_edge(*arg) else graph.add_edge)(*arg)
-        _same_graph(g, ref, probe)
+        _same_graph(g, ref, probe, start)
 
 
 def test_from_edges_takes_repeats_and_either_orientation():
