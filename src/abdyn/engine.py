@@ -23,8 +23,10 @@ uses the potential's certificates, which changes no decision:
 
 * it runs every complete-scheduler potential with a pair rule
   (:attr:`~abdyn.potentials.Potential.pair_rule`), merged ones included, on
-  :class:`~abdyn.fastpath.IncrementalStepper`; under other schedulers it
-  skips the pairs below the rule's certified floor;
+  :class:`~abdyn.fastpath.IncrementalStepper`, which a run without
+  ``copy_graph`` parks on the caller's graph for the next run there to
+  resume (:func:`~abdyn.fastpath.incremental_stepper`); under other
+  schedulers it skips the pairs below the rule's certified floor;
 * it decides a node-form potential f(h(u), h(v)) (see
   :attr:`~abdyn.potentials.Potential.node_form`) from the graph's table of h
   (:meth:`~abdyn.graph.DynGraph.node_table`), computed at most once per node
@@ -525,8 +527,8 @@ def _make_stepper(cfg: RunConfig, g: DynGraph):
             and not cfg.observers):
         return ActiveSetStepper(g, pot, sched)
     if sched.is_complete and pot.pair_rule is not None:
-        from .fastpath import IncrementalStepper
-        return IncrementalStepper(g, pot)
+        from .fastpath import incremental_stepper
+        return incremental_stepper(g, pot)
     return NaiveStepper(g, pot, sched, certified=True)
 
 
@@ -673,6 +675,8 @@ def run(config: RunConfig) -> RunTrace:
         }
     else:
         metadata = {"protocol": rule.name, "tags": stepper.tags}
+    if not config.copy_graph and hasattr(stepper, "park"):
+        stepper.park()      # the next run on the caller's graph resumes it
     return RunTrace(rounds=rounds, verdict=verdict, metadata=metadata, final_graph=g,
                     changed_rounds=changed_rounds, deltas=deltas, diff=diff)
 

@@ -28,12 +28,21 @@ certificate check. A round looks its pairs up in one array operation and
 calls ``decide`` only on the pairs whose entry reads the common neighbor
 edges, so the rule keeps one definition, its own ``decide``; a pair whose
 count an observer kept on the same state
-(:meth:`~abdyn.graph.DynGraph.keep_common_neighbor_edges`, as the rule-110
+(:meth:`~abdyn.graph.DynGraph.keep_common_neighbor_counts`, as the rule-110
 structure check does for its anchor pairs) costs a lookup. Each substep
 applies its toggles as one :class:`~abdyn.graph.EdgeDelta` built from their
 sorted edge codes, which a long delta keeps as arrays, through the
 validating :meth:`DynGraph.apply_delta`, so an edit made behind the
 stepper's back raises ``ContractError`` instead of corrupting the graph.
+
+A run that wrote the caller's graph parks its stepper there
+(:meth:`IncrementalStepper.park`, :meth:`~abdyn.graph.DynGraph.park`), and
+the graph journals the edges that later edits toggle. The next run of the
+same rule on that graph resumes it (:func:`incremental_stepper`): the net
+toggles move the tracked state as a substep's would, so a runner that puts
+many tapes through one rule-110 assembly builds the counts once. A journal
+past its bound, a toggled pair with an endpoint outside H, another rule or
+a copy of the graph gets a fresh build.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ContractError
-from .graph import DynGraph, EdgeDelta, graph_fingerprint, pair_codes
+from .graph import DynGraph, EdgeDelta, code_ends, graph_fingerprint, pair_codes
 from .potentials import PairStatsRule, Potential
 from .schedulers import pair_count
 
@@ -178,15 +187,15 @@ class Toggles(NamedTuple):
     tj: np.ndarray
     sign: np.ndarray
 
-    def net(self, later: "Toggles") -> Optional["Toggles"]:
-        """This substep's toggles and then ``later``'s, netted, when that
-        leaves fewer pairs than ``later`` holds, else None. A pair in both is
-        back in its old state, so the net toggles are the pairs in exactly
-        one of the two."""
+    def then(self, later: "Toggles", shorter: bool = False) -> Optional["Toggles"]:
+        """These toggles and then ``later``'s, netted; with ``shorter``, None
+        unless that leaves fewer pairs than ``later`` holds. A pair in both
+        is back in its old state, so the net toggles are the pairs in
+        exactly one of the two."""
         _, mine, theirs = np.intersect1d(self.codes, later.codes, assume_unique=True,
                                          return_indices=True)
         # |self| + |later| - 2 |both| < |later|
-        if 2 * len(mine) <= len(self.codes):
+        if shorter and 2 * len(mine) <= len(self.codes):
             return None
         if (self.sign[mine] == later.sign[theirs]).any():
             raise ContractError("a pair toggled in two substeps moved the same way twice")
@@ -221,6 +230,22 @@ def _diverged(what: str, ids: np.ndarray, want, have) -> None:
             f"{have.nnz} stored for {want.nnz}")
 
 
+def incremental_stepper(g: DynGraph, potential: Potential) -> "IncrementalStepper":
+    """An :class:`IncrementalStepper` of ``potential`` on g: the one that the
+    last run on g parked there, brought up to g's edges, if it runs the same
+    :class:`~abdyn.potentials.PairStatsRule` (by identity; the substep count
+    may differ) and every pair toggled since has both endpoints in its H;
+    else a new one."""
+    parked = g.unpark()
+    if parked is not None:
+        stepper, codes, now = parked
+        stats, substeps = potential.pair_rule
+        if stepper.stats is stats and stepper._fold(g, codes, now):
+            stepper.substeps = substeps
+            return stepper
+    return IncrementalStepper(g, potential)
+
+
 class IncrementalStepper:
     """Exact incremental execution of a pair-statistics potential under the
     complete scheduler.
@@ -248,6 +273,10 @@ class IncrementalStepper:
     that flips the same pairs every substep then costs only the pairs that
     change otherwise. ``rebased`` counts those substeps. A substep that
     toggles nothing changes neither state.
+
+    Between two runs on one graph the stepper waits parked on it
+    (:meth:`park`); :func:`incremental_stepper` resumes it, moving its
+    state by the pairs toggled in between, which must lie inside H.
     """
 
     prune = True        # pairs below the floor are never decided
@@ -289,7 +318,7 @@ class IncrementalStepper:
         order = np.argsort(codes)
         toggles = Toggles(codes[order], ti[order], tj[order],
                           np.where(born[order], 1, -1).astype(np.int32))
-        net = self.toggled.net(toggles) if self.toggled is not None else None
+        net = self.toggled.then(toggles, shorter=True) if self.toggled is not None else None
         delta = EdgeDelta.from_codes(toggles.codes, born[order])
         # the graph is written first, so a refused delta leaves both states as they were
         self.g.apply_delta(delta)
@@ -306,6 +335,41 @@ class IncrementalStepper:
         for _ in range(1, self.substeps):
             delta = delta.then(self._substep())
         return delta, pair_count(self.g.n)
+
+    # -- from one run on a graph to the next --------------------------------
+
+    def park(self) -> None:
+        """Leave the stepper on its graph (:meth:`DynGraph.park`) for the
+        next run there, which :func:`incremental_stepper` resumes. The
+        graph keeps a journal of at most as many toggles as the stepper
+        counts pairs, the scale of a fresh build's work."""
+        g, self.g = self.g, None        # no reference cycle while parked
+        g.park(self, len(self.cn))
+
+    def _fold(self, g: DynGraph, codes: np.ndarray, now: np.ndarray) -> bool:
+        """Bring the tracked state up to g, whose pairs of ascending edge
+        codes ``codes`` were toggled since the stepper was parked and are
+        edges where ``now`` holds, unless one of them has an endpoint
+        outside H; returns whether it did. The state moves by those toggles
+        as by a substep's, and they join the last substep's toggles, so a
+        first substep that undoes the last one still takes the older
+        state."""
+        ids = self.cn.ids
+        us, vs = (end.astype(np.int64) for end in code_ends(codes))
+        ti, tj = np.searchsorted(ids, us), np.searchsorted(ids, vs)
+        if len(codes) and not (tj.max() < len(ids)
+                               and (ids[ti] == us).all() and (ids[tj] == vs).all()):
+            return False
+        self.g = g
+        if not len(codes):
+            return True
+        toggles = Toggles(codes, ti, tj, np.where(now, 1, -1).astype(np.int32))
+        if self.toggled is None:
+            self.older, self.toggled = (self.a_hh, self.cn.upper), toggles
+        else:
+            self.toggled = self.toggled.then(toggles)
+        self.a_hh, self.cn.upper = _moved(self.a_hh, self.cn.upper, toggles)
+        return True
 
     # -- test hook ----------------------------------------------------------
 

@@ -23,11 +23,14 @@ The bulk readers (:attr:`DynGraph.degrees`, :func:`edge_codes`,
 edits a few nodes holds sets for those nodes only. Once its fingerprint has
 been asked for, a graph keeps it up to date under every edit (Zobrist
 hashing: each toggle XORs one edge token); so it does with the list of
-node degrees (:attr:`DynGraph.degrees`). It also holds tables that every
-edit drops: per node function h, the values h(graph, u) found so far (see
-:meth:`DynGraph.node_table`), and the common neighbor edge counts of the
-pairs that a caller asked it to keep (see
-:meth:`DynGraph.keep_common_neighbor_edges`).
+node degrees (:attr:`DynGraph.degrees`) and, while an item is parked on it
+(:meth:`DynGraph.park`), with a journal of the codes of the edges toggled
+since, up to a bound past which it drops both. That is how the incremental
+stepper of :mod:`abdyn.fastpath` carries its counts from one run on a graph
+to the next. It also holds tables that every edit drops: per node function
+h, the values h(graph, u) found so far (see :meth:`DynGraph.node_table`),
+and the common neighbor edge counts of the pairs that a caller asked it to
+keep (see :meth:`DynGraph.keep_common_neighbor_counts`).
 
 An :class:`EdgeDelta` comes in two forms. Built from pairs it keeps its
 tuples, and its check and its writes loop over them. Built from edge codes
@@ -35,14 +38,15 @@ with at least ``CODE_FORM_PAIRS`` pairs it is a :class:`_CodeDelta`, which
 keeps the sorted uint64 codes: it is checked, folded into the fingerprint
 and netted on arrays, and builds its tuples only when they are read.
 
-Only this module writes the overlay, the base arrays and the degree list:
-the constructors of :class:`DynGraph` and its edit methods (``add_edge``,
-``remove_edge``, and ``apply_delta`` for any multi-edge delta); a read adds
-a row to the overlay but changes no edge. Other modules read the adjacency
-through ``neighbors``, ``has_edge``, ``has_edges``, ``degree``, ``degrees``,
+Only this module writes the overlay, the base arrays, the degree list and
+the parked item with its journal: the constructors of :class:`DynGraph`,
+its edit methods (``add_edge``, ``remove_edge``, and ``apply_delta`` for
+any multi-edge delta), ``park`` and ``unpark``; a read adds a row to the
+overlay but changes no edge. Other modules read the adjacency through
+``neighbors``, ``has_edge``, ``has_edges``, ``degree``, ``degrees``,
 ``csr_rows``, ``edge_codes``, ``edge_code_xor`` and the fingerprint, and
-nothing else may write it, or the fingerprint, the degrees and the tables
-go stale.
+nothing else may write it, or the fingerprint, the degrees, the journal
+and the tables go stale.
 
 Thread safety: read-only queries may run concurrently; mutation requires
 exclusive access. A read may add a row to the overlay, build the degree list
@@ -71,7 +75,8 @@ def norm_pair(u: int, v: int) -> tuple[int, int]:
 class DynGraph:
     """Simple undirected graph on a fixed node set."""
 
-    __slots__ = ("_n", "_indptr", "_indices", "_adj", "_lazy", "_m", "_fp", "_deg", "_tables")
+    __slots__ = ("_n", "_indptr", "_indices", "_adj", "_lazy", "_m", "_fp", "_deg", "_tables",
+                 "_parked")
 
     def __init__(self, n: int):
         self._attach(None, None, [set() for _ in range(_node_count(n))], lazy=False)
@@ -81,6 +86,7 @@ class DynGraph:
         # {h: {node: h(self, node)}} for the current edges, and under _CE the
         # kept counts {(u, v): common_neighbor_edges(u, v)}; None after an edit
         self._tables: Optional[dict] = None
+        self._parked: Optional[_Parked] = None     # see park
 
     def _attach(self, indptr: Optional[np.ndarray], indices: Optional[np.ndarray], rows: list,
                 lazy: bool) -> None:
@@ -166,6 +172,7 @@ class DynGraph:
         g._fp = None
         g._deg = None
         g._tables = None
+        g._parked = None
         return g
 
     @property
@@ -210,6 +217,40 @@ class DynGraph:
             table = tables[h] = {}
         return table
 
+    def park(self, item: object, bound: int) -> None:
+        """Keep ``item`` on the graph, with an empty journal to which every
+        later edit appends the codes of the edges it toggles, until
+        :meth:`unpark` takes it. An edit that takes the journal past
+        ``bound`` codes drops both; a copy of the graph starts with nothing
+        parked."""
+        self._parked = _Parked(item, bound)
+
+    def unpark(self) -> Optional[tuple[object, np.ndarray, np.ndarray]]:
+        """Take the parked item, None if there is none: ``(item, codes,
+        now)``, where ``codes`` are the ascending edge codes of the pairs
+        toggled an odd number of times since it was parked, the net change,
+        and the bool array ``now`` says which of them are edges now."""
+        parked, self._parked = self._parked, None
+        if parked is None:
+            return None
+        codes, times = np.unique(np.concatenate([np.array(parked.ints, dtype=np.uint64),
+                                                 *parked.arrays]), return_counts=True)
+        codes = codes[times % 2 == 1]       # a pair toggled twice is back in its state
+        return parked.item, codes, self.has_edges(*code_ends(codes))
+
+    def _log(self, codes) -> None:
+        """Append the toggled edge codes ``codes``, a list of ints or a
+        uint64 array, to the parked item's journal, or drop both when that
+        passes the bound."""
+        parked = self._parked
+        parked.size += len(codes)
+        if parked.size > parked.bound:
+            self._parked = None
+        elif isinstance(codes, np.ndarray):
+            parked.arrays.append(codes)
+        else:
+            parked.ints.extend(codes)
+
     def _check(self, u: int) -> None:
         if not 0 <= u < self._n:
             raise range_error(u, self._n)
@@ -247,6 +288,8 @@ class DynGraph:
             if self._deg is not None:
                 self._deg[u] += 1
                 self._deg[v] += 1
+            if self._parked is not None:
+                self._log([(u << 32) | v if u < v else (v << 32) | u])
 
     def remove_edge(self, u: int, v: int) -> None:
         self._check(u)
@@ -262,6 +305,8 @@ class DynGraph:
             if self._deg is not None:
                 self._deg[u] -= 1
                 self._deg[v] -= 1
+            if self._parked is not None:
+                self._log([(u << 32) | v if u < v else (v << 32) | u])
 
     def neighbors(self, u: int) -> set[int]:
         """Live neighbor set of u, put in the overlay on the first read.
@@ -318,44 +363,53 @@ class DynGraph:
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges())
 
-    def common_neighbors(self, u: int, v: int) -> int:
-        """Number of nodes adjacent to both u and v; u and v never count."""
+    def _common(self, u: int, v: int, query: str) -> set[int]:
+        """The common neighbors of u and v, for the method named ``query``."""
         self._check(u)
         self._check(v)
         if u == v:
-            raise InputError("common_neighbors requires two distinct nodes")
+            raise InputError(f"{query} requires two distinct nodes")
         adj = self._overlay((u, v))
-        return len(adj[u] & adj[v])
+        return adj[u] & adj[v]
+
+    def _edges_among(self, nodes: set[int]) -> int:
+        """Number of edges with both endpoints in ``nodes``."""
+        if len(nodes) < 2:
+            return 0
+        adj = self._overlay(nodes)
+        total = 0
+        for w in nodes:
+            total += len(adj[w] & nodes)
+        return total // 2
+
+    def common_neighbors(self, u: int, v: int) -> int:
+        """Number of nodes adjacent to both u and v; u and v never count."""
+        return len(self._common(u, v, "common_neighbors"))
 
     def common_neighbor_edges(self, u: int, v: int) -> int:
         """Number of edges whose endpoints are both common neighbors of u and v."""
-        self._check(u)
-        self._check(v)
-        if u == v:
-            raise InputError("common_neighbor_edges requires two distinct nodes")
-        adj = self._overlay((u, v))
-        common = adj[u] & adj[v]
-        if len(common) < 2:
-            return 0
-        adj = self._overlay(common)
-        total = 0
-        for w in common:
-            total += len(adj[w] & common)
-        return total // 2
+        return self._edges_among(self._common(u, v, "common_neighbor_edges"))
 
-    def keep_common_neighbor_edges(self, u: int, v: int) -> int:
-        """:meth:`common_neighbor_edges` of u and v, counted afresh and kept
-        for the current edges, where :meth:`kept_common_neighbor_edges` reads
-        it until the next edit drops it with the node tables. A caller keeps
-        only the pairs that a later reader counts again on the same state, so
-        the results kept per state are no more than the pairs it counts."""
-        total = self.common_neighbor_edges(u, v)
-        self.node_table(_CE)[(u, v) if u < v else (v, u)] = total
-        return total
+    def common_neighbor_counts(self, u: int, v: int) -> tuple[int, int]:
+        """(:meth:`common_neighbors`, :meth:`common_neighbor_edges`) of u and
+        v, from one intersection of their rows."""
+        common = self._common(u, v, "common_neighbor_counts")
+        return len(common), self._edges_among(common)
+
+    def keep_common_neighbor_counts(self, u: int, v: int) -> tuple[int, int]:
+        """:meth:`common_neighbor_counts` of u and v, counted afresh, with
+        the common neighbor edge count kept for the current edges, where
+        :meth:`kept_common_neighbor_edges` reads it until the next edit drops
+        it with the node tables. A caller keeps only the pairs that a later
+        reader counts again on the same state, so the results kept per state
+        are no more than the pairs it counts."""
+        counts = self.common_neighbor_counts(u, v)
+        self.node_table(_CE)[(u, v) if u < v else (v, u)] = counts[1]
+        return counts
 
     def kept_common_neighbor_edges(self, u: int, v: int) -> int:
         """:meth:`common_neighbor_edges` of u and v: the result kept for the
-        current edges by :meth:`keep_common_neighbor_edges`, else counted
+        current edges by :meth:`keep_common_neighbor_counts`, else counted
         afresh and not kept."""
         tables = self._tables
         if tables is not None:
@@ -398,9 +452,10 @@ class DynGraph:
                 deg[u] += 1
                 deg[v] += 1
         self._m += added - removed
-        if added or removed:
-            self._tables = None
-        if self._fp is not None and (added or removed):
+        if not (added or removed):
+            return
+        self._tables = None
+        if self._fp is not None:
             fp = self._fp
             if not delta.array_backed and added + removed < CODE_FORM_PAIRS:
                 for u, v in chain(adds, rems):
@@ -408,6 +463,9 @@ class DynGraph:
             else:
                 fp ^= int(np.bitwise_xor.reduce(splitmix64_array(delta.code_arrays()[0])))
             self._fp = fp
+        if self._parked is not None:
+            self._log(delta.code_arrays()[0] if delta.array_backed else
+                      [(u << 32) | v for u, v in chain(adds, rems)])
 
     def copy(self) -> "DynGraph":
         """An independent graph with the same edges. It shares the base
@@ -425,6 +483,7 @@ class DynGraph:
         g._fp = self._fp
         g._deg = None if self._deg is None else self._deg.copy()
         g._tables = None
+        g._parked = None
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -445,6 +504,21 @@ def _node_count(n: int) -> int:
     if n < 0:
         raise InputError(f"node count must be nonnegative, got {n}")
     return n
+
+
+class _Parked:
+    """An item parked on a graph (:meth:`DynGraph.park`) and its journal:
+    the codes toggled since, ``size`` of them, Python ints from the edits
+    of single pairs and pair-form deltas, arrays from code-form ones."""
+
+    __slots__ = ("item", "bound", "size", "ints", "arrays")
+
+    def __init__(self, item: object, bound: int):
+        self.item = item
+        self.bound = bound
+        self.size = 0
+        self.ints: list[int] = []
+        self.arrays: list[np.ndarray] = []
 
 
 def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -273,8 +273,8 @@ def community_potential(alpha: float, beta: float) -> Potential:
     neighbors; rewards locally dense pairs."""
 
     def _eval(g: DynGraph, u: int, v: int) -> float:
-        return (g.common_neighbors(u, v) + (1 if g.has_edge(u, v) else 0)
-                + g.common_neighbor_edges(u, v))
+        cn, ce = g.common_neighbor_counts(u, v)
+        return cn + (1 if g.has_edge(u, v) else 0) + ce
 
     return Potential(name="community", alpha=alpha, beta=beta, evaluator=_eval,
                      params={"alpha": alpha, "beta": beta})

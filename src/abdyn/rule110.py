@@ -43,7 +43,7 @@ import numpy as np
 from .engine import RunConfig, RunTrace, run
 from .errors import ContractError, InputError
 from .graph import DynGraph, code_pairs, edge_code_xor, norm_pair, pair_codes
-from .potentials import Potential, rule110_potential, two_step_merge
+from .potentials import rule110_potential, two_step_merge
 from .schedulers import CompleteScheduler
 
 AUX_PER_SUBCELL = 60
@@ -343,9 +343,10 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
     d. the anchor common-neighbor-edge counts satisfy the wiring formulas
        8 + value sums for drivers and 4 + value sums for followers.
 
-    The anchor pairs' common neighbor edge counts are kept on g for its
-    current edges (:meth:`DynGraph.keep_common_neighbor_edges`): the fast
-    route reads them when it decides those pairs on the same state.
+    Both counts of an anchor pair come from one intersection of its rows,
+    and the edge count is kept on g for its current edges
+    (:meth:`DynGraph.keep_common_neighbor_counts`): the fast route reads it
+    when it decides those pairs on the same state.
     """
     g = g or assembly.graph
     if g.n != assembly.graph.n:
@@ -375,7 +376,7 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
     rw = gmap.ring_width
     for (cell, kind), sc in gmap.subcells.items():
         a0, a1 = sc.anchors
-        cn = g.common_neighbors(a0, a1)
+        cn, ce = g.keep_common_neighbor_counts(a0, a1)     # the fast route decides these next
         if sc.is_driver:
             want_cn = 70 if parity == INTEGER else 10
         else:
@@ -383,7 +384,6 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
         if cn != want_cn:
             report.violations.append(StructureViolation(
                 "anchor_cn", gmap.describe_pair((a0, a1)), want_cn, cn))
-        ce = g.keep_common_neighbor_edges(a0, a1)   # the fast route decides these next
         j = sc.lane
         if sc.is_driver:
             want_ce = (8
@@ -436,11 +436,21 @@ class AssemblyRunner:
     Once such a check has passed and every run since was restored exactly,
     the graph at round 0 differs from the build in the tape's anchor pairs
     only, and the round-0 check reads that diff instead.
+
+    Every run, merged or not, runs the one rule-110 potential built here.
+    The engine parks its incremental stepper on the graph at the end of a
+    run, and the next run resumes it, moved by the few anchor and blinker
+    pairs that the restore and the new tape toggled
+    (:func:`abdyn.fastpath.incremental_stepper`), so only the first run
+    builds the counts of the high-degree nodes.
     """
 
     def __init__(self, width: int):
         self.assembly = build_assembly((0,) * width)
         self._exact = False     # a full check and exact restores proved the build
+        potential = rule110_potential(100)
+        # one pair rule for every run, so that each run resumes the last one's stepper
+        self._potentials = {False: potential, True: two_step_merge(potential)}
 
     def run(self, tape, steps: int, merged: bool = False,
             check: bool = True) -> SimulationResult:
@@ -477,10 +487,9 @@ class AssemblyRunner:
                     inconsistent.append(round_index // 2)
                 tapes.append(vals)
 
-        potential: Potential = rule110_potential(100)
         cfg = RunConfig(
             graph=assembly.graph,
-            potential=two_step_merge(potential) if merged else potential,
+            potential=self._potentials[merged],
             scheduler=CompleteScheduler(),
             max_rounds=max(steps if merged else 2 * steps, 1),
             stop_mode="budget",

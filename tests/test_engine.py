@@ -670,12 +670,12 @@ def test_complete_community_run_keeps_no_ce(monkeypatch, engine):
     # keeps it; the rule's own reads on either route keep none
     g = random_graph(14, 0.5, 4)
     held = []
-    count = DynGraph.common_neighbor_edges
+    count = DynGraph.common_neighbor_counts     # the rule's one read of both counts
 
     def counted(h, u, v):
         held.append(len((h._tables or {}).get(graph_module._CE, ())))
         return count(h, u, v)
-    monkeypatch.setattr(DynGraph, "common_neighbor_edges", counted)
+    monkeypatch.setattr(DynGraph, "common_neighbor_counts", counted)
     trace = run(RunConfig(graph=g, potential=community_potential(5, 5),
                           scheduler=CompleteScheduler(), max_rounds=20, stop_mode="budget",
                           engine=engine))

@@ -49,6 +49,8 @@ def test_counts_match_brute_force(seed):
             assert g.common_neighbors(u, v) == g.common_neighbors(v, u)
             assert g.common_neighbor_edges(u, v) == brute_common_neighbor_edges(g, u, v)
             assert g.common_neighbor_edges(u, v) == g.common_neighbor_edges(v, u)
+            assert g.common_neighbor_counts(u, v) == (brute_common_neighbors(g, u, v),
+                                                      brute_common_neighbor_edges(g, u, v))
 
 
 def test_invalid_node_id():
@@ -278,6 +280,82 @@ def test_edits_leave_an_unasked_fingerprint_unfolded(seed):
         assert g._fp is None, k
         assert g.m == len(g.edge_set()), k
     assert g.fingerprint == token_fold(g)
+
+
+def _unparked(g: DynGraph, item: object) -> list[tuple[tuple[int, int], bool]]:
+    """The net toggles that g journalled for ``item``, with whether each
+    pair is an edge now; nothing is parked afterwards."""
+    taken, codes, now = g.unpark()
+    assert taken is item and g.unpark() is None
+    assert codes.dtype == np.uint64 and (codes[1:] > codes[:-1]).all()
+    return [((code >> 32, code & 0xFFFFFFFF), edge)
+            for code, edge in zip(codes.tolist(), now.tolist())]
+
+
+def _net(g: DynGraph, before: set) -> list[tuple[tuple[int, int], bool]]:
+    return [(pair, g.has_edge(*pair)) for pair in sorted(before ^ g.edge_set())]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_journal_holds_the_net_toggles_of_every_kind_of_edit(seed):
+    # each edit alone, no-op edits and a refused delta among them, and then
+    # all of them under one park, where pairs toggled twice drop out
+    g = random_graph(12, 0.4, seed)
+    item = object()
+    for k, edit in enumerate(_edits(g)):
+        before = g.edge_set()
+        g.park(item, 66)        # every pair of the 12 nodes, which the complement toggles
+        edit()
+        assert _unparked(g, item) == _net(g, before), k
+    before = g.edge_set()
+    g.park(item, 1000)
+    for edit in _edits(g):
+        edit()
+    assert _unparked(g, item) == _net(g, before)
+
+
+def test_a_refused_delta_journals_nothing():
+    g = random_graph(12, 0.4, 5)
+    item = object()
+    g.park(item, 100)
+    present = next(iter(g.edges()))
+    gaps = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    long = sorted(gaps[:CODE_FORM_PAIRS] + [present])
+    codes = np.array([(u << 32) | v for u, v in long], dtype=np.uint64)
+    for delta in (EdgeDelta.build([present], []),
+                  EdgeDelta.from_codes(codes, np.ones(len(codes), dtype=bool))):
+        with pytest.raises(ContractError, match="adds existing edge"):
+            g.apply_delta(delta)
+    assert g._parked.size == 0 and _unparked(g, item) == []
+
+
+def test_a_journal_past_its_bound_drops_the_parked_item():
+    g = random_graph(12, 0.4, 6)
+    item = object()
+    u, v = next(iter(g.edges()))
+    g.park(item, 3)
+    for edit in (g.remove_edge, g.add_edge, g.remove_edge):
+        edit(u, v)
+    assert g._parked.item is item and g._parked.size == 3      # at the bound it stays
+    g.add_edge(u, v)
+    assert g._parked is None and g.unpark() is None
+    # a code-form delta longer than the bound drops it at once
+    gaps = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b)]
+    codes = np.array([(a << 32) | b for a, b in gaps[:CODE_FORM_PAIRS]], dtype=np.uint64)
+    g.park(item, CODE_FORM_PAIRS - 1)
+    g.apply_delta(EdgeDelta.from_codes(codes, np.ones(len(codes), dtype=bool)))
+    assert g.unpark() is None
+
+
+def test_a_copy_starts_with_nothing_parked():
+    g = random_graph(12, 0.4, 7)
+    item = object()
+    g.park(item, 100)
+    before = g.edge_set()
+    h = g.copy()
+    assert h._parked is None and h.unpark() is None
+    h.add_edge(0, 1) if not h.has_edge(0, 1) else h.remove_edge(0, 1)     # journals on h only
+    assert _unparked(g, item) == _net(g, before) == []
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -721,23 +799,28 @@ _NUMPY_WRITES = {"copyto", "put", "place", "putmask"}
 _ADJ = {"_adj"}
 _DEGREES = {"_deg", "degrees"}
 _BASE = {"_indptr", "_indices"}
+_PARKED = {"_parked"}
+_STATE = _ADJ | _DEGREES | _BASE | _PARKED
 
 
 def _adj_writes(path: Path) -> list[str]:
     """file:line of every write to a graph's adjacency overlay ``_adj``, its
-    base arrays ``_indptr`` and ``_indices``, or its degree list (``_deg``,
-    read through ``degrees``) in one source file: an assignment or deletion
-    of the attribute or of an entry of it, a set-mutating call on an entry
-    of ``._adj``, a list-mutating call on the degree list, an assignment to
-    anything reached through a base array (an entry, a slice, its flags),
-    an array-mutating method call on one, or numpy's ``copyto``-like calls
-    into one; a name bound to any of these attributes counts the same."""
+    base arrays ``_indptr`` and ``_indices``, its degree list (``_deg``,
+    read through ``degrees``) or its parked item with the journal
+    (``_parked``) in one source file: an assignment or deletion of the
+    attribute or of an entry of it, a set-mutating call on an entry of
+    ``._adj``, a list-mutating call on the degree list, an assignment to
+    anything reached through a base array (an entry, a slice, its flags) or
+    through the parked slot (a field of the journal), an array-mutating
+    method call on a base array, a list-mutating call on anything reached
+    through the parked slot, or numpy's ``copyto``-like calls into a base
+    array; a name bound to any of these attributes counts the same."""
     tree = ast.parse(path.read_text(), filename=str(path))
 
     def attr_in(node, names):
         return isinstance(node, ast.Attribute) and node.attr in names
     aliases = {t.id: node.value.attr for node in ast.walk(tree)
-               if isinstance(node, ast.Assign) and attr_in(node.value, _ADJ | _DEGREES | _BASE)
+               if isinstance(node, ast.Assign) and attr_in(node.value, _STATE)
                for t in node.targets if isinstance(t, ast.Name)}
 
     def is_state(node, names):
@@ -746,10 +829,10 @@ def _adj_writes(path: Path) -> list[str]:
     def entry_of(node, names):
         return isinstance(node, ast.Subscript) and is_state(node.value, names)
 
-    def through_base(node):
+    def through(node, names):
         while isinstance(node, (ast.Attribute, ast.Subscript)):
             node = node.value
-            if is_state(node, _BASE):
+            if is_state(node, names):
                 return True
         return False
 
@@ -759,13 +842,14 @@ def _adj_writes(path: Path) -> list[str]:
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
-            if any(attr_in(t, _ADJ | _DEGREES | _BASE) or entry_of(t, _ADJ | _DEGREES)
-                   or through_base(t) for t in targets(node)):
+            if any(attr_in(t, _STATE) or entry_of(t, _ADJ | _DEGREES)
+                   or through(t, _BASE | _PARKED) for t in targets(node)):
                 lines.append(node.lineno)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             owner, name = node.func.value, node.func.attr
             if (name in _SET_WRITES and entry_of(owner, _ADJ)
                     or name in _LIST_WRITES and is_state(owner, _DEGREES)
+                    or name in _LIST_WRITES and through(owner, _PARKED)
                     or name in _ARRAY_WRITES and is_state(owner, _BASE)
                     or name in _NUMPY_WRITES and node.args and is_state(node.args[0], _BASE)):
                 lines.append(node.lineno)
@@ -810,8 +894,13 @@ def test_the_adjacency_scan_flags_each_kind_of_write(tmp_path):
         "    np.copyto(g._indices, x)",
         "    del ix[0]",
         "    z = g._indices[g._indptr[u]:g._indptr[u + 1]].copy(); z[0] = 1",  # reads only
+        "    g._parked = None",
+        "    p = g._parked",                       # binds the parked slot, writes nothing
+        "    p.size += 1",
+        "    g._parked.ints.extend(x)",
+        "    p.arrays.append(x); k = len(g._parked.ints) + p.bound",
         "    return len(adj[u] & g._adj[v])",
     ]))
     assert _adj_writes(probe) == [f"probe.py:{k}" for k in (2, 4, 5, 6, 7, 9, 10, 12, 13, 14,
                                                           15, 16, 17, 19, 21, 22, 23, 24,
-                                                          25, 26)]
+                                                          25, 26, 28, 30, 31, 32)]

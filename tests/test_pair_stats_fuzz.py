@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abdyn import fastpath
 from abdyn.engine import RunConfig, run
 from abdyn.errors import ContractError
 from abdyn.fastpath import Decisions, IncrementalStepper
-from abdyn.graph import DynGraph, EdgeDelta, graph_fingerprint
+from abdyn.graph import CODE_FORM_PAIRS, DynGraph, EdgeDelta, graph_fingerprint, pair_codes
 from abdyn.potentials import PairStatsRule, Potential, rule110_potential, two_step_merge
 from abdyn.schedulers import CompleteScheduler, FairRoundRobinScheduler
 
@@ -358,3 +359,87 @@ def test_a_refused_delta_leaves_both_states():
 
     assert _pairs(stepper._substep()) == {(0, 1)} and stepper.rebased == 2
     stepper.verify_counts()
+
+
+# ---------------------------------------------------------------------------
+# the stepper carried from one run on a graph to the next
+
+# edits made between two runs: through add_edge, remove_edge, and apply_delta
+# in pair and code form on pairs of H, which the next run folds in; then a
+# pair with an endpoint outside H, and that endpoint pushed to the floor,
+# after which the next run builds afresh
+INSIDE = ("add", "remove", "pairs", "codes")
+EDITS = INSIDE + ("outside", "floor")
+N = 14      # node N - 1 starts isolated, outside H
+
+
+def _toggle(g: DynGraph, pair) -> None:
+    (g.remove_edge if g.has_edge(*pair) else g.add_edge)(*pair)
+
+
+def _edit_between_runs(g: DynGraph, kind: str, ids: list, floor: int,
+                       rng: random.Random) -> int:
+    """Make one edit of ``kind`` to g, whose H is ``ids``; returns the
+    number of pairs it toggled, a pair toggled twice counted twice."""
+    inside = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    if kind in ("add", "remove"):
+        before = g.edge_set()
+        for pair in rng.sample(inside, 4):
+            getattr(g, f"{kind}_edge")(*pair)       # a no-op where the pair is already so
+        return len(before ^ g.edge_set())
+    if kind in ("pairs", "codes"):
+        chosen = sorted(rng.sample(inside, 5 if kind == "pairs" else CODE_FORM_PAIRS))
+        born = np.array([not g.has_edge(*p) for p in chosen])
+        ends = np.array(chosen, dtype=np.int64)
+        delta = EdgeDelta.from_codes(pair_codes(ends[:, 0], ends[:, 1]), born)
+        assert delta.array_backed == (kind == "codes")
+        g.apply_delta(delta)
+        _toggle(g, chosen[0])       # back: the journal nets it out
+        return len(chosen) + 1
+    outside, m = N - 1, g.m
+    partners = rng.sample(ids, 1 if kind == "outside" else floor)
+    g.apply_delta(EdgeDelta.build([(x, outside) for x in partners], []))
+    assert g.degree(outside) == len(partners) and g.m == m + len(partners)
+    return len(partners)
+
+
+@pytest.mark.parametrize("kind", EDITS)
+def test_a_carried_stepper_runs_as_a_fresh_build(monkeypatch, kind):
+    resume = fastpath.incremental_stepper
+    resumed = []
+
+    def checked(g, potential):
+        stepper = resume(g, potential)
+        stepper.verify_counts()
+        resumed.append(stepper)
+        return stepper
+    monkeypatch.setattr(fastpath, "incremental_stepper", checked)
+    carried = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        floor = rng.randint(1, 3)
+        pot = _potential(_table_rule(floor, {(e, c): rng.choice(ACTIONS)
+                                             for e in (0, 1) for c in range(floor, TOP)}))
+        g = random_graph(N, rng.choice((0.5, 0.7)), seed)
+        for v in list(g.neighbors(N - 1)):
+            g.remove_edge(N - 1, v)
+        base = dict(potential=pot, scheduler=CompleteScheduler(), max_rounds=ROUNDS,
+                    stop_mode="budget", record_rounds="all", record_deltas=True,
+                    copy_graph=False)
+        run(RunConfig(graph=g, **base))
+        parked = g._parked.item
+        ids = parked.cn.ids.tolist()
+        assert N - 1 not in ids
+        toggled = _edit_between_runs(g, kind, ids, floor, rng)
+        # the journal holds at most the pairs that the stepper counts
+        assert (g._parked is not None) == (toggled <= len(parked.cn)), seed
+        fold = kind in INSIDE and g._parked is not None
+
+        naive = _run(g, pot, "naive", ROUNDS)
+        auto = run(RunConfig(graph=g, **base))
+        assert (resumed[-1] is parked) == fold, seed
+        carried += fold
+        assert auto.deltas == naive.deltas, seed
+        assert [r.fingerprint for r in auto.rounds] == [r.fingerprint for r in naive.rounds]
+        assert auto.verdict == naive.verdict
+    assert len(resumed) == 20 and carried >= (5 if kind in INSIDE else 0)

@@ -397,6 +397,27 @@ def test_fast_route_reads_the_ce_the_check_kept(monkeypatch, check):
     assert reads and all(reads) == check and any(reads) == check
 
 
+def test_a_reused_runner_builds_one_stepper(monkeypatch):
+    # every later run, merged or not, resumes the stepper that the last run
+    # parked on the graph, moved by the pairs the restore and the tape toggled
+    runner = AssemblyRunner(3)
+    init = IncrementalStepper.__init__
+    built = []
+
+    def spy(stepper, *args):
+        built.append(stepper)
+        init(stepper, *args)
+    monkeypatch.setattr(IncrementalStepper, "__init__", spy)
+    tapes = [tuple(bits) for bits in itertools.product((0, 1), repeat=3)]
+    for k, (tape, merged) in enumerate(itertools.product(tapes, (False, True))):
+        res = runner.run(tape, steps=2, merged=merged, check=True)
+        assert res.ok and res.matches_reference(), (tape, merged)
+        assert res.tapes == [list(t) for t in reference_run(tape, 2)]
+        assert not any(r.violations for r in res.structure_reports), (tape, merged)
+        assert runner.assembly.graph._parked.item is built[0], k
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("merged", [False, True])
 def test_every_toggling_substep_after_the_first_takes_the_older_state(merged):
     # the blinkers toggle every substep, so the net toggles against the state
