@@ -28,7 +28,7 @@ certificate check. A round looks its pairs up in one array operation and
 calls ``decide`` only on the pairs whose entry reads the common neighbor
 edges, so the rule keeps one definition, its own ``decide``; a pair whose
 count an observer kept on the same state
-(:meth:`~abdyn.graph.DynGraph.keep_common_neighbor_counts`, as the rule-110
+(:meth:`~abdyn.graph.DynGraph.keep_common_neighbor_edges`, as the rule-110
 structure check does for its anchor pairs) costs a lookup. Each substep
 applies its toggles as one :class:`~abdyn.graph.EdgeDelta` built from their
 sorted edge codes, which a long delta keeps as arrays, through the

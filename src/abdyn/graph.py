@@ -30,7 +30,7 @@ stepper of :mod:`abdyn.fastpath` carries its counts from one run on a graph
 to the next. It also holds tables that every edit drops: per node function
 h, the values h(graph, u) found so far (see :meth:`DynGraph.node_table`),
 and the common neighbor edge counts of the pairs that a caller asked it to
-keep (see :meth:`DynGraph.keep_common_neighbor_counts`).
+keep (see :meth:`DynGraph.keep_common_neighbor_edges`).
 
 An :class:`EdgeDelta` comes in two forms. Built from pairs it keeps its
 tuples, and its check and its writes loop over them. Built from edge codes
@@ -396,20 +396,18 @@ class DynGraph:
         common = self._common(u, v, "common_neighbor_counts")
         return len(common), self._edges_among(common)
 
-    def keep_common_neighbor_counts(self, u: int, v: int) -> tuple[int, int]:
-        """:meth:`common_neighbor_counts` of u and v, counted afresh, with
-        the common neighbor edge count kept for the current edges, where
+    def keep_common_neighbor_edges(self, u: int, v: int, total: int) -> None:
+        """Keep ``total``, which the caller counted as
+        :meth:`common_neighbor_edges` of u and v on the current edges, where
         :meth:`kept_common_neighbor_edges` reads it until the next edit drops
         it with the node tables. A caller keeps only the pairs that a later
         reader counts again on the same state, so the results kept per state
         are no more than the pairs it counts."""
-        counts = self.common_neighbor_counts(u, v)
-        self.node_table(_CE)[(u, v) if u < v else (v, u)] = counts[1]
-        return counts
+        self.node_table(_CE)[(u, v) if u < v else (v, u)] = total
 
     def kept_common_neighbor_edges(self, u: int, v: int) -> int:
         """:meth:`common_neighbor_edges` of u and v: the result kept for the
-        current edges by :meth:`keep_common_neighbor_counts`, else counted
+        current edges by :meth:`keep_common_neighbor_edges`, else counted
         afresh and not kept."""
         tables = self._tables
         if tables is not None:

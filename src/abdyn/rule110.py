@@ -173,6 +173,9 @@ class CellAssembly:
     graph: DynGraph
     gmap: GadgetMap
     initial_codes: np.ndarray      # the sorted edge codes the graph was built from
+    # per subcell, the nodes and pairs its anchor counts are read from once a
+    # full check has proved the build (see check_structure); None until then
+    anchor_plan: Optional[dict] = field(default=None, repr=False, compare=False)
 
 
 def _clique_codes(rows: np.ndarray, skip_specials: bool = False) -> np.ndarray:
@@ -337,15 +340,30 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
     a. every driver blinker edge exists iff p is integer, every follower
        blinker edge iff p is half;
     b. all other edges apart from anchor pairs match the built graph (via the
-       engine's diff set when provided, else a full comparison);
+       engine's diff set when provided, else a full comparison), reported in
+       ascending pair order;
     c. anchor common neighbor counts are exactly 70/10 for drivers and 6/66
        for followers at integer/half parity;
     d. the anchor common-neighbor-edge counts satisfy the wiring formulas
        8 + value sums for drivers and 4 + value sums for followers.
 
-    Both counts of an anchor pair come from one intersection of its rows,
-    and the edge count is kept on g for its current edges
-    (:meth:`DynGraph.keep_common_neighbor_counts`): the fast route reads it
+    A ``diff`` must hold every pair other than an anchor or blinker pair
+    (a static pair) in which g differs from the build, as the engine's diff
+    of a run does once the run's round-0 state was proved.
+
+    When b finds nothing, every static pair of g equals the build, so a
+    common neighbor of an anchor pair is either one of its static common
+    neighbors in the build or a dynamic partner of one anchor. The counts
+    then come from the anchor plan: per anchor pair, those nodes U, the
+    static edges among U and the dynamic pairs among U. cn is the size of
+    U ∩ N(a0) ∩ N(a1), and ce adds the static edges and the dynamic pairs
+    that are edges now with both ends in it. The plan is built once per
+    assembly, on the first check that compared every edge and found b
+    clean. Otherwise both counts come from one intersection of the anchor
+    rows (:meth:`DynGraph.common_neighbor_counts`).
+
+    Either way the edge count is kept on g for its current edges
+    (:meth:`DynGraph.keep_common_neighbor_edges`): the fast route reads it
     when it decides those pairs on the same state.
     """
     g = g or assembly.graph
@@ -365,18 +383,29 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
                 report.violations.append(StructureViolation(
                     "blinker_parity", gmap.describe_pair(pair), want, not want))
 
-    if diff is None:
+    full = diff is None
+    if full:
         diff = code_pairs(edge_code_xor(g, assembly.initial_codes))
-    for pair in diff:
-        if pair not in gmap.dynamic:
-            report.violations.append(StructureViolation(
-                "static_edge", gmap.describe_pair(pair), "unchanged from build", "toggled"))
+    static = sorted(set(diff) - gmap.dynamic)
+    for pair in static:
+        report.violations.append(StructureViolation(
+            "static_edge", gmap.describe_pair(pair), "unchanged from build", "toggled"))
+
+    plan = None
+    if not static:
+        if assembly.anchor_plan is None and full:
+            assembly.anchor_plan = _anchor_plan(gmap, g)
+        plan = assembly.anchor_plan
 
     bits = subcell_bits(assembly, g)
     rw = gmap.ring_width
     for (cell, kind), sc in gmap.subcells.items():
         a0, a1 = sc.anchors
-        cn, ce = g.keep_common_neighbor_counts(a0, a1)     # the fast route decides these next
+        if plan is None:
+            cn, ce = g.common_neighbor_counts(a0, a1)
+        else:
+            cn, ce = _planned_counts(g, a0, a1, *plan[(cell, kind)])
+        g.keep_common_neighbor_edges(a0, a1, ce)     # the fast route decides these next
         if sc.is_driver:
             want_cn = 70 if parity == INTEGER else 10
         else:
@@ -401,6 +430,49 @@ def check_structure(assembly: CellAssembly, g: Optional[DynGraph] = None,
             report.violations.append(StructureViolation(
                 "anchor_ce", gmap.describe_pair((a0, a1)), want_ce, ce))
     return report
+
+
+def _anchor_plan(gmap: GadgetMap, g: DynGraph) -> dict:
+    """Per subcell key, ``(U, static edges among U, dynamic pairs among U)``
+    for its anchor pair (see :func:`check_structure`), read off g, whose
+    static pairs must equal the build's. Every dynamic pair, an anchor or
+    a blinker pair, has an anchor end. The anchors' rows, which the check
+    reads as sets anyway, are read as sets, the other rows of U as arrays
+    (:meth:`DynGraph.csr_rows`): a plan built at round 0 that put the
+    auxiliaries' rows in the overlay before the run raised the peak
+    resident set of a W=4 sweep by 0.5 MB."""
+    dynamic = gmap.dynamic
+    partners = {a: set() for sc in gmap.subcells.values() for a in sc.anchors}
+    for u, v in dynamic:
+        if u in partners:
+            partners[u].add(v)
+        if v in partners:
+            partners[v].add(u)
+    plan = {}
+    for key, sc in gmap.subcells.items():
+        a0, a1 = sc.anchors
+        p0, p1 = partners[a0], partners[a1]
+        among = frozenset(((g.neighbors(a0) - p0) & (g.neighbors(a1) - p1)) | p0 | p1) - {a0, a1}
+        nodes = np.array(sorted(among), dtype=np.int64)
+        indptr, indices = g.csr_rows(nodes)
+        ends = np.repeat(nodes, np.diff(indptr))
+        inside = (ends < indices) & np.isin(indices, nodes)
+        fixed = [p for p in zip(ends[inside].tolist(), indices[inside].tolist())
+                 if p not in dynamic]
+        toggling = {(x, y) if x < y else (y, x) for x in among.intersection(partners)
+                    for y in among.intersection(partners[x])}
+        plan[key] = (among, tuple(fixed), tuple(toggling))
+    return plan
+
+
+def _planned_counts(g: DynGraph, a0: int, a1: int, among: frozenset, fixed: tuple,
+                    toggling: tuple) -> tuple[int, int]:
+    """(common neighbors, common neighbor edges) of the anchors a0 and a1
+    from their plan, on g whose static pairs equal the build's."""
+    common = among & g.neighbors(a0) & g.neighbors(a1)
+    ce = sum(1 for x, y in fixed if x in common and y in common)
+    ce += sum(1 for x, y in toggling if x in common and y in common and g.has_edge(x, y))
+    return len(common), ce
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +505,12 @@ class AssemblyRunner:
     sweep pays the construction cost once.
 
     The first checked run compares every edge with the build at round 0.
-    Once such a check has passed and every run since was restored exactly,
-    the graph at round 0 differs from the build in the tape's anchor pairs
-    only, and the round-0 check reads that diff instead.
+    Once such a check has passed, every run since was restored exactly and
+    the graph's fingerprint shows no edit since the last restore, the graph
+    at round 0 differs from the build in the tape's anchor pairs only, and
+    the round-0 check reads that diff instead. The later checks of a run
+    read the engine's diff only when its round 0 was proved so or by a full
+    check that passed; otherwise each compares every edge with the build.
 
     Every run, merged or not, runs the one rule-110 potential built here.
     The engine parks its incremental stepper on the graph at the end of a
@@ -447,7 +522,9 @@ class AssemblyRunner:
 
     def __init__(self, width: int):
         self.assembly = build_assembly((0,) * width)
-        self._exact = False     # a full check and exact restores proved the build
+        # the fingerprint of the build once a full check and exact restores
+        # proved it, else None
+        self._proved_fp: Optional[int] = None
         potential = rule110_potential(100)
         # one pair rule for every run, so that each run resumes the last one's stepper
         self._potentials = {False: potential, True: two_step_merge(potential)}
@@ -467,8 +544,9 @@ class AssemblyRunner:
         assembly = self.assembly
         if len(logical) != assembly.gmap.width:
             raise InputError(f"runner is built for width {assembly.gmap.width}")
+        proved_fp, self._proved_fp = self._proved_fp, None
+        exact = proved_fp is not None and assembly.graph.fingerprint == proved_fp
         switched_on = self._set_tape(logical)
-        exact, self._exact = self._exact, False
 
         tapes = [extract_values(assembly)]
         reports: list[StructureReport] = []
@@ -476,11 +554,15 @@ class AssemblyRunner:
         if check:
             reports.append(check_structure(assembly, round_index=0,
                                            diff=switched_on if exact else None))
+        # the engine's diff holds every static pair that moved only from a
+        # round-0 state that equals the build apart from the tape
+        proven = exact or (check and reports[0].ok)
 
         def observer(t, g, delta, diff):
             round_index = 2 * (t + 1) if merged else t + 1
             if check:
-                reports.append(check_structure(assembly, g, round_index, diff=diff))
+                reports.append(check_structure(assembly, g, round_index,
+                                               diff=diff if proven else None))
             if round_index % 2 == 0 and round_index // 2 <= steps:
                 vals = extract_values(assembly, g)
                 if None in vals:
@@ -499,7 +581,8 @@ class AssemblyRunner:
         )
         trace = run(cfg)
         self._restore(trace.diff)
-        self._exact = exact or (check and reports[0].ok)
+        if proven:
+            self._proved_fp = assembly.graph.fingerprint
         while len(tapes) < steps + 1:
             tapes.append(list(tapes[-1]))
         return SimulationResult(tapes=tapes, trace=trace, structure_reports=reports,

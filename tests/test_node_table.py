@@ -4,7 +4,7 @@
 from :meth:`DynGraph.node_table`, which every edit drops. Every read must
 equal the cache-free f(h(g, u), h(g, v)) whatever edits came between, and
 ``engine="naive"`` must keep calling the evaluator, with no table. The
-common neighbor edge counts kept by ``keep_common_neighbor_counts`` must
+common neighbor edge counts kept by ``keep_common_neighbor_edges`` must
 likewise equal fresh counts until the edit that drops them, and
 ``common_neighbor_edges`` itself, which ``naive`` calls, keeps none. The
 degree list, which every edit keeps current, must equal the degrees.
@@ -144,7 +144,7 @@ def test_degrees_and_ce_memo_match_fresh_values_across_edits(seed, listed, steps
             h = g.copy()
             assert h._tables is None and h._deg == g._deg
             assert h._deg is None or h._deg is not g._deg
-            h.keep_common_neighbor_counts(*pairs[0])
+            h.keep_common_neighbor_edges(*pairs[0], h.common_neighbor_edges(*pairs[0]))
             assert g._tables is tables and _ce_memo(h) is not _ce_memo(g)
             g = h
             kept = {tuple(sorted(pairs[0]))}
@@ -156,8 +156,10 @@ def test_degrees_and_ce_memo_match_fresh_values_across_edits(seed, listed, steps
             for u, v in pairs[1:]:
                 assert g.common_neighbor_edges(u, v) == g.kept_common_neighbor_edges(v, u)
             u, v = pairs[0]
-            assert g.keep_common_neighbor_counts(u, v) == (g.common_neighbors(v, u),
-                                                           g.kept_common_neighbor_edges(v, u))
+            cn, ce = g.common_neighbor_counts(u, v)
+            assert cn == g.common_neighbors(v, u)
+            g.keep_common_neighbor_edges(u, v, ce)
+            assert g.kept_common_neighbor_edges(v, u) == ce
             kept.add((min(u, v), max(u, v)))
         else:
             assert g.degrees == [g.degree(u) for u in range(M)]

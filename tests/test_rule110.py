@@ -271,6 +271,20 @@ def test_structure_flags_tampered_static_edge(asm4):
     assert check_structure(asm4, g, round_index=0, diff={(internal, partner)}) == report
 
 
+def test_static_edge_violations_come_in_ascending_pair_order(asm4):
+    # the diff path reports the pairs of a set, whose order is its hash order
+    g = asm4.graph.copy()
+    pairs = []
+    for key in ((3, "f2"), (0, "d1"), (2, "d2")):
+        internal = asm4.gmap.subcells[key].anchors[1] + 2 + 60   # a blinker internal
+        g.remove_edge(internal, internal + 1)
+        pairs.append((internal, internal + 1))
+    report = check_structure(asm4, g, round_index=0)
+    assert [v.where for v in report.violations if v.kind == "static_edge"] == \
+        [asm4.gmap.describe_pair(p) for p in sorted(pairs)]
+    assert check_structure(asm4, g, round_index=0, diff=set(pairs)) == report
+
+
 def test_extraction_consistency_and_diagnostics(asm4):
     assert extract_values(asm4) == [0, 1, 1, 0]
     bits = subcell_bits(asm4)
@@ -395,6 +409,97 @@ def test_fast_route_reads_the_ce_the_check_kept(monkeypatch, check):
     result = runner.run((1, 0, 1, 1), steps=2, check=check)
     assert result.ok and result.matches_reference()
     assert reads and all(reads) == check and any(reads) == check
+
+
+def _reference_check(assembly, g, round_index):
+    """check_structure on a twin of ``assembly`` that never builds the anchor
+    plan: it compares every edge with the build and counts every anchor pair
+    by intersecting its full rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rule110, "_anchor_plan", lambda gmap, g: None)
+        return check_structure(dataclasses.replace(assembly, anchor_plan=None), g, round_index)
+
+
+def _checked_against_the_reference(monkeypatch, reports):
+    """Make every structure check of a run also assert that the common
+    neighbor edge counts it kept are fresh and that its report equals the
+    reference check's on the same state; its reports go to ``reports``."""
+    def spy(assembly, g=None, round_index=0, diff=None):
+        report = check_structure(assembly, g, round_index, diff)
+        g = g or assembly.graph
+        kept = g._tables[graph_module._CE]
+        for sc in assembly.gmap.subcells.values():
+            assert kept[sc.anchors] == g.common_neighbor_counts(*sc.anchors)[1], sc
+        assert report == _reference_check(assembly, g, round_index), round_index
+        reports.append(report)
+        return report
+    monkeypatch.setattr(rule110, "check_structure", spy)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_checks_equal_the_full_intersection_reference(monkeypatch, width):
+    # every tape, merged and not, on one reused runner: the first check
+    # builds the anchor plan, and every later one counts from it
+    runner = AssemblyRunner(width)
+    reports = []
+    _checked_against_the_reference(monkeypatch, reports)
+    for tape, merged in itertools.product(itertools.product((0, 1), repeat=width),
+                                          (False, True)):
+        done = len(reports)
+        res = runner.run(tape, steps=2, merged=merged, check=True)
+        assert res.ok and res.matches_reference(), (tape, merged)
+        assert reports[done:] == res.structure_reports and len(reports) > done + 1
+    assert runner.assembly.anchor_plan is not None
+
+
+@pytest.mark.parametrize("between_runs", [False, True])
+def test_a_static_edge_tampered_before_round_0_shows_in_every_check(monkeypatch,
+                                                                    between_runs):
+    # a pin special edge between two anchors of cell 0: the first is a static
+    # common neighbor of the second's pair, so that pair's cn moves; removed
+    # on a new runner, or between runs once the plan is built and the runner
+    # would read round 0 from the tape's anchor pairs
+    runner = AssemblyRunner(4)
+    if between_runs:
+        assert runner.run((1, 0, 1, 1), steps=1).ok
+        assert runner.assembly.anchor_plan is not None
+    gmap = runner.assembly.gmap
+    pin = (gmap.subcells[(0, "d1")].anchors[0], gmap.subcells[(0, "f1")].anchors[0])
+    plan = rule110._anchor_plan(gmap, runner.assembly.graph)
+    assert any(set(pin) <= among for among, _, _ in plan.values())
+    runner.assembly.graph.remove_edge(*pin)
+    reports = []
+    _checked_against_the_reference(monkeypatch, reports)
+    with pytest.raises(ContractError, match="edited outside the run"):
+        runner.run((0, 1, 1, 0), steps=2, check=True)
+    assert len(reports) == 5
+    where = gmap.describe_pair(pin)
+    for report in reports:
+        assert [v.where for v in report.violations if v.kind == "static_edge"] == [where]
+        assert any(v.kind == "anchor_cn" for v in report.violations), report.round
+
+
+def test_proven_checks_count_no_full_rows(monkeypatch):
+    # once the first check has built the plan, a check of a state whose
+    # static pairs are proved equal to the build intersects no anchor rows
+    runner = AssemblyRunner(4)
+    count = DynGraph.common_neighbor_counts
+    counted = []
+
+    def spy(g, u, v):
+        counted.append((u, v))
+        return count(g, u, v)
+    monkeypatch.setattr(DynGraph, "common_neighbor_counts", spy)
+    for tape, merged in (((1, 0, 1, 1), False), ((0, 1, 1, 0), True), ((1, 1, 1, 0), False)):
+        res = runner.run(tape, steps=2, merged=merged, check=True)
+        assert res.ok and res.matches_reference() and len(res.structure_reports) > 1
+    assert counted == []
+    # a tampered static edge sends every anchor pair to the full rows
+    g = runner.assembly.graph.copy()
+    internal = runner.assembly.gmap.subcells[(0, "d1")].anchors[1] + 2 + 60
+    g.remove_edge(internal, internal + 1)
+    assert not check_structure(runner.assembly, g, round_index=0).ok
+    assert len(counted) == len(runner.assembly.gmap.subcells)
 
 
 def test_a_reused_runner_builds_one_stepper(monkeypatch):
